@@ -8,12 +8,11 @@ from .words import (
     GapAlphabet,
     PreconditionError,
     Reduction,
-    SegmentSlice,
     Span,
     V,
     Word,
     all_maximal_spans,
-    is_pattern_free,
+    has_adjacent_repeat,
     maximal_two_letter_words,
     orientation,
     parse_letters,
@@ -26,7 +25,6 @@ from .canon import (
     XLoopClass,
     canon_v,
     canon_x,
-    equivalent,
     format_generators,
     from_free_group,
     multiply,

@@ -15,16 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .words import (
-    NORTH,
-    SOUTH,
     GapAlphabet,
     PreconditionError,
     Span,
     V,
     Word,
-    flip,
+    has_adjacent_repeat,
     hemisphere_after,
-    is_pattern_free,
     maximal_two_letter_words,
     orientation,
 )
@@ -100,7 +97,7 @@ def find_windings(word: Word, alphabet: GapAlphabet) -> list[Winding]:
     basepoint, which is a valid border for every obstacle except the
     basepoint itself."""
     letters = word.inner()
-    if not is_pattern_free(letters, "aa"):
+    if has_adjacent_repeat(letters):
         raise PreconditionError("windings are defined on words without adjacent repeats")
     return _span_windings(letters, alphabet, basepoint_at_ends=(word.kind == "v"))
 
@@ -121,14 +118,12 @@ def winding_self_lower_bound(word: Word, alphabet: GapAlphabet) -> int:
     return _aggregate_depths(windings)
 
 
-def depth_family_bound(depths: list[int]) -> int:
+def depth_family_bound(depths: list[int] | tuple[int, ...]) -> int:
     """Forced crossings of windings of the given depths around one obstacle:
-    sum_i s_i + 2 sum_{i<j} min(s_i, s_j)."""
-    return sum(depths) + 2 * sum(
-        min(depths[i], depths[j])
-        for i in range(len(depths))
-        for j in range(i + 1, len(depths))
-    )
+    sum_i s_i + 2 sum_{i<j} min(s_i, s_j).  In descending order the j-th
+    depth (from 0) is the minimum of its pairs with the j depths before it,
+    so the sum is sum_j s_(j) (2j + 1)."""
+    return sum(s * (2 * j + 1) for j, s in enumerate(sorted(depths, reverse=True)))
 
 
 def _aggregate_depths(windings: list[Winding]) -> int:
@@ -168,7 +163,7 @@ def find_snails(
     The end snail's span indexes into the reversed inner word."""
     if word.kind != "v":
         raise PreconditionError("snails live at the ends of based words")
-    if not is_pattern_free(word, "aa"):
+    if has_adjacent_repeat(word):
         raise PreconditionError("snails are defined on words without adjacent repeats")
     out = []
     for reverse in (False, True):
@@ -219,7 +214,7 @@ def forced_arc_intersection(
     if a[0] == b[0] or a[-1] == b[-1]:
         raise PreconditionError("end letters must differ")
     for w in (a, b):
-        if not is_pattern_free(w, "aa"):
+        if has_adjacent_repeat(w):
             raise PreconditionError("segments must be free of adjacent repeats")
     first = (a[0], b[0], a[1])
     last = (a[-2], b[-1], a[-1])

@@ -20,9 +20,8 @@ from .words import (
     PreconditionError,
     Reduction,
     Word,
-    flip,
+    has_adjacent_repeat,
     hemisphere_after,
-    is_pattern_free,
     reduce_word,
 )
 
@@ -82,12 +81,6 @@ def canon_v(word: Word, first_arc_hemisphere: str) -> VLoopClass:
     return VLoopClass(red.word.inner(), hemi)
 
 
-def equivalent(c1: LoopClass, c2: LoopClass) -> bool:
-    if type(c1) is not type(c2):
-        raise PreconditionError("cannot compare classes of different kinds")
-    return c1 == c2
-
-
 # --- bijection with reduced generator strings --------------------------------
 #
 # A generator string is a tuple of (index, exponent) with index in 1..n and
@@ -113,7 +106,7 @@ def to_free_group(word: Word) -> GeneratorString:
     """Map an even-length reduced x-word to its reduced generator string."""
     if word.kind != "x":
         raise PreconditionError("to_free_group needs an x-word")
-    if not is_pattern_free(word, "aa"):
+    if has_adjacent_repeat(word):
         raise PreconditionError("word has an adjacent equal pair")
     letters = word.letters
     out: list[tuple[int, int]] = []

@@ -12,12 +12,11 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import click
 
 from .bounds import analytic_bounds, find_windings, winding_self_lower_bound
-from .canon import canon_v, canon_x, equivalent
+from .canon import canon_v, canon_x
 from .expansion import count_vectors_exact, decompose, sweep_rows
 from .extremal import (
     EnumerationIncompleteError,
@@ -31,7 +30,6 @@ from .words import (
     NORTH,
     GapAlphabet,
     PreconditionError,
-    Word,
     format_letters,
     parse_letters,
     parse_word,
@@ -40,35 +38,6 @@ from .words import (
 
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run options shared by the oracle-backed commands."""
-
-    n: int = 2
-    k: int | None = None
-    budget: int = DEFAULT_BUDGET
-    cache_dir: str | None = None
-    use_cache: bool = True
-    output_format: str = "json"
-    length_cap_override: int | None = None
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise PreconditionError("budget must be at least 1")
-        if self.output_format not in ("json", "csv"):
-            raise PreconditionError(f"unknown output format {self.output_format!r}")
-        if self.length_cap_override is not None and self.length_cap_override < 2:
-            raise PreconditionError("length cap override must be at least 2")
-        if self.jobs < 1:
-            raise PreconditionError("jobs must be at least 1")
-
-    def oracle(self) -> OracleConfig:
-        return OracleConfig(
-            budget=self.budget, cache_dir=self.cache_dir, use_cache=self.use_cache
-        )
 
 
 def _emit(obj: dict) -> None:
@@ -85,21 +54,27 @@ def _emit_csv(rows: list[dict], columns: list[str]) -> None:
 
 
 def _fail(exc: Exception) -> None:
+    """Report a precondition violation (exit 2) or an enumeration that ran
+    out of oracle budget (exit 3)."""
+    if isinstance(exc, EnumerationIncompleteError):
+        _emit({"error": {"type": "EnumerationIncomplete", "message": str(exc)},
+               "exact": False})
+        sys.exit(EXIT_BUDGET)
     _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
     sys.exit(EXIT_PRECONDITION)
 
 
-def _oracle_config(budget: int, cache_dir: str | None, no_cache: bool) -> OracleConfig:
-    return RunConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache).oracle()
+n_option = click.option("--n", "n", type=int, default=2, show_default=True,
+                        help="number of punctures")
 
 
-def common_options(fn):
-    fn = click.option("--n", "n", type=int, default=2, show_default=True,
-                      help="number of punctures")(fn)
+def oracle_options(fn):
+    fn = n_option(fn)
     fn = click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
                       help="oracle evaluation budget")(fn)
     fn = click.option("--cache-dir", type=str, default=None,
-                      help="oracle cache directory (default: $LOOPFORGE_CACHE or ./.loopforge-cache)")(fn)
+                      help="oracle cache directory "
+                           "(default: $LOOPFORGE_CACHE or ./.loopforge-cache)")(fn)
     fn = click.option("--no-cache", is_flag=True, help="disable the oracle cache")(fn)
     return fn
 
@@ -111,9 +86,9 @@ def main() -> None:
 
 
 @main.command()
-@common_options
+@n_option
 @click.argument("word_text")
-def reduce(word_text: str, n: int, budget: int, cache_dir: str | None, no_cache: bool) -> None:
+def reduce(word_text: str, n: int) -> None:
     """Reduce a word to its canonical form."""
     try:
         word = parse_word(word_text, GapAlphabet(n))
@@ -131,12 +106,11 @@ def reduce(word_text: str, n: int, budget: int, cache_dir: str | None, no_cache:
 
 
 @main.command()
-@common_options
+@n_option
 @click.option("--hemisphere", type=click.Choice("NS"), default=NORTH, show_default=True,
               help="hemisphere of the loop's first arc (v-words)")
 @click.argument("word_text")
-def canon(word_text: str, n: int, hemisphere: str, budget: int,
-          cache_dir: str | None, no_cache: bool) -> None:
+def canon(word_text: str, n: int, hemisphere: str) -> None:
     """Canonical homotopy-class descriptor of a word."""
     try:
         word = parse_word(word_text, GapAlphabet(n))
@@ -147,13 +121,12 @@ def canon(word_text: str, n: int, hemisphere: str, budget: int,
 
 
 @main.command()
-@common_options
+@n_option
 @click.option("--hemi1", type=click.Choice("NS"), default=NORTH, show_default=True)
 @click.option("--hemi2", type=click.Choice("NS"), default=NORTH, show_default=True)
 @click.argument("word1")
 @click.argument("word2")
-def equiv(word1: str, word2: str, n: int, hemi1: str, hemi2: str,
-          budget: int, cache_dir: str | None, no_cache: bool) -> None:
+def equiv(word1: str, word2: str, n: int, hemi1: str, hemi2: str) -> None:
     """Whether two words name the same homotopy class."""
     try:
         alphabet = GapAlphabet(n)
@@ -164,20 +137,19 @@ def equiv(word1: str, word2: str, n: int, hemi1: str, hemi2: str,
             c1, c2 = canon_v(w1, hemi1), canon_v(w2, hemi2)
         else:
             c1, c2 = canon_x(w1), canon_x(w2)
-        same = equivalent(c1, c2)
     except PreconditionError as exc:
         _fail(exc)
-    _emit({"equivalent": same, "class1": c1.to_json(), "class2": c2.to_json(), "exact": True})
+    _emit({"equivalent": c1 == c2, "class1": c1.to_json(), "class2": c2.to_json(), "exact": True})
 
 
 @main.command()
-@common_options
+@oracle_options
 @click.argument("word_text")
 def selfint(word_text: str, n: int, budget: int, cache_dir: str | None, no_cache: bool) -> None:
     """Minimal self-intersection number of a word."""
     try:
         word = parse_word(word_text, GapAlphabet(n))
-        config = _oracle_config(budget, cache_dir, no_cache)
+        config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache)
     except PreconditionError as exc:
         _fail(exc)
     result = self_intersection_number(word, GapAlphabet(n), config)
@@ -187,7 +159,7 @@ def selfint(word_text: str, n: int, budget: int, cache_dir: str | None, no_cache
 
 
 @main.command()
-@common_options
+@oracle_options
 @click.option("--hemi1", type=click.Choice("NS"), default=NORTH, show_default=True)
 @click.option("--hemi2", type=click.Choice("NS"), default=NORTH, show_default=True)
 @click.argument("word1")
@@ -204,7 +176,7 @@ def pairint(word1: str, word2: str, n: int, hemi1: str, hemi2: str,
             c1, c2 = canon_v(w1, hemi1), canon_v(w2, hemi2)
         else:
             c1, c2 = canon_x(w1), canon_x(w2)
-        config = _oracle_config(budget, cache_dir, no_cache)
+        config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache)
     except PreconditionError as exc:
         _fail(exc)
     result = pair_intersection_number(c1, c2, alphabet, config)
@@ -214,9 +186,9 @@ def pairint(word1: str, word2: str, n: int, hemi1: str, hemi2: str,
 
 
 @main.command()
-@common_options
+@n_option
 @click.option("--k", type=int, required=True, help="crossing budget")
-def bounds(n: int, k: int, budget: int, cache_dir: str | None, no_cache: bool) -> None:
+def bounds(n: int, k: int) -> None:
     """Closed-form bounds on the extremal family sizes."""
     try:
         report = analytic_bounds(n, k)
@@ -226,9 +198,9 @@ def bounds(n: int, k: int, budget: int, cache_dir: str | None, no_cache: bool) -
 
 
 @main.command()
-@common_options
+@n_option
 @click.argument("word_text")
-def windings(word_text: str, n: int, budget: int, cache_dir: str | None, no_cache: bool) -> None:
+def windings(word_text: str, n: int) -> None:
     """Windings of a word and the resulting self-crossing lower bound."""
     try:
         alphabet = GapAlphabet(n)
@@ -256,10 +228,9 @@ def windings(word_text: str, n: int, budget: int, cache_dir: str | None, no_cach
 
 
 @main.command()
-@common_options
+@n_option
 @click.argument("word_text")
-def decompose_cmd(word_text: str, n: int, budget: int,
-                  cache_dir: str | None, no_cache: bool) -> None:
+def decompose_cmd(word_text: str, n: int) -> None:
     """Core word and expansion vectors of a word without adjacent repeats."""
     try:
         alphabet = GapAlphabet(n)
@@ -313,7 +284,7 @@ def count_expansions(length: int | None, k: int, sweep: bool, lmax: int, kmax: i
 
 
 @main.command(name="enumerate")
-@common_options
+@oracle_options
 @click.option("--k", type=int, required=True, help="crossing budget")
 @click.option("--length-cap", "cap", type=int, default=None,
               help="override the provable length cap")
@@ -322,18 +293,10 @@ def enumerate_cmd(n: int, k: int, cap: int | None, jobs: int,
                   budget: int, cache_dir: str | None, no_cache: bool) -> None:
     """Catalog of loop classes with self-crossing number below k (JSONL)."""
     try:
-        run = RunConfig(n=n, k=k, budget=budget, cache_dir=cache_dir,
-                        use_cache=not no_cache, length_cap_override=cap, jobs=jobs)
-        catalog = enumerate_classes(
-            n, k, run.oracle(), length_cap_override=run.length_cap_override,
-            jobs=run.jobs,
-        )
-    except PreconditionError as exc:
+        config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache)
+        catalog = enumerate_classes(n, k, config, length_cap_override=cap, jobs=jobs)
+    except (PreconditionError, EnumerationIncompleteError) as exc:
         _fail(exc)
-    except EnumerationIncompleteError as exc:
-        _emit({"error": {"type": "EnumerationIncomplete", "message": str(exc)},
-               "exact": False})
-        sys.exit(EXIT_BUDGET)
     header = dict(catalog.to_json())
     entries = header.pop("entries")
     _emit(header)
@@ -342,7 +305,7 @@ def enumerate_cmd(n: int, k: int, cap: int | None, jobs: int,
 
 
 @main.command()
-@common_options
+@oracle_options
 @click.option("--k", type=int, required=True, help="crossing budget")
 @click.option("--length-cap", "cap", type=int, default=None)
 @click.option("--jobs", type=int, default=1, show_default=True)
@@ -350,20 +313,12 @@ def graph(n: int, k: int, cap: int | None, jobs: int,
           budget: int, cache_dir: str | None, no_cache: bool) -> None:
     """Compatibility graph of the class catalog, with clique bounds."""
     try:
-        run = RunConfig(n=n, k=k, budget=budget, cache_dir=cache_dir,
-                        use_cache=not no_cache, length_cap_override=cap, jobs=jobs)
-        config = run.oracle()
-        catalog = enumerate_classes(
-            n, k, config, length_cap_override=run.length_cap_override, jobs=run.jobs
-        )
-        g = compatibility_graph(catalog, config, jobs=run.jobs)
+        config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache)
+        catalog = enumerate_classes(n, k, config, length_cap_override=cap, jobs=jobs)
+        g = compatibility_graph(catalog, config, jobs=jobs)
         fb = family_bounds(g)
-    except PreconditionError as exc:
+    except (PreconditionError, EnumerationIncompleteError) as exc:
         _fail(exc)
-    except EnumerationIncompleteError as exc:
-        _emit({"error": {"type": "EnumerationIncomplete", "message": str(exc)},
-               "exact": False})
-        sys.exit(EXIT_BUDGET)
     out = g.to_json()
     out["familyBounds"] = fb.to_json()
     _emit(out)
@@ -372,7 +327,7 @@ def graph(n: int, k: int, cap: int | None, jobs: int,
 
 
 @main.command()
-@common_options
+@oracle_options
 @click.option("--kmax", type=int, required=True)
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv",
@@ -383,15 +338,10 @@ def growth(kmax: int, n: int, jobs: int, fmt: str,
     try:
         if n != 2:
             raise PreconditionError("the growth table is defined for two punctures")
-        run = RunConfig(n=n, k=kmax, budget=budget, cache_dir=cache_dir,
-                        use_cache=not no_cache, output_format=fmt, jobs=jobs)
-        rows = growth_report(kmax, run.oracle(), jobs=run.jobs)
-    except PreconditionError as exc:
+        config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache)
+        rows = growth_report(kmax, config, jobs=jobs)
+    except (PreconditionError, EnumerationIncompleteError) as exc:
         _fail(exc)
-    except EnumerationIncompleteError as exc:
-        _emit({"error": {"type": "EnumerationIncomplete", "message": str(exc)},
-               "exact": False})
-        sys.exit(EXIT_BUDGET)
     if fmt == "csv":
         str_rows = [
             {

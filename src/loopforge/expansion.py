@@ -17,12 +17,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import (
-    PreconditionError,
-    Span,
-    is_pattern_free,
-    maximal_two_letter_words,
-)
+from .bounds import depth_family_bound
+from .words import PreconditionError, has_adjacent_repeat, maximal_two_letter_words
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ def shrink_core(letters: tuple[int, ...]) -> tuple[int, ...]:
 def decompose(letters: tuple[int, ...]) -> ExpansionDecomposition:
     """Split a word without adjacent repeats into its core and repeat vectors."""
     letters = tuple(letters)
-    if not is_pattern_free(letters, "aa"):
+    if has_adjacent_repeat(letters):
         raise PreconditionError("decomposition needs a word without adjacent repeats")
     core = shrink_core(letters)
     vectors: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -117,13 +113,7 @@ def expansion_lower_bound(repeats: tuple[int, ...]) -> int:
     t >= 1 of (number of entries >= t) squared."""
     if any(s < 0 for s in repeats):
         raise PreconditionError("repeat counts must be nonnegative")
-    total = sum(repeats)
-    total += 2 * sum(
-        min(repeats[i], repeats[j])
-        for i in range(len(repeats))
-        for j in range(i + 1, len(repeats))
-    )
-    return total
+    return depth_family_bound(repeats)
 
 
 def tail_multiplicities(repeats: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -36,7 +36,6 @@ from .words import (
     PreconditionError,
     V,
     Word,
-    format_letters,
     maximal_two_letter_words,
 )
 
@@ -140,35 +139,19 @@ def prefix_winding_lb(prefix: tuple[int, ...], alphabet: GapAlphabet) -> int:
     return best
 
 
-def _selfint_word(args) -> dict:
-    letters, kind, n, budget, cache_dir, use_cache = args
-    word = Word(tuple(letters), kind)
-    config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=use_cache)
-    result = self_intersection_number(word, GapAlphabet(n), config)
-    return {
-        "value": result.value,
-        "exact": result.exact,
-        "witness": result.witness.to_json() if result.witness else None,
-    }
+def _map(fn, calls: list[tuple], jobs: int) -> list:
+    """`[fn(*args) for args in calls]`, run in a pool of `jobs` processes
+    when there is more than one job and more than one call."""
+    if jobs <= 1 or len(calls) <= 1:
+        return [fn(*args) for args in calls]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *zip(*calls)))
 
 
 def _evaluate_words(
     words: list[Word], alphabet: GapAlphabet, config: OracleConfig, jobs: int
 ) -> list[CrossingCount]:
-    if jobs <= 1 or len(words) <= 1:
-        return [self_intersection_number(w, alphabet, config) for w in words]
-    args = [
-        (w.letters, w.kind, alphabet.n, config.budget, config.cache_dir, config.use_cache)
-        for w in words
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        raw = list(pool.map(_selfint_word, args))
-    return [
-        CrossingCount(
-            r["value"], r["exact"], Drawing.from_json(r["witness"]) if r["witness"] else None
-        )
-        for r in raw
-    ]
+    return _map(self_intersection_number, [(w, alphabet, config) for w in words], jobs)
 
 
 def _enumerate_x_words(cap: int) -> list[Word]:
@@ -219,6 +202,8 @@ def enumerate_classes(
     """
     if k < 1:
         raise PreconditionError("k must be at least 1")
+    if jobs < 1:
+        raise PreconditionError("jobs must be at least 1")
     cap = length_cap_override if length_cap_override is not None else length_cap(k, n)
     if cap < 2:
         raise PreconditionError("length cap below 2")
@@ -318,19 +303,11 @@ class CompatibilityGraph:
         }
 
 
-def _pair_worker(args) -> dict:
-    cls1_json, cls2_json, n, budget, cache_dir, use_cache = args
-    config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=use_cache)
-    cls1 = _class_from_json(cls1_json)
-    cls2 = _class_from_json(cls2_json)
-    res = pair_intersection_number(cls1, cls2, GapAlphabet(n), config)
-    return {"value": res.value, "exact": res.exact}
-
-
-def _class_from_json(obj: dict) -> LoopClass:
-    if obj["kind"] == "x":
-        return XLoopClass(tuple(int(t) for t in obj["reduced"]))
-    return VLoopClass(tuple(int(t) for t in obj["core"]), obj["startHemisphere"])
+def _edge(
+    c1: LoopClass, c2: LoopClass, alphabet: GapAlphabet, config: OracleConfig, k: int
+) -> GraphEdge:
+    res = pair_intersection_number(c1, c2, alphabet, config)
+    return GraphEdge(res.value, res.exact, res.value < k or not res.exact)
 
 
 def compatibility_graph(
@@ -339,41 +316,10 @@ def compatibility_graph(
     jobs: int = 1,
 ) -> CompatibilityGraph:
     alphabet = GapAlphabet(catalog.n)
-    pairs = [
-        (i, j)
-        for i in range(catalog.count)
-        for j in range(i + 1, catalog.count)
-    ]
-    results: list[dict]
-    if jobs <= 1 or len(pairs) <= 1:
-        results = []
-        for i, j in pairs:
-            res = pair_intersection_number(
-                catalog.entries[i].loop_class,
-                catalog.entries[j].loop_class,
-                alphabet,
-                config,
-            )
-            results.append({"value": res.value, "exact": res.exact})
-    else:
-        args = [
-            (
-                catalog.entries[i].loop_class.to_json(),
-                catalog.entries[j].loop_class.to_json(),
-                catalog.n,
-                config.budget,
-                config.cache_dir,
-                config.use_cache,
-            )
-            for i, j in pairs
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_pair_worker, args))
-    edges = {}
-    for (i, j), res in zip(pairs, results):
-        present = res["value"] < catalog.k or not res["exact"]
-        edges[(i, j)] = GraphEdge(res["value"], res["exact"], present)
-    return CompatibilityGraph(catalog, edges)
+    classes = [e.loop_class for e in catalog.entries]
+    pairs = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))]
+    calls = [(classes[i], classes[j], alphabet, config, catalog.k) for i, j in pairs]
+    return CompatibilityGraph(catalog, dict(zip(pairs, _map(_edge, calls, jobs))))
 
 
 # -- clique bounds --------------------------------------------------------------

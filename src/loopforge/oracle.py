@@ -24,11 +24,12 @@ programming over point subsets instead of permutations.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from .cache import CacheStore, default_cache_dir
-from .canon import LoopClass, VLoopClass, XLoopClass
+from .canon import LoopClass, VLoopClass
 from .words import (
     NORTH,
     SOUTH,
@@ -37,13 +38,11 @@ from .words import (
     Word,
     V,
     format_letter,
-    format_letters,
 )
 
 DEFAULT_BUDGET = 100_000_000
 
 _HEMI_INT = {NORTH: 0, SOUTH: 1}
-_HEMI_NAME = {0: NORTH, 1: SOUTH}
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -60,6 +59,10 @@ class OracleConfig:
     budget: int = DEFAULT_BUDGET
     cache_dir: str | Path | None = None
     use_cache: bool = True
+
+    def __post_init__(self) -> None:
+        if self.budget < 1:
+            raise PreconditionError("budget must be at least 1")
 
     def store(self) -> CacheStore | None:
         if not self.use_cache:
@@ -592,35 +595,46 @@ def _pair_key(n: int, kind: str, specs) -> str:
     return f"n{n}|pair|{kind}|{min(keys)}"
 
 
-def _finish(
-    key: str | None,
-    store: CacheStore | None,
-    value: int,
-    witness: Drawing,
-    exact: bool,
+def _seg_key(n: int, letters: tuple[int, ...]) -> str:
+    letters = tuple(letters)
+    return f"n{n}|seg|" + min(_letters_key(letters), _letters_key(letters[::-1]))
+
+
+def _solve(
+    n: int,
+    key: str,
+    variants: Callable[[], list[tuple[CurveSpec, ...]]],
+    tally: str,
+    config: OracleConfig,
 ) -> CrossingCount:
-    if store is not None and key is not None and exact:
-        store.merge(key, {"value": value, "exact": True, "witness": witness.to_json()})
-    return CrossingCount(value, exact, witness)
+    """Answer from the cache, or minimize over every curve tuple that
+    `variants()` yields and cache the minimum once all searches completed.
 
-
-def _cached(key: str | None, store: CacheStore | None) -> CrossingCount | None:
-    if store is None or key is None:
-        return None
-    entry = store.get(key)
+    `variants` is only called on a cache miss, so cache hits build no curves.
+    """
+    store = config.store()
+    entry = store.get(key) if store is not None else None
     if entry and entry.get("exact"):
         witness = Drawing.from_json(entry["witness"]) if entry.get("witness") else None
         return CrossingCount(entry["value"], True, witness)
-    return None
+    best: tuple[int, Drawing] | None = None
+    all_exact = True
+    for curves in variants():
+        value, witness, exact = minimize_crossings(n, curves, tally, config.budget)
+        all_exact = all_exact and exact
+        if best is None or value < best[0]:
+            best = (value, witness)
+    value, witness = best
+    if store is not None and all_exact:
+        store.merge(key, {"value": value, "exact": True, "witness": witness.to_json()})
+    return CrossingCount(value, all_exact, witness)
 
 
 # -- public word/class oracles ------------------------------------------------
 
 
 def _curve_for_word(word: Word, hemisphere: str) -> CurveSpec:
-    if word.kind == "x":
-        return CurveSpec(word.letters, True, hemisphere)
-    return CurveSpec(word.letters, False, hemisphere)
+    return CurveSpec(word.letters, word.kind == "x", hemisphere)
 
 
 def self_intersection_number(
@@ -633,15 +647,8 @@ def self_intersection_number(
     """
     for a in word.letters:
         alphabet.validate_letter(a)
-    store = config.store()
     key = _self_key(alphabet.n, word.kind, word.letters)
-    hit = _cached(key, store)
-    if hit is not None:
-        return hit
-    value, witness, exact = minimize_crossings(
-        alphabet.n, (_curve_for_word(word, NORTH),), "self", config.budget
-    )
-    return _finish(key, store, value, witness, exact)
+    return _solve(alphabet.n, key, lambda: [(_curve_for_word(word, NORTH),)], "self", config)
 
 
 def pair_intersection_number(
@@ -658,46 +665,22 @@ def pair_intersection_number(
     """
     if type(c1) is not type(c2):
         raise PreconditionError("cannot pair classes of different kinds")
-    store = config.store()
     if isinstance(c1, VLoopClass):
-        specs = (
-            (c1.word().letters, _HEMI_INT[c1.start_hemisphere]),
-            (c2.word().letters, _HEMI_INT[c2.start_hemisphere]),
-        )
+        h1, h2 = c1.start_hemisphere, c2.start_hemisphere
+        specs = ((c1.word().letters, _HEMI_INT[h1]), (c2.word().letters, _HEMI_INT[h2]))
         key = _pair_key(alphabet.n, "v", specs)
-        hit = _cached(key, store)
-        if hit is not None:
-            return hit
-        curves = (
-            _curve_for_word(c1.word(), c1.start_hemisphere),
-            _curve_for_word(c2.word(), c2.start_hemisphere),
+        hemis2 = (h2,)
+    else:
+        # x-classes are also minimized over the relative hemisphere choice
+        h1, hemis2 = NORTH, (NORTH, SOUTH)
+        key = f"n{alphabet.n}|pairx|" + "~".join(
+            sorted(_self_key(alphabet.n, "x", c.reduced) for c in (c1, c2))
         )
-        value, witness, exact = minimize_crossings(
-            alphabet.n, curves, "inter", config.budget
-        )
-        return _finish(key, store, value, witness, exact)
 
-    key = f"n{alphabet.n}|pairx|" + "~".join(
-        sorted(_self_key(alphabet.n, "x", c.reduced) for c in (c1, c2))
-    )
-    hit = _cached(key, store)
-    if hit is not None:
-        return hit
-    best: tuple[int, Drawing] | None = None
-    all_exact = True
-    for hemi2 in (NORTH, SOUTH):
-        curves = (
-            _curve_for_word(c1.word(), NORTH),
-            _curve_for_word(c2.word(), hemi2),
-        )
-        value, witness, exact = minimize_crossings(
-            alphabet.n, curves, "inter", config.budget
-        )
-        all_exact = all_exact and exact
-        if best is None or value < best[0]:
-            best = (value, witness)
-    value, witness = best
-    return _finish(key, store, value, witness, all_exact)
+    def variants():
+        return [(_curve_for_word(c1.word(), h1), _curve_for_word(c2.word(), h)) for h in hemis2]
+
+    return _solve(alphabet.n, key, variants, "inter", config)
 
 
 # -- segment oracles -----------------------------------------------------------
@@ -709,17 +692,11 @@ def segment_self_intersections(
     config: OracleConfig = OracleConfig(),
 ) -> CrossingCount:
     """Minimal self-crossings of one open segment (polarity-independent)."""
-    store = config.store()
-    key = f"n{alphabet.n}|seg|" + min(
-        _letters_key(tuple(letters)), _letters_key(tuple(reversed(letters)))
-    )
-    hit = _cached(key, store)
-    if hit is not None:
-        return hit
-    value, witness, exact = minimize_crossings(
-        alphabet.n, (CurveSpec(tuple(letters), False, NORTH),), "self", config.budget
-    )
-    return _finish(key, store, value, witness, exact)
+
+    def variants():
+        return [(CurveSpec(tuple(letters), False, NORTH),)]
+
+    return _solve(alphabet.n, _seg_key(alphabet.n, letters), variants, "self", config)
 
 
 def segment_self_at_least(
@@ -731,9 +708,7 @@ def segment_self_at_least(
     """True if every drawing of the segment has >= k self-crossings, False if
     some drawing has fewer, None if the budget ran out undecided."""
     store = config.store()
-    key = f"n{alphabet.n}|seg|" + min(
-        _letters_key(tuple(letters)), _letters_key(tuple(reversed(letters)))
-    )
+    key = _seg_key(alphabet.n, letters)
     if store is not None:
         entry = store.get(key)
         if entry:
@@ -743,13 +718,8 @@ def segment_self_at_least(
                 return True
             if entry.get("upper") is not None and entry["upper"] < k:
                 return False
-    value, witness, exact = minimize_crossings(
-        alphabet.n,
-        (CurveSpec(tuple(letters), False, NORTH),),
-        "self",
-        config.budget,
-        cutoff=k,
-    )
+    curves = (CurveSpec(tuple(letters), False, NORTH),)
+    value, _, exact = minimize_crossings(alphabet.n, curves, "self", config.budget, cutoff=k)
     if exact and value >= k:
         # the bounded search completed without finding a drawing below k
         if store is not None:
@@ -771,20 +741,10 @@ def segment_pair_intersections(
     config: OracleConfig = OracleConfig(),
 ) -> CrossingCount:
     """Minimal crossings between two open segments of the given polarities."""
-    store = config.store()
-    specs = (
-        (tuple(letters_a), _HEMI_INT[polarity_a]),
-        (tuple(letters_b), _HEMI_INT[polarity_b]),
-    )
-    key = _pair_key(alphabet.n, "seg", specs)
-    hit = _cached(key, store)
-    if hit is not None:
-        return hit
-    curves = (
-        CurveSpec(tuple(letters_a), False, polarity_a),
-        CurveSpec(tuple(letters_b), False, polarity_b),
-    )
-    value, witness, exact = minimize_crossings(
-        alphabet.n, curves, "inter", config.budget
-    )
-    return _finish(key, store, value, witness, exact)
+    a, b = tuple(letters_a), tuple(letters_b)
+    key = _pair_key(alphabet.n, "seg", ((a, _HEMI_INT[polarity_a]), (b, _HEMI_INT[polarity_b])))
+
+    def variants():
+        return [(CurveSpec(a, False, polarity_a), CurveSpec(b, False, polarity_b))]
+
+    return _solve(alphabet.n, key, variants, "inter", config)

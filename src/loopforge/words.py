@@ -42,10 +42,9 @@ def hemisphere_after(hemisphere: str, arc_steps: int) -> str:
 
 @dataclass(frozen=True)
 class GapAlphabet:
-    """Gap labels for n punctures: 0..n, plus optionally the basepoint label v."""
+    """Gap labels for n punctures: 0..n, plus the basepoint label v."""
 
     n: int
-    has_basepoint_label: bool = True
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -59,11 +58,7 @@ class GapAlphabet:
         return 0 <= letter <= self.n
 
     def validate_letter(self, letter: int) -> None:
-        if letter == V:
-            if not self.has_basepoint_label:
-                raise PreconditionError("basepoint label 'v' not allowed in this alphabet")
-            return
-        if not self.is_gap(letter):
+        if letter != V and not self.is_gap(letter):
             raise PreconditionError(f"letter {letter} outside gap range 0..{self.n}")
 
 
@@ -165,27 +160,11 @@ def parse_word(text: str, alphabet: GapAlphabet) -> Word:
     raise PreconditionError("'v' must appear at both ends or not at all")
 
 
-def matches_pattern(letters: tuple[int, ...], pattern: str) -> bool:
-    """True iff `letters` matches `pattern` exactly (equal symbols <-> equal letters)."""
-    if len(letters) != len(pattern):
-        return False
-    sym_to_letter: dict[str, int] = {}
-    letter_to_sym: dict[int, str] = {}
-    for sym, letter in zip(pattern, letters):
-        if sym_to_letter.setdefault(sym, letter) != letter:
-            return False
-        if letter_to_sym.setdefault(letter, sym) != sym:
-            return False
-    return True
-
-
-def is_pattern_free(word: Word | tuple[int, ...], pattern: str) -> bool:
-    """True iff no contiguous subword of the inner letters matches `pattern`."""
+def has_adjacent_repeat(word: Word | tuple[int, ...]) -> bool:
+    """True iff two adjacent letters are equal; based words are checked on
+    their inner letters."""
     letters = word.inner() if isinstance(word, Word) else tuple(word)
-    k = len(pattern)
-    return not any(
-        matches_pattern(letters[i : i + k], pattern) for i in range(len(letters) - k + 1)
-    )
+    return any(a == b for a, b in zip(letters, letters[1:]))
 
 
 def reduce_adjacent_pairs(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -306,34 +285,3 @@ def all_maximal_spans(letters: tuple[int, ...]) -> list[Span]:
     for a, b in itertools.combinations(present, 2):
         spans.extend(maximal_two_letter_words(letters, a, b))
     return sorted(spans, key=lambda s: (s.start, s.end))
-
-
-@dataclass(frozen=True)
-class SegmentSlice:
-    """A piece of a loop between two equator crossings, with the hemisphere
-    of its first arc.  Indices are inclusive positions into `word.letters`."""
-
-    word: Word
-    start: int
-    end: int
-    polarity: str
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.start < self.end < len(self.word.letters)):
-            raise PreconditionError("segment needs at least two crossings inside the word")
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        return self.word.letters[self.start : self.end + 1]
-
-    def arc_hemisphere(self, i: int) -> str:
-        """Hemisphere of the i-th arc of the slice (0-based); arcs alternate."""
-        return hemisphere_after(self.polarity, i)
-
-    def reversed(self) -> "SegmentSlice":
-        # even letter count keeps polarity, odd flips it
-        polarity = self.polarity if len(self.letters) % 2 == 0 else flip(self.polarity)
-        return SegmentSlice(self.word.reversed(),
-                            len(self.word.letters) - 1 - self.end,
-                            len(self.word.letters) - 1 - self.start,
-                            polarity)

@@ -258,15 +258,16 @@ def test_criterion_9_deterministic_reports(tmp_path):
         ["graph", "--n", "1", "--k", "2"],
         ["growth", "--kmax", "3", "--format", "csv"],
     ]
+    oracle_commands = {"selfint", "pairint", "enumerate", "graph", "growth"}
     outputs = []
     runner = CliRunner()
     for attempt in (1, 2):
         cache = tmp_path / f"cold-cache-{attempt}"
         chunks = []
         for command in commands:
-            args = list(command) + ["--cache-dir", str(cache)]
-            if command[0] == "count-expansions":
-                args = list(command)  # pure counting; no cache flag
+            args = list(command)
+            if command[0] in oracle_commands:
+                args += ["--cache-dir", str(cache)]
             result = runner.invoke(cli_main, args, catch_exceptions=False)
             assert result.exit_code == 0, (command, result.output)
             chunks.append(result.output)

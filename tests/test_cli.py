@@ -30,6 +30,10 @@ def test_reduce_rejects_bad_word(runner):
     assert result.exit_code == 2
     data = json.loads(result.output)
     assert data["error"]["type"] == "PreconditionError"
+    # words of different kinds name no common class
+    result = _invoke(runner, ["equiv", "--n", "2", "v 2 v", "0 1"])
+    assert result.exit_code == 2
+    assert json.loads(result.output)["error"]["type"] == "PreconditionError"
 
 
 def test_canon_command(runner):
@@ -172,6 +176,14 @@ def test_run_config_validation(runner):
     assert result.exit_code == 2
     result = _invoke(runner, ["enumerate", "--n", "2", "--k", "1", "--jobs", "0"])
     assert result.exit_code == 2
+
+
+def test_oracle_options_only_where_used():
+    oracle_commands = {"selfint", "pairint", "enumerate", "graph", "growth"}
+    for name, command in main.commands.items():
+        params = {p.name for p in command.params}
+        for option in ("budget", "cache_dir", "no_cache"):
+            assert (option in params) == (name in oracle_commands), (name, option)
 
 
 def test_reports_deterministic(runner, tmp_path):

@@ -115,6 +115,12 @@ def test_expansion_lower_bound_examples():
     assert expansion_lower_bound((2, 1)) == 5
     assert expansion_lower_bound((0, 0, 0)) == 0
     assert expansion_lower_bound(()) == 0
+    # random vectors against the O(m^2) definition
+    rng = random.Random(31)
+    for _ in range(500):
+        vec = tuple(rng.randint(0, 12) for _ in range(rng.randint(0, 12)))
+        pairs = sum(min(a, b) for a, b in itertools.combinations(vec, 2))
+        assert expansion_lower_bound(vec) == sum(vec) + 2 * pairs
 
 
 def test_expansion_lower_bound_tail_identity():

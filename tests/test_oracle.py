@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,9 @@ from loopforge import (
     Word,
     XLoopClass,
     canon_v,
+    compatibility_graph,
     count_crossings,
+    enumerate_classes,
     minimize_crossings,
     pair_intersection_number,
     parse_word,
@@ -330,3 +334,25 @@ def test_cache_versioning(tmp_path):
     store.merge("some-key", {"at_least": 2})
     store.merge("some-key", {"at_least": 1})
     assert store.get("some-key")["at_least"] == 2
+
+
+PINNED_KEYS = Path(__file__).with_name("pinned_cache_keys.json")
+
+
+def _written_keys(cache_dir) -> list[str]:
+    """Run a fixed set of queries on an empty cache; return the sorted keys
+    of the entries they wrote."""
+    config = OracleConfig(cache_dir=cache_dir)
+    alpha2 = GapAlphabet(2)
+    catalog = enumerate_classes(2, 3, config)
+    compatibility_graph(catalog, config)
+    segment_self_intersections((2, 0, 1, 0, 2), alpha2, config)
+    segment_self_at_least((V, 2, 1, 0, 1, 2), 3, alpha2, config)
+    segment_pair_intersections((2, 0, 1), (1, 0, 2), NORTH, SOUTH, alpha2, config)
+    pair_intersection_number(XLoopClass((0, 1)), XLoopClass((1, 0, 1, 0)), GapAlphabet(1), config)
+    return sorted(json.loads(p.read_text())["key"] for p in Path(cache_dir).glob("*.json"))
+
+
+def test_cache_keys_pinned(tmp_path):
+    """Cache keys are a file format: existing caches must keep hitting."""
+    assert _written_keys(tmp_path) == json.loads(PINNED_KEYS.read_text())

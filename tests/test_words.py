@@ -5,17 +5,16 @@ import pytest
 from loopforge import (
     GapAlphabet,
     PreconditionError,
-    SegmentSlice,
     V,
     Word,
     all_maximal_spans,
-    is_pattern_free,
+    has_adjacent_repeat,
     maximal_two_letter_words,
     orientation,
     parse_word,
     reduce_word,
 )
-from loopforge.words import NORTH, SOUTH, reduce_adjacent_pairs
+from loopforge.words import reduce_adjacent_pairs
 
 
 def test_parse_v_word(alpha2):
@@ -65,26 +64,18 @@ def test_word_json_round_trip(alpha2):
 # -- patterns -----------------------------------------------------------------
 
 
-def test_pattern_aba_matches():
-    assert not is_pattern_free((0, 1, 0), "aba")
-    assert not is_pattern_free((2, 0, 2), "aba")
-    assert not is_pattern_free((1, 2, 1), "aba")
-
-
-def test_pattern_aba_requires_distinct_symbols():
-    # equal letters do not match distinct pattern symbols
-    assert is_pattern_free((1, 1, 1), "aba")
-
-
 def test_pattern_aa(alpha2):
-    assert is_pattern_free(parse_word("v 2 1 0 2 v", alpha2), "aa")
-    assert not is_pattern_free((0, 0), "aa")
+    assert not has_adjacent_repeat(parse_word("v 2 1 0 2 v", alpha2))
+    assert has_adjacent_repeat((0, 0))
+    assert has_adjacent_repeat((2, 0, 1, 1, 2))
+    assert not has_adjacent_repeat((1, 2, 1))
+    assert not has_adjacent_repeat(())
 
 
 def test_pattern_skips_basepoint_ends(alpha2):
-    # patterns apply to the inner letters of a based word
-    w = parse_word("v 2 v", alpha2)
-    assert is_pattern_free(w, "aa")
+    # the check applies to the inner letters of a based word
+    assert not has_adjacent_repeat(parse_word("v 2 v", alpha2))
+    assert not has_adjacent_repeat(parse_word("v v", alpha2))
 
 
 # -- reduction ----------------------------------------------------------------
@@ -254,21 +245,3 @@ def test_spans_disjoint_and_cover():
         ordered = sorted(spans, key=lambda s: s.start)
         for s1, s2 in zip(ordered, ordered[1:]):
             assert s2.start == s1.end  # consecutive spans share one letter
-
-
-# -- segment slices -------------------------------------------------------------
-
-
-def test_segment_arcs_alternate(alpha2):
-    word = parse_word("v 2 1 0 2 v", alpha2)
-    seg = SegmentSlice(word, 1, 4, NORTH)
-    assert [seg.arc_hemisphere(i) for i in range(3)] == [NORTH, SOUTH, NORTH]
-
-
-def test_segment_reversal_parity(alpha2):
-    word = parse_word("v 2 1 0 2 v", alpha2)
-    even = SegmentSlice(word, 1, 4, NORTH)  # 4 letters
-    assert even.reversed().polarity == NORTH
-    odd = SegmentSlice(word, 1, 3, NORTH)  # 3 letters
-    assert odd.reversed().polarity == SOUTH
-    assert odd.reversed().letters == tuple(reversed(odd.letters))
