@@ -3,12 +3,14 @@
 Every report is JSON (or CSV for tabular reports) on stdout and carries an
 "exact" flag.  Exit codes: 0 success, 2 precondition violation (with a
 machine-readable error object), 3 oracle budget exhausted (report emitted
-with exact=false).  Large numbers are emitted as decimal strings.
+with exact=false, or an error object when a catalog is incomplete).  Large
+numbers are emitted as decimal strings.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import sys
@@ -28,6 +30,7 @@ from .extremal import (
 from .oracle import DEFAULT_BUDGET, OracleConfig, pair_intersection_number, self_intersection_number
 from .words import (
     NORTH,
+    V,
     GapAlphabet,
     PreconditionError,
     format_letters,
@@ -53,15 +56,20 @@ def _emit_csv(rows: list[dict], columns: list[str]) -> None:
     click.echo(buffer.getvalue(), nl=False)
 
 
-def _fail(exc: Exception) -> None:
-    """Report a precondition violation (exit 2) or an enumeration that ran
-    out of oracle budget (exit 3)."""
-    if isinstance(exc, EnumerationIncompleteError):
-        _emit({"error": {"type": "EnumerationIncomplete", "message": str(exc)},
-               "exact": False})
-        sys.exit(EXIT_BUDGET)
-    _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-    sys.exit(EXIT_PRECONDITION)
+class _Group(click.Group):
+    """Turns a precondition violation into exit 2 and an enumeration that ran
+    out of oracle budget into exit 3, each with an error object on stdout."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except PreconditionError as exc:
+            _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+            sys.exit(EXIT_PRECONDITION)
+        except EnumerationIncompleteError as exc:
+            _emit({"error": {"type": "EnumerationIncomplete", "message": str(exc)},
+                   "exact": False})
+            sys.exit(EXIT_BUDGET)
 
 
 n_option = click.option("--n", "n", type=int, default=2, show_default=True,
@@ -69,17 +77,34 @@ n_option = click.option("--n", "n", type=int, default=2, show_default=True,
 
 
 def oracle_options(fn):
-    fn = n_option(fn)
-    fn = click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
-                      help="oracle evaluation budget")(fn)
-    fn = click.option("--cache-dir", type=str, default=None,
-                      help="oracle cache directory "
-                           "(default: $LOOPFORGE_CACHE or ./.loopforge-cache)")(fn)
-    fn = click.option("--no-cache", is_flag=True, help="disable the oracle cache")(fn)
-    return fn
+    """Add the oracle options and pass the command one `config` argument."""
+
+    @functools.wraps(fn)
+    def command(budget: int, cache_dir: str | None, no_cache: bool, **kwargs):
+        config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache)
+        return fn(config=config, **kwargs)
+
+    command = n_option(command)
+    command = click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
+                           help="oracle evaluation budget")(command)
+    command = click.option("--cache-dir", type=str, default=None,
+                           help="oracle cache directory "
+                                "(default: $LOOPFORGE_CACHE or ./.loopforge-cache)")(command)
+    return click.option("--no-cache", is_flag=True, help="disable the oracle cache")(command)
 
 
-@click.group()
+def _two_classes(word1: str, word2: str, n: int, hemi1: str, hemi2: str):
+    """Parse two words of one kind into their homotopy classes."""
+    alphabet = GapAlphabet(n)
+    w1, w2 = parse_word(word1, alphabet), parse_word(word2, alphabet)
+    if w1.kind != w2.kind:
+        raise PreconditionError("cannot mix words of different kinds")
+    if w1.kind == "v":
+        return canon_v(w1, hemi1), canon_v(w2, hemi2)
+    return canon_x(w1), canon_x(w2)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Loop words in a punctured plane: canonical forms, crossing minima,
     lower bounds, and class catalogs."""
@@ -90,11 +115,7 @@ def main() -> None:
 @click.argument("word_text")
 def reduce(word_text: str, n: int) -> None:
     """Reduce a word to its canonical form."""
-    try:
-        word = parse_word(word_text, GapAlphabet(n))
-        red = reduce_word(word)
-    except PreconditionError as exc:
-        _fail(exc)
+    red = reduce_word(parse_word(word_text, GapAlphabet(n)))
     _emit(
         {
             "word": red.word.to_json(),
@@ -112,11 +133,8 @@ def reduce(word_text: str, n: int) -> None:
 @click.argument("word_text")
 def canon(word_text: str, n: int, hemisphere: str) -> None:
     """Canonical homotopy-class descriptor of a word."""
-    try:
-        word = parse_word(word_text, GapAlphabet(n))
-        cls = canon_v(word, hemisphere) if word.kind == "v" else canon_x(word)
-    except PreconditionError as exc:
-        _fail(exc)
+    word = parse_word(word_text, GapAlphabet(n))
+    cls = canon_v(word, hemisphere) if word.kind == "v" else canon_x(word)
     _emit({"class": cls.to_json(), "exact": True})
 
 
@@ -128,31 +146,17 @@ def canon(word_text: str, n: int, hemisphere: str) -> None:
 @click.argument("word2")
 def equiv(word1: str, word2: str, n: int, hemi1: str, hemi2: str) -> None:
     """Whether two words name the same homotopy class."""
-    try:
-        alphabet = GapAlphabet(n)
-        w1, w2 = parse_word(word1, alphabet), parse_word(word2, alphabet)
-        if w1.kind != w2.kind:
-            raise PreconditionError("cannot compare words of different kinds")
-        if w1.kind == "v":
-            c1, c2 = canon_v(w1, hemi1), canon_v(w2, hemi2)
-        else:
-            c1, c2 = canon_x(w1), canon_x(w2)
-    except PreconditionError as exc:
-        _fail(exc)
+    c1, c2 = _two_classes(word1, word2, n, hemi1, hemi2)
     _emit({"equivalent": c1 == c2, "class1": c1.to_json(), "class2": c2.to_json(), "exact": True})
 
 
 @main.command()
 @oracle_options
 @click.argument("word_text")
-def selfint(word_text: str, n: int, budget: int, cache_dir: str | None, no_cache: bool) -> None:
+def selfint(word_text: str, n: int, config: OracleConfig) -> None:
     """Minimal self-intersection number of a word."""
-    try:
-        word = parse_word(word_text, GapAlphabet(n))
-        config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache)
-    except PreconditionError as exc:
-        _fail(exc)
-    result = self_intersection_number(word, GapAlphabet(n), config)
+    alphabet = GapAlphabet(n)
+    result = self_intersection_number(parse_word(word_text, alphabet), alphabet, config)
     _emit(result.to_json())
     if not result.exact:
         sys.exit(EXIT_BUDGET)
@@ -165,21 +169,10 @@ def selfint(word_text: str, n: int, budget: int, cache_dir: str | None, no_cache
 @click.argument("word1")
 @click.argument("word2")
 def pairint(word1: str, word2: str, n: int, hemi1: str, hemi2: str,
-            budget: int, cache_dir: str | None, no_cache: bool) -> None:
+            config: OracleConfig) -> None:
     """Minimal pairwise intersection number of two loop classes."""
-    try:
-        alphabet = GapAlphabet(n)
-        w1, w2 = parse_word(word1, alphabet), parse_word(word2, alphabet)
-        if w1.kind != w2.kind:
-            raise PreconditionError("cannot pair words of different kinds")
-        if w1.kind == "v":
-            c1, c2 = canon_v(w1, hemi1), canon_v(w2, hemi2)
-        else:
-            c1, c2 = canon_x(w1), canon_x(w2)
-        config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache)
-    except PreconditionError as exc:
-        _fail(exc)
-    result = pair_intersection_number(c1, c2, alphabet, config)
+    c1, c2 = _two_classes(word1, word2, n, hemi1, hemi2)
+    result = pair_intersection_number(c1, c2, GapAlphabet(n), config)
     _emit(result.to_json())
     if not result.exact:
         sys.exit(EXIT_BUDGET)
@@ -190,11 +183,7 @@ def pairint(word1: str, word2: str, n: int, hemi1: str, hemi2: str,
 @click.option("--k", type=int, required=True, help="crossing budget")
 def bounds(n: int, k: int) -> None:
     """Closed-form bounds on the extremal family sizes."""
-    try:
-        report = analytic_bounds(n, k)
-    except PreconditionError as exc:
-        _fail(exc)
-    _emit(report.to_json())
+    _emit(analytic_bounds(n, k).to_json())
 
 
 @main.command()
@@ -202,13 +191,10 @@ def bounds(n: int, k: int) -> None:
 @click.argument("word_text")
 def windings(word_text: str, n: int) -> None:
     """Windings of a word and the resulting self-crossing lower bound."""
-    try:
-        alphabet = GapAlphabet(n)
-        word = parse_word(word_text, alphabet)
-        found = find_windings(word, alphabet)
-        lb = winding_self_lower_bound(word, alphabet)
-    except PreconditionError as exc:
-        _fail(exc)
+    alphabet = GapAlphabet(n)
+    word = parse_word(word_text, alphabet)
+    found = find_windings(word, alphabet)
+    lb = winding_self_lower_bound(word, alphabet)
     _emit(
         {
             "windings": [
@@ -232,14 +218,12 @@ def windings(word_text: str, n: int) -> None:
 @click.argument("word_text")
 def decompose_cmd(word_text: str, n: int) -> None:
     """Core word and expansion vectors of a word without adjacent repeats."""
-    try:
-        alphabet = GapAlphabet(n)
-        letters = parse_letters(word_text, alphabet)
-        if letters and letters[0] == -1 and letters[-1] == -1:
-            letters = letters[1:-1]
-        dec = decompose(letters)
-    except PreconditionError as exc:
-        _fail(exc)
+    letters = parse_letters(word_text, GapAlphabet(n))
+    if letters and letters[0] == V and letters[-1] == V:
+        letters = letters[1:-1]
+    if V in letters:
+        raise PreconditionError("'v' must appear at both ends or not at all")
+    dec = decompose(letters)
     _emit(
         {
             "core": format_letters(dec.core),
@@ -262,24 +246,21 @@ def decompose_cmd(word_text: str, n: int) -> None:
 def count_expansions(length: int | None, k: int, sweep: bool, lmax: int, kmax: int,
                      fmt: str) -> None:
     """Count expansion vectors whose forced-crossing bound stays below k."""
-    try:
-        if sweep:
-            rows = sweep_rows(range(0, lmax + 1), range(1, kmax + 1))
-            rows = [
-                {key: ("" if val is None else str(val)) for key, val in row.items()}
-                for row in rows
-            ]
-            if fmt == "csv":
-                _emit_csv(rows, ["length", "k", "exactCount", "mVectorCount",
-                                 "mVectorCap", "multinomialZ"])
-            else:
-                _emit({"rows": rows, "exact": True})
-            return
-        if length is None:
-            raise PreconditionError("--l is required without --sweep")
-        value = count_vectors_exact(length, k)
-    except PreconditionError as exc:
-        _fail(exc)
+    if sweep:
+        rows = sweep_rows(range(0, lmax + 1), range(1, kmax + 1))
+        rows = [
+            {key: ("" if val is None else str(val)) for key, val in row.items()}
+            for row in rows
+        ]
+        if fmt == "csv":
+            _emit_csv(rows, ["length", "k", "exactCount", "mVectorCount",
+                             "mVectorCap", "multinomialZ"])
+        else:
+            _emit({"rows": rows, "exact": True})
+        return
+    if length is None:
+        raise PreconditionError("--l is required without --sweep")
+    value = count_vectors_exact(length, k)
     _emit({"count": str(value), "length": length, "k": k, "exact": True})
 
 
@@ -289,14 +270,9 @@ def count_expansions(length: int | None, k: int, sweep: bool, lmax: int, kmax: i
 @click.option("--length-cap", "cap", type=int, default=None,
               help="override the provable length cap")
 @click.option("--jobs", type=int, default=1, show_default=True)
-def enumerate_cmd(n: int, k: int, cap: int | None, jobs: int,
-                  budget: int, cache_dir: str | None, no_cache: bool) -> None:
+def enumerate_cmd(n: int, k: int, cap: int | None, jobs: int, config: OracleConfig) -> None:
     """Catalog of loop classes with self-crossing number below k (JSONL)."""
-    try:
-        config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache)
-        catalog = enumerate_classes(n, k, config, length_cap_override=cap, jobs=jobs)
-    except (PreconditionError, EnumerationIncompleteError) as exc:
-        _fail(exc)
+    catalog = enumerate_classes(n, k, config, length_cap_override=cap, jobs=jobs)
     header = dict(catalog.to_json())
     entries = header.pop("entries")
     _emit(header)
@@ -309,18 +285,12 @@ def enumerate_cmd(n: int, k: int, cap: int | None, jobs: int,
 @click.option("--k", type=int, required=True, help="crossing budget")
 @click.option("--length-cap", "cap", type=int, default=None)
 @click.option("--jobs", type=int, default=1, show_default=True)
-def graph(n: int, k: int, cap: int | None, jobs: int,
-          budget: int, cache_dir: str | None, no_cache: bool) -> None:
+def graph(n: int, k: int, cap: int | None, jobs: int, config: OracleConfig) -> None:
     """Compatibility graph of the class catalog, with clique bounds."""
-    try:
-        config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache)
-        catalog = enumerate_classes(n, k, config, length_cap_override=cap, jobs=jobs)
-        g = compatibility_graph(catalog, config, jobs=jobs)
-        fb = family_bounds(g)
-    except (PreconditionError, EnumerationIncompleteError) as exc:
-        _fail(exc)
+    catalog = enumerate_classes(n, k, config, length_cap_override=cap, jobs=jobs)
+    g = compatibility_graph(catalog, config, jobs=jobs)
     out = g.to_json()
-    out["familyBounds"] = fb.to_json()
+    out["familyBounds"] = family_bounds(g).to_json()
     _emit(out)
     if not g.complete:
         sys.exit(EXIT_BUDGET)
@@ -332,16 +302,11 @@ def graph(n: int, k: int, cap: int | None, jobs: int,
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv",
               show_default=True)
-def growth(kmax: int, n: int, jobs: int, fmt: str,
-           budget: int, cache_dir: str | None, no_cache: bool) -> None:
+def growth(kmax: int, n: int, jobs: int, fmt: str, config: OracleConfig) -> None:
     """Class-count growth table for k = 1..kmax (two punctures)."""
-    try:
-        if n != 2:
-            raise PreconditionError("the growth table is defined for two punctures")
-        config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache)
-        rows = growth_report(kmax, config, jobs=jobs)
-    except (PreconditionError, EnumerationIncompleteError) as exc:
-        _fail(exc)
+    if n != 2:
+        raise PreconditionError("the growth table is defined for two punctures")
+    rows = growth_report(kmax, config, jobs=jobs)
     if fmt == "csv":
         str_rows = [
             {

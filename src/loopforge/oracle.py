@@ -45,13 +45,9 @@ DEFAULT_BUDGET = 100_000_000
 _HEMI_INT = {NORTH: 0, SOUTH: 1}
 
 
-class BudgetExhaustedError(RuntimeError):
-    """Raised internally when the evaluation budget runs out mid-search."""
-
-    def __init__(self, value: int | None, orders):
-        super().__init__("oracle budget exhausted")
-        self.value = value
-        self.orders = orders
+class _Stop(Exception):
+    """Ends a search early: the budget ran out, or a threshold search found a
+    drawing below its cutoff."""
 
 
 @dataclass(frozen=True)
@@ -180,7 +176,7 @@ class _Instance:
     """Preprocessed minimization instance."""
 
     def __init__(self, n: int, curves: tuple[CurveSpec, ...], tally: str):
-        if tally not in ("self", "inter", "all"):
+        if tally not in ("self", "inter"):
             raise PreconditionError(f"bad tally {tally!r}")
         self.n = n
         self.curves = curves
@@ -229,11 +225,7 @@ class _Instance:
                 self.within_gap[self.gap_of[ia]] = True
 
     def counted(self, c1: int, c2: int) -> bool:
-        if self.tally == "self":
-            return c1 == c2
-        if self.tally == "inter":
-            return c1 != c2
-        return True
+        return (c1 == c2) == (self.tally == "self")
 
     def countable_pairs(self):
         """All chord pairs that can contribute a crossing."""
@@ -347,10 +339,7 @@ class _Search:
 
         self.pos = list(base_pos)
         self.placed = [False] * (n + 1)
-        self.best: int | None = None
-        self.best_orders: dict[int, tuple[int, ...]] | None = None
         self.current: dict[int, tuple[int, ...]] = {}
-        self.resolved_below_cutoff = False
 
     # -- bound helpers ---------------------------------------------------
 
@@ -383,41 +372,34 @@ class _Search:
     def _charge(self, amount: int) -> None:
         self.units += amount
         if self.units > self.budget:
-            raise BudgetExhaustedError(self.best, self.best_orders)
-
-    def _cutoff_now(self) -> int | None:
-        vals = [x for x in (self.best, self.cutoff) if x is not None]
-        return min(vals) if vals else None
+            raise _Stop
 
     # -- search ----------------------------------------------------------
 
     def run(self) -> tuple[int, dict[int, tuple[int, ...]], bool]:
-        inst = self.inst
-        identity = inst.identity_orders()
-        self._charge(1)
-        seed = inst.evaluate_orders(identity)
-        self.best, self.best_orders = seed, identity
-        if self.cutoff is not None and seed < self.cutoff:
-            return seed, identity, False
+        identity = self.inst.identity_orders()
+        self.value, self.orders = self.inst.evaluate_orders(identity), identity
+        # every prune keeps only drawings strictly below `bound`: the best
+        # value so far in an exact search, the cutoff in a threshold search
+        self.bound = self.value if self.cutoff is None else self.cutoff
         try:
-            self._dfs(0, self.const_cost)
-            exact = not self.resolved_below_cutoff
-        except BudgetExhaustedError:
-            exact = False
-        return self.best, self.best_orders, exact
+            self._charge(1)
+            if self.value >= self.bound:  # else the seed already beats the cutoff
+                self._dfs(0, self.const_cost)
+                return self.value, self.orders, True
+        except _Stop:
+            pass
+        return self.value, self.orders, False
 
     def _record(self, value: int, orders: dict[int, tuple[int, ...]]) -> None:
-        if self.best is None or value < self.best:
-            self.best = value
-            self.best_orders = dict(orders)
-            if self.cutoff is not None and value < self.cutoff:
-                self.resolved_below_cutoff = True
+        """Keep a drawing below the bound; it decides a threshold search."""
+        self.value, self.orders = value, dict(orders)
+        if self.cutoff is not None:
+            raise _Stop
+        self.bound = value
 
     def _dfs(self, level: int, acc: int) -> None:
-        if self.resolved_below_cutoff:
-            return
-        cut = self._cutoff_now()
-        if cut is not None and acc + self._future_bound(level) >= cut:
+        if acc + self._future_bound(level) >= self.bound:
             return
         if level == len(self.gap_order):
             self._record(acc, self.current)
@@ -443,22 +425,17 @@ class _Search:
             scored.append((inc, perm))
         scored.sort()
         self.placed[g] = True
-        try:
-            for inc, perm in scored:
-                cut = self._cutoff_now()
-                if cut is not None and acc + inc >= cut:
-                    break  # scored ascending: no later permutation can help
-                for idx, pid in enumerate(perm):
-                    pos[pid] = base + idx
-                self.current[g] = perm
-                self._dfs(level + 1, acc + inc)
-                if self.resolved_below_cutoff:
-                    return
-        finally:
-            self.placed[g] = False
-            self.current.pop(g, None)
-            for pid in pts:
-                pos[pid] = base
+        for inc, perm in scored:
+            if acc + inc >= self.bound:
+                break  # scored ascending: no later permutation can help
+            for idx, pid in enumerate(perm):
+                pos[pid] = base + idx
+            self.current[g] = perm
+            self._dfs(level + 1, acc + inc)
+        self.placed[g] = False
+        self.current.pop(g, None)
+        for pid in pts:
+            pos[pid] = base
 
     def _solve_last_dp(self, g: int, acc: int) -> None:
         inst = self.inst
@@ -471,12 +448,6 @@ class _Search:
             i, j = index[u], index[v]
             w[i][j] += c_uv
             w[j][i] += c_vu
-        cut = self._cutoff_now()
-        lb = sum(
-            min(w[i][j], w[j][i]) for i in range(m) for j in range(i + 1, m)
-        )
-        if cut is not None and acc + lb >= cut:
-            return
         self._charge(max(1, (1 << m)))
         size = 1 << m
         INF = 1 << 60
@@ -500,8 +471,7 @@ class _Search:
                     dp[ns] = nv
                     choice[ns] = p
         total = dp[size - 1]
-        cut = self._cutoff_now()
-        if cut is not None and acc + total >= cut:
+        if acc + total >= self.bound:
             return
         order = []
         s = size - 1
@@ -510,9 +480,7 @@ class _Search:
             order.append(pts[p])
             s &= ~(1 << p)
         order.reverse()
-        self.current[g] = tuple(order)
-        self._record(acc + total, self.current)
-        self.current.pop(g, None)
+        self._record(acc + total, {**self.current, g: tuple(order)})
 
 
 def minimize_crossings(

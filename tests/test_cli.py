@@ -30,10 +30,14 @@ def test_reduce_rejects_bad_word(runner):
     assert result.exit_code == 2
     data = json.loads(result.output)
     assert data["error"]["type"] == "PreconditionError"
-    # words of different kinds name no common class
-    result = _invoke(runner, ["equiv", "--n", "2", "v 2 v", "0 1"])
-    assert result.exit_code == 2
-    assert json.loads(result.output)["error"]["type"] == "PreconditionError"
+    # words of different kinds name no common class; decompose takes 'v'
+    # only at both ends
+    for args in (["equiv", "--n", "2", "v 2 v", "0 1"],
+                 ["decompose", "--n", "2", "v 2 v 2"],
+                 ["decompose", "--n", "2", "2 v 1"]):
+        result = _invoke(runner, args)
+        assert result.exit_code == 2, args
+        assert json.loads(result.output)["error"]["type"] == "PreconditionError"
 
 
 def test_canon_command(runner):
@@ -81,6 +85,18 @@ def test_selfint_budget_exit_code(runner, tmp_path):
     )
     assert result.exit_code == 3
     data = json.loads(result.output)
+    assert data["exact"] is False
+
+
+@pytest.mark.parametrize("args", [["enumerate", "--k", "2"], ["graph", "--k", "2"],
+                                  ["growth", "--kmax", "3"]])
+def test_enumeration_budget_error_object(runner, args):
+    # an incomplete catalog prints the error object instead of a report
+    result = _invoke(runner, args + ["--n", "2", "--no-cache", "--budget", "5"])
+    assert result.exit_code == 3
+    data = json.loads(result.output)
+    assert data["error"]["type"] == "EnumerationIncomplete"
+    assert data["error"]["message"].startswith("budget exhausted on core")
     assert data["exact"] is False
 
 

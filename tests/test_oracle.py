@@ -273,6 +273,20 @@ def test_segment_threshold_agrees_with_exact(config, alpha2):
             assert verdict == (exact >= k), (letters, k)
 
 
+def test_segment_threshold_outcomes(tmp_path):
+    # the segment's minimum is 5; two budget units decide neither threshold
+    letters = (V, 2, 0, 1, 0, 1, 0, 1, 2)
+    for k, decided, stored in ((5, True, {"at_least": 5}), (6, False, {"upper": 5})):
+        cache = tmp_path / f"k{k}"
+        config = OracleConfig(budget=2, cache_dir=cache)
+        assert segment_self_at_least(letters, k, GapAlphabet(2), config) is None
+        assert not cache.exists()  # an undecided search caches nothing
+        config = OracleConfig(budget=50, cache_dir=cache)
+        assert segment_self_at_least(letters, k, GapAlphabet(2), config) is decided
+        [entry] = [json.loads(p.read_text()) for p in cache.iterdir()]
+        assert {f: v for f, v in entry.items() if f not in ("key", "version")} == stored
+
+
 def test_repeated_letter_words(nocache_config):
     # every gap holds an internal chord here, so no gap qualifies for the
     # subset DP and the search runs on permutations alone
