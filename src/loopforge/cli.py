@@ -76,6 +76,10 @@ n_option = click.option("--n", "n", type=int, default=2, show_default=True,
                         help="number of punctures")
 
 
+length_cap_option = click.option("--length-cap", "cap", type=int, default=None,
+                                 help="raise the provable length cap")
+
+
 def oracle_options(fn):
     """Add the oracle options and pass the command one `config` argument."""
 
@@ -267,8 +271,7 @@ def count_expansions(length: int | None, k: int, sweep: bool, lmax: int, kmax: i
 @main.command(name="enumerate")
 @oracle_options
 @click.option("--k", type=int, required=True, help="crossing budget")
-@click.option("--length-cap", "cap", type=int, default=None,
-              help="override the provable length cap")
+@length_cap_option
 @click.option("--jobs", type=int, default=1, show_default=True)
 def enumerate_cmd(n: int, k: int, cap: int | None, jobs: int, config: OracleConfig) -> None:
     """Catalog of loop classes with self-crossing number below k (JSONL)."""
@@ -283,7 +286,7 @@ def enumerate_cmd(n: int, k: int, cap: int | None, jobs: int, config: OracleConf
 @main.command()
 @oracle_options
 @click.option("--k", type=int, required=True, help="crossing budget")
-@click.option("--length-cap", "cap", type=int, default=None)
+@length_cap_option
 @click.option("--jobs", type=int, default=1, show_default=True)
 def graph(n: int, k: int, cap: int | None, jobs: int, config: OracleConfig) -> None:
     """Compatibility graph of the class catalog, with clique bounds."""

@@ -197,16 +197,20 @@ def enumerate_classes(
     """All loop classes with exact oracle self-crossing number below k, up
     to the length cap: x-classes for n=1, both-polarity v-classes for n=2.
 
-    Raises :class:`EnumerationIncompleteError` if any candidate exhausts the
-    oracle budget; a truncated count is never reported.
+    `length_cap_override` may raise the provable cap but not lower it, since
+    a lower cap would silently drop classes.  Raises
+    :class:`EnumerationIncompleteError` if any candidate exhausts the oracle
+    budget; a truncated count is never reported.
     """
     if k < 1:
         raise PreconditionError("k must be at least 1")
     if jobs < 1:
         raise PreconditionError("jobs must be at least 1")
-    cap = length_cap_override if length_cap_override is not None else length_cap(k, n)
-    if cap < 2:
-        raise PreconditionError("length cap below 2")
+    cap = length_cap(k, n)
+    if length_cap_override is not None:
+        if length_cap_override < cap:
+            raise PreconditionError(f"length cap below the provable cap {cap}")
+        cap = length_cap_override
     alphabet = GapAlphabet(n)
     entries: list[CatalogEntry] = []
 
@@ -222,9 +226,6 @@ def enumerate_classes(
                 )
         entries.sort(key=lambda e: (len(e.loop_class.reduced), e.loop_class.reduced))
         return ClassCatalog(n, k, cap, tuple(entries), 0)
-
-    if n != 2:
-        raise PreconditionError("catalogs support n in {1, 2}")
 
     cores = _collect_core_candidates(k, cap, alphabet, config)
     words = [Word.v_word(core) for core in cores]
@@ -421,19 +422,23 @@ def growth_report(
     log growth, double-exponential upper bound exponent) for k = 1..kmax.
 
     A consistency report only: the asymptotic growth claims are not
-    verifiable at these sizes, so no thresholds are asserted.
+    verifiable at these sizes, so no thresholds are asserted.  Every class
+    below k is no longer than length_cap(k) <= length_cap(kmax), so the
+    catalogs for kmax hold the classes of every row.
     """
+    if kmax < 1:
+        return []
+    cat2 = enumerate_classes(2, kmax, config, jobs=jobs)
+    cat1 = enumerate_classes(1, kmax, config, jobs=jobs)
     rows = []
     for k in range(1, kmax + 1):
-        cat2 = enumerate_classes(2, k, config, jobs=jobs)
-        cat1 = enumerate_classes(1, k, config, jobs=jobs)
-        count2 = cat2.count
+        count2 = sum(e.selfint < k for e in cat2.entries)
         rows.append(
             {
                 "k": k,
                 "classCountN2": count2,
                 "countUncertainty": cat2.count_uncertainty,
-                "classCountN1": cat1.count,
+                "classCountN1": sum(e.selfint < k for e in cat1.entries),
                 "lnCountOverSqrtK": f"{math.log(count2) / math.sqrt(k):.6f}",
                 "fUpperDoubleExpExponent": (2 * k) ** 4,
                 "exact": True,

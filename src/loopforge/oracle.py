@@ -211,31 +211,26 @@ class _Instance:
                 off += 1
         self.base = base
 
-        # chords as (idA, idB, disk, curve, v_incident); basepoint id is 0
+        # chords as (idA, idB, disk, curve, v_incident); basepoint id is 0,
+        # whose gap V is no gap, so a chord at v lies within no gap
         self.chords: list[tuple[int, int, int, int, bool]] = []
+        self.within_gap: set[int] = set()
         for ci, spec in enumerate(curves):
             for end_a, end_b, disk in _chords_of(spec, ci):
                 ia = 0 if end_a is None else self.point_id[end_a]
                 ib = 0 if end_b is None else self.point_id[end_b]
                 self.chords.append((ia, ib, disk, ci, ia == 0 or ib == 0))
-
-        self.within_gap: dict[int, bool] = {g: False for g in range(n + 1)}
-        for ia, ib, _, _, _ in self.chords:
-            if ia != 0 and ib != 0 and self.gap_of[ia] == self.gap_of[ib]:
-                self.within_gap[self.gap_of[ia]] = True
-
-    def counted(self, c1: int, c2: int) -> bool:
-        return (c1 == c2) == (self.tally == "self")
+                if self.gap_of[ia] == self.gap_of[ib]:
+                    self.within_gap.add(self.gap_of[ia])
 
     def countable_pairs(self):
-        """All chord pairs that can contribute a crossing."""
-        for i in range(len(self.chords)):
-            a1, b1, d1, c1, v1 = self.chords[i]
-            for j in range(i + 1, len(self.chords)):
-                a2, b2, d2, c2, v2 = self.chords[j]
-                if d1 != d2 or (v1 and v2) or not self.counted(c1, c2):
-                    continue
-                yield (a1, b1, a2, b2)
+        """All chord pairs that can contribute a crossing: in one disk, not
+        both at the basepoint, and of one curve for a self tally or of two
+        curves for an inter tally."""
+        for i, (a1, b1, d1, c1, v1) in enumerate(self.chords):
+            for a2, b2, d2, c2, v2 in self.chords[i + 1:]:
+                if d1 == d2 and not (v1 and v2) and (c1 == c2) == (self.tally == "self"):
+                    yield (a1, b1, a2, b2)
 
     def evaluate_orders(self, orders: dict[int, tuple[int, ...]]) -> int:
         pos = self.positions_for(orders)
@@ -279,7 +274,7 @@ class _Search:
 
         n = inst.n
         sized = [g for g in range(n + 1) if inst.gap_points[g]]
-        clean = [g for g in sized if not inst.within_gap[g]]
+        clean = [g for g in sized if g not in inst.within_gap]
         last = max(clean, key=lambda g: (len(inst.gap_points[g]), -g)) if clean else None
         rest = sorted(
             (g for g in sized if g != last),
@@ -289,53 +284,36 @@ class _Search:
         self.dp_last = last is not None
         order_index = {g: i for i, g in enumerate(self.gap_order)}
 
-        # classify countable pairs: constant / bucketed by decision level
+        # one pass over the countable pairs.  A pair with no gap holding two
+        # of its endpoints is constant; any other is charged at the level
+        # that orders the last such gap.  One endpoint of each chord in gap
+        # g, both other ends outside g, makes the pair a candidate of that
+        # point pair for the bounds and the subset DP of g.
         self.const_cost = 0
         self.buckets: list[list[tuple[int, int, int, int]]] = [
             [] for _ in self.gap_order
         ]
-        base_pos = [inst.base[g] for g in inst.gap_of]
+        self.pair_candidates: dict[int, dict[tuple[int, int], list[tuple[int, int]]]] = {
+            g: {} for g in self.gap_order
+        }
+        gap_of = inst.gap_of
+        base_pos = [inst.base[g] for g in gap_of]
         base_pos[0] = inst.base[V]
         for pair in inst.countable_pairs():
-            gaps = [inst.gap_of[p] for p in pair if p != 0]
-            multi = {g for g in set(gaps) if gaps.count(g) >= 2}
+            gaps = [gap_of[p] for p in pair if p != 0]
+            multi = {g for g in gaps if gaps.count(g) >= 2}
             if not multi:
                 if _cross(*(base_pos[p] for p in pair)):
                     self.const_cost += 1
-            else:
-                self.buckets[max(order_index[g] for g in multi)].append(pair)
-
-        # per-gap point-pair chord candidates for bounds and the subset DP;
-        # chords with both endpoints in the gap are excluded (they force the
-        # permutation fallback for that gap)
-        incident: dict[int, list[tuple[int, int, int, bool]]] = {}
-        for ia, ib, disk, ci, vinc in inst.chords:
-            if ia != 0:
-                incident.setdefault(ia, []).append((ib, disk, ci, vinc))
-            if ib != 0:
-                incident.setdefault(ib, []).append((ia, disk, ci, vinc))
-        self.pair_candidates: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
-        for g in self.gap_order:
-            pts = inst.gap_points[g]
-            entries = []
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    u, v = pts[i], pts[j]
-                    cands: list[tuple[int, int]] = []
-                    for ou, disk_u, cu, vu in incident.get(u, ()):
-                        if ou != 0 and inst.gap_of[ou] == g:
-                            continue
-                        for ov, disk_v, cv, vv in incident.get(v, ()):
-                            if disk_u != disk_v or (vu and vv):
-                                continue
-                            if ov != 0 and inst.gap_of[ov] == g:
-                                continue
-                            if not inst.counted(cu, cv):
-                                continue
-                            cands.append((ou, ov))
-                    if cands:
-                        entries.append((u, v, cands))
-            self.pair_candidates[g] = entries
+                continue
+            self.buckets[max(order_index[g] for g in multi)].append(pair)
+            a1, b1, a2, b2 = pair
+            for u, ou in ((a1, b1), (b1, a1)):
+                g = gap_of[u]
+                for v, ov in ((a2, b2), (b2, a2)):
+                    if u != v and gap_of[v] == g and g not in (gap_of[ou], gap_of[ov]):
+                        key, ends = ((u, v), (ou, ov)) if u < v else ((v, u), (ov, ou))
+                        self.pair_candidates[g].setdefault(key, []).append(ends)
 
         self.pos = list(base_pos)
         self.placed = [False] * (n + 1)
@@ -343,9 +321,10 @@ class _Search:
 
     # -- bound helpers ---------------------------------------------------
 
-    def _pair_costs(self, g: int, u: int, v: int, cands) -> tuple[int, int]:
-        """Crossable-pair costs for u-before-v and v-before-u; candidates with
-        unplaced far endpoints are skipped (their cost is not yet decided)."""
+    def _pair_costs(self, g: int, cands) -> tuple[int, int]:
+        """Crossable-pair costs of a point pair (u, v) of gap g for u before v
+        and for v before u; candidates with unplaced far endpoints are
+        skipped (their cost is not yet decided)."""
         inst = self.inst
         bu, bv = inst.base[g], inst.base[g] + 1
         c_uv = c_vu = 0
@@ -364,9 +343,8 @@ class _Search:
     def _future_bound(self, level: int) -> int:
         total = 0
         for g in self.gap_order[level:]:
-            for u, v, cands in self.pair_candidates[g]:
-                c_uv, c_vu = self._pair_costs(g, u, v, cands)
-                total += min(c_uv, c_vu)
+            for cands in self.pair_candidates[g].values():
+                total += min(self._pair_costs(g, cands))
         return total
 
     def _charge(self, amount: int) -> None:
@@ -443,8 +421,8 @@ class _Search:
         m = len(pts)
         index = {pid: i for i, pid in enumerate(pts)}
         w = [[0] * m for _ in range(m)]
-        for u, v, cands in self.pair_candidates[g]:
-            c_uv, c_vu = self._pair_costs(g, u, v, cands)
+        for (u, v), cands in self.pair_candidates[g].items():
+            c_uv, c_vu = self._pair_costs(g, cands)
             i, j = index[u], index[v]
             w[i][j] += c_uv
             w[j][i] += c_vu
@@ -544,22 +522,20 @@ def _self_key(n: int, kind: str, letters: tuple[int, ...]) -> str:
 
 def _pair_key(n: int, kind: str, specs) -> str:
     # value-preserving transforms: swap curves, reverse either traversal,
-    # mirror both hemispheres
-    def spec_forms(letters, hemi):
-        arcs = len(letters) - 1
-        rev_hemi = hemi if arcs % 2 == 1 else 1 - hemi
-        return [(letters, hemi), (tuple(reversed(letters)), rev_hemi)]
+    # mirror both hemispheres.  Of two mirrored strings the one whose first
+    # curve starts at hemisphere 0 is smaller, so only that one is built.
+    def forms(letters, hemi):
+        # the reversed traversal starts in the hemisphere of the last arc
+        rev_hemi = hemi ^ (len(letters) % 2)
+        return [(_letters_key(letters), hemi), (_letters_key(letters[::-1]), rev_hemi)]
 
     (l1, h1), (l2, h2) = specs
-    keys = []
-    for a in spec_forms(l1, h1):
-        for b in spec_forms(l2, h2):
-            for first, second in ((a, b), (b, a)):
-                for mirror in (0, 1):
-                    keys.append(
-                        f"{_letters_key(first[0])}@{first[1] ^ mirror}"
-                        f"~{_letters_key(second[0])}@{second[1] ^ mirror}"
-                    )
+    keys = [
+        f"{first}@0~{second}@{hf ^ hs}"
+        for a in forms(l1, h1)
+        for b in forms(l2, h2)
+        for (first, hf), (second, hs) in ((a, b), (b, a))
+    ]
     return f"n{n}|pair|{kind}|{min(keys)}"
 
 

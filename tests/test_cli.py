@@ -190,6 +190,11 @@ def test_run_config_validation(runner):
     assert result.exit_code == 2
     result = _invoke(runner, ["enumerate", "--n", "2", "--k", "1", "--length-cap", "1"])
     assert result.exit_code == 2
+    # caps below the provable one used to truncate the catalog silently
+    result = _invoke(runner, ["enumerate", "--n", "2", "--k", "3", "--length-cap", "4"])
+    assert result.exit_code == 2
+    result = _invoke(runner, ["graph", "--n", "2", "--k", "3", "--length-cap", "3"])
+    assert result.exit_code == 2
     result = _invoke(runner, ["enumerate", "--n", "2", "--k", "1", "--jobs", "0"])
     assert result.exit_code == 2
 

@@ -108,6 +108,11 @@ def test_enumerate_rejects_bad_args(config):
         enumerate_classes(2, 0, config)
     with pytest.raises(PreconditionError):
         enumerate_classes(2, 1, config, length_cap_override=1)
+    # a cap below the provable one would silently drop classes
+    with pytest.raises(PreconditionError):
+        enumerate_classes(2, 3, config, length_cap_override=4)
+    with pytest.raises(PreconditionError):
+        enumerate_classes(1, 3, config, length_cap_override=length_cap(3, 1) - 1)
     with pytest.raises(PreconditionError):
         enumerate_classes(2, 1, config, jobs=0)
 
@@ -210,3 +215,7 @@ def test_growth_report_rows(config):
         assert row["fUpperDoubleExpExponent"] == (2 * row["k"]) ** 4
         float(row["lnCountOverSqrtK"])  # parses as a number
     assert rows[0]["classCountN2"] <= rows[1]["classCountN2"]
+    # the rows count the kmax catalogs below each k
+    for row in rows:
+        assert row["classCountN2"] == enumerate_classes(2, row["k"], config).count
+        assert row["classCountN1"] == enumerate_classes(1, row["k"], config).count

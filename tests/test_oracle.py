@@ -29,7 +29,8 @@ from loopforge import (
     segment_self_intersections,
     self_intersection_number,
 )
-from loopforge.words import NORTH, SOUTH, V
+from loopforge.oracle import _pair_key
+from loopforge.words import NORTH, SOUTH, V, format_letter
 
 
 def _selfint_v(inner, config, n=2):
@@ -370,3 +371,55 @@ def _written_keys(cache_dir) -> list[str]:
 def test_cache_keys_pinned(tmp_path):
     """Cache keys are a file format: existing caches must keep hitting."""
     assert _written_keys(tmp_path) == json.loads(PINNED_KEYS.read_text())
+
+
+def _reference_pair_key(n, kind, specs):
+    """The pair key as first defined: the least of the 16 strings over curve
+    swap, reversal of either curve and mirroring of both hemispheres."""
+
+    def spec_forms(letters, hemi):
+        arcs = len(letters) - 1
+        rev_hemi = hemi if arcs % 2 == 1 else 1 - hemi
+        return [(letters, hemi), (tuple(reversed(letters)), rev_hemi)]
+
+    def text(letters):
+        return ".".join(format_letter(a) for a in letters)
+
+    (l1, h1), (l2, h2) = specs
+    keys = []
+    for a in spec_forms(l1, h1):
+        for b in spec_forms(l2, h2):
+            for first, second in ((a, b), (b, a)):
+                for mirror in (0, 1):
+                    keys.append(
+                        f"{text(first[0])}@{first[1] ^ mirror}"
+                        f"~{text(second[0])}@{second[1] ^ mirror}"
+                    )
+    return f"n{n}|pair|{kind}|{min(keys)}"
+
+
+def test_pair_key_transforms():
+    """Every value-preserving transform of a curve pair gives one key, and it
+    is the key of the reference formula.  Gap labels up to 12 order
+    differently as strings ("10" < "2") than as numbers."""
+    rng = random.Random(151)
+    labels = GapAlphabet(12).labels
+
+    def reverse(letters, hemi):
+        # arc j lies in hemisphere hemi + j; the reversal starts on the last arc
+        return letters[::-1], (hemi + len(letters)) % 2
+
+    for v_start, v_end, odd, hemi in itertools.product((False, True), repeat=4):
+        for _ in range(8):
+            letters = tuple(rng.choice(labels) for _ in range(2 * rng.randint(1, 4) + odd))
+            letters = (V,) * v_start + letters[v_start:len(letters) - v_end] + (V,) * v_end
+            other = tuple(rng.choice(labels) for _ in range(rng.randint(1, 8)))
+            specs = ((letters, int(hemi)), (other, rng.randint(0, 1)))
+            key = _pair_key(12, "seg", specs)
+            assert key == _reference_pair_key(12, "seg", specs)
+            for swap, rev1, rev2, mirror in itertools.product((False, True), repeat=4):
+                first, second = specs[::-1] if swap else specs
+                first = reverse(*first) if rev1 else first
+                second = reverse(*second) if rev2 else second
+                moved = tuple((ls, h ^ mirror) for ls, h in (first, second))
+                assert _pair_key(12, "seg", moved) == key, (specs, moved)
