@@ -36,11 +36,15 @@ class CacheStore:
         return self.directory / f"{stem}-{digest}.json"
 
     def get(self, key: str) -> dict | None:
+        """The entry of `key`, or None when it is missing, is not UTF-8 JSON,
+        is not a JSON object, or was written for another key or version."""
         path = self._path(key)
         try:
             with open(path, encoding="utf-8") as fh:
                 entry = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
+        except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError):
+            return None
+        if not isinstance(entry, dict):
             return None
         if entry.get("version") != MODEL_VERSION or entry.get("key") != key:
             return None

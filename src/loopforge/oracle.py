@@ -13,12 +13,18 @@ crossings over all curves realizing the words: an interleaved pair must
 cross at least once in any drawing, and generic straight chords realize
 every interleaving exactly once.
 
-The minimization is exact branch and bound: gaps are ordered one at a time;
-a chord pair is charged as soon as the orders of all gaps holding two or
-more of its endpoints are fixed; unordered gaps contribute a one-sided
-lower bound (sum over point pairs of the cheaper relative order).  The
+The minimization is exact branch and bound: gaps are ordered one at a time
+in a fixed order, and a chord pair is charged as soon as the orders of all
+gaps holding two or more of its endpoints are fixed.  Unordered gaps add a
+lower bound: for each pair of their points, the cheaper of its two relative
+orders, counting the chord pairs whose far ends are placed.  Which gaps are
+placed at each level is known before the search starts, so the bound is one
+table per level, built once per search: a constant that folds every point
+pair whose cost the search can no longer change, plus comparisons of far
+ends that share a placed gap, the only costs still open at that level.  The
 largest gap without internal chords is left last and solved by dynamic
-programming over point subsets instead of permutations.
+programming over point subsets instead of permutations, with its weights
+read from the same table.
 """
 
 from __future__ import annotations
@@ -81,6 +87,10 @@ class CurveSpec:
             raise PreconditionError(f"bad hemisphere {self.hemisphere!r}")
         if self.closed and V in self.letters:
             raise PreconditionError("closed diagrams have no basepoint letter")
+        if self.closed and len(self.letters) % 2:
+            # chords alternate disks, so a closed curve crosses the equator
+            # an even number of times
+            raise PreconditionError("closed diagrams have an even number of crossings")
         if V in self.letters[1:-1]:
             raise PreconditionError("'v' allowed at segment ends only")
 
@@ -293,7 +303,7 @@ class _Search:
         self.buckets: list[list[tuple[int, int, int, int]]] = [
             [] for _ in self.gap_order
         ]
-        self.pair_candidates: dict[int, dict[tuple[int, int], list[tuple[int, int]]]] = {
+        pair_candidates: dict[int, dict[tuple[int, int], list[tuple[int, int]]]] = {
             g: {} for g in self.gap_order
         }
         gap_of = inst.gap_of
@@ -313,38 +323,85 @@ class _Search:
                 for v, ov in ((a2, b2), (b2, a2)):
                     if u != v and gap_of[v] == g and g not in (gap_of[ou], gap_of[ov]):
                         key, ends = ((u, v), (ou, ov)) if u < v else ((v, u), (ov, ou))
-                        self.pair_candidates[g].setdefault(key, []).append(ends)
+                        pair_candidates[g].setdefault(key, []).append(ends)
+
+        # per-level bound tables.  At level L the placed gaps are
+        # gap_order[:L] plus the basepoint, so a candidate (ou, ov) of a point
+        # pair (u, v) of gap g counts from the level after both its far ends
+        # are placed.  u and v are adjacent and ou, ov are two other points
+        # (chords of one disk share no endpoint), so exactly one of the two
+        # orders crosses: "u before v" iff ou comes first going round the
+        # circle from g.  The blocks of the far ends fix which, unless both
+        # lie in one gap; then "u before v" crosses iff pos[p] < pos[q] for
+        # ends (p, q).  With f and b the fixed costs of the two orders and x
+        # of the k varying candidates ordered p before q, the pair adds
+        # min(f + x, b + k - x).  Where one order is never dearer that is a
+        # constant plus x (or k - x), kept as one flat list of comparisons;
+        # only the other rows pay for the min.
+        levels = len(self.gap_order)
+        # the first level at which each point is placed; the basepoint always is
+        after = [0] + [order_index[g] + 1 for g in gap_of[1:]]
+        self.bound_const = [0] * (levels + 1)
+        self.bound_less: list[list[tuple[int, int]]] = [[] for _ in range(levels + 1)]
+        self.bound_rows: list[list[tuple[int, int, list[tuple[int, int]]]]] = [
+            [] for _ in range(levels + 1)
+        ]
+        self.dp_rows: list[tuple[int, int, int, int, list[tuple[int, int]]]] = []
+        for g, cands_of in pair_candidates.items():
+            gi = order_index[g]
+            bu, bv = inst.base[g], inst.base[g] + 1
+            for (u, v), cands in cands_of.items():
+                rules = []  # (level it counts from, "u before v" crosses, varying ends)
+                for ou, ov in cands:
+                    pou = base_pos[ou]
+                    same = gap_of[ou] == gap_of[ov]
+                    uv = _cross(bu, pou, bv, pou + 1 if same else base_pos[ov])
+                    ends = ((ou, ov) if uv else (ov, ou)) if same else None
+                    rules.append((max(after[ou], after[ov]), uv, ends))
+                f = b = 0
+                varying: list[tuple[int, int]] = []
+                for level in range(gi + 1):
+                    for ready, uv, ends in rules:
+                        if ready == level:
+                            if ends:
+                                varying.append(ends)
+                            elif uv:
+                                f += 1
+                            else:
+                                b += 1
+                    k = len(varying)
+                    if f + k <= b:
+                        self.bound_const[level] += f
+                        self.bound_less[level] += varying
+                    elif b + k <= f:
+                        self.bound_const[level] += b
+                        self.bound_less[level] += [(q, p) for p, q in varying]
+                    elif k == 1:  # f == b: either order costs f
+                        self.bound_const[level] += f
+                    else:
+                        self.bound_rows[level].append((f, b + k, list(varying)))
+                if self.dp_last and gi == levels - 1:
+                    self.dp_rows.append((u, v, f, b, varying))
 
         self.pos = list(base_pos)
-        self.placed = [False] * (n + 1)
         self.current: dict[int, tuple[int, ...]] = {}
 
     # -- bound helpers ---------------------------------------------------
 
-    def _pair_costs(self, g: int, cands) -> tuple[int, int]:
-        """Crossable-pair costs of a point pair (u, v) of gap g for u before v
-        and for v before u; candidates with unplaced far endpoints are
-        skipped (their cost is not yet decided)."""
-        inst = self.inst
-        bu, bv = inst.base[g], inst.base[g] + 1
-        c_uv = c_vu = 0
-        for ou, ov in cands:
-            if ou != 0 and not self.placed[inst.gap_of[ou]]:
-                continue
-            if ov != 0 and not self.placed[inst.gap_of[ov]]:
-                continue
-            pou, pov = self.pos[ou], self.pos[ov]
-            if _cross(bu, pou, bv, pov):
-                c_uv += 1
-            if _cross(bv, pou, bu, pov):
-                c_vu += 1
-        return c_uv, c_vu
-
     def _future_bound(self, level: int) -> int:
-        total = 0
-        for g in self.gap_order[level:]:
-            for cands in self.pair_candidates[g].values():
-                total += min(self._pair_costs(g, cands))
+        """Sum over the point pairs of the unordered gaps of the cheaper
+        relative order, counting only candidates whose far ends are placed."""
+        pos = self.pos
+        total = self.bound_const[level]
+        for p, q in self.bound_less[level]:
+            if pos[p] < pos[q]:
+                total += 1
+        for f, bk, ends in self.bound_rows[level]:
+            x = 0
+            for p, q in ends:
+                if pos[p] < pos[q]:
+                    x += 1
+            total += min(f + x, bk - x)
         return total
 
     def _charge(self, amount: int) -> None:
@@ -402,7 +459,6 @@ class _Search:
                     inc += 1
             scored.append((inc, perm))
         scored.sort()
-        self.placed[g] = True
         for inc, perm in scored:
             if acc + inc >= self.bound:
                 break  # scored ascending: no later permutation can help
@@ -410,22 +466,30 @@ class _Search:
                 pos[pid] = base + idx
             self.current[g] = perm
             self._dfs(level + 1, acc + inc)
-        self.placed[g] = False
         self.current.pop(g, None)
         for pid in pts:
             pos[pid] = base
 
-    def _solve_last_dp(self, g: int, acc: int) -> None:
-        inst = self.inst
-        pts = inst.gap_points[g]
-        m = len(pts)
+    def _last_gap_weights(self, pts: list[int]) -> list[list[int]]:
+        """w[i][j]: the cost of point pts[i] before point pts[j] in the last
+        gap, with every other gap placed."""
         index = {pid: i for i, pid in enumerate(pts)}
-        w = [[0] * m for _ in range(m)]
-        for (u, v), cands in self.pair_candidates[g].items():
-            c_uv, c_vu = self._pair_costs(g, cands)
+        pos = self.pos
+        w = [[0] * len(pts) for _ in pts]
+        for u, v, f, b, ends in self.dp_rows:
+            x = 0
+            for p, q in ends:
+                if pos[p] < pos[q]:
+                    x += 1
             i, j = index[u], index[v]
-            w[i][j] += c_uv
-            w[j][i] += c_vu
+            w[i][j] += f + x
+            w[j][i] += b + len(ends) - x
+        return w
+
+    def _solve_last_dp(self, g: int, acc: int) -> None:
+        pts = self.inst.gap_points[g]
+        m = len(pts)
+        w = self._last_gap_weights(pts)
         self._charge(max(1, (1 << m)))
         size = 1 << m
         INF = 1 << 60

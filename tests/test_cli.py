@@ -77,6 +77,18 @@ def test_selfint_command(runner, tmp_path):
     assert data["witness"]["gapOrders"]
 
 
+@pytest.mark.parametrize("garbage", [b"\xff\xfe{", b"[1,2]"])
+def test_selfint_ignores_corrupt_cache_entry(runner, tmp_path, garbage):
+    # an entry that is not UTF-8 JSON, or not a JSON object, is a cache miss
+    args = ["selfint", "--n", "2", "--cache-dir", str(tmp_path), "v 2 0 1 2 v"]
+    first = _invoke(runner, args)
+    [entry] = tmp_path.glob("*.json")
+    entry.write_bytes(garbage)
+    again = _invoke(runner, args)
+    assert again.exit_code == first.exit_code == 0
+    assert again.output == first.output
+
+
 def test_selfint_budget_exit_code(runner, tmp_path):
     result = _invoke(
         runner,

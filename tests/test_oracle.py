@@ -4,6 +4,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive_reference as naive
 from loopforge import (
@@ -29,7 +31,8 @@ from loopforge import (
     segment_self_intersections,
     self_intersection_number,
 )
-from loopforge.oracle import _pair_key
+from loopforge import oracle
+from loopforge.oracle import _cross, _pair_key
 from loopforge.words import NORTH, SOUTH, V, format_letter
 
 
@@ -211,6 +214,131 @@ def test_x_pair_minimizes_relative_hemisphere(nocache_config):
         assert got.value == want, (w1, w2)
 
 
+@st.composite
+def _instances(draw):
+    """A small drawing instance: n, curves and tally.  At most six crossing
+    points in all keep the brute-force reference fast."""
+    n = draw(st.integers(1, 3))
+    tally = draw(st.sampled_from(("self", "inter")))
+    count = 2 if tally == "inter" else draw(st.integers(1, 2))
+    curves = []
+    for _ in range(count):
+        letters = draw(st.lists(st.integers(0, n), min_size=1, max_size=6 // count))
+        closed = draw(st.booleans())
+        if closed:
+            letters = letters[:len(letters) // 2 * 2]
+        else:
+            letters = [V] * draw(st.booleans()) + letters + [V] * draw(st.booleans())
+        curves.append(CurveSpec(tuple(letters), closed, draw(st.sampled_from((NORTH, SOUTH)))))
+    return n, tuple(curves), tally
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_instances())
+def test_minimize_matches_reference(instance):
+    n, curves, tally = instance
+    value, witness, exact = minimize_crossings(n, curves, tally)
+    plain = [(list(c.letters), c.closed, 0 if c.hemisphere == NORTH else 1) for c in curves]
+    assert exact
+    assert value == naive.minimize(plain, n, tally)
+    assert count_crossings(witness, tally) == value
+
+
+def _reference_candidates(search):
+    """Bound candidates as first defined: (far end of u, far end of v) for
+    each chord pair with one endpoint of each chord in a gap g and both
+    other ends outside g, grouped by gap and point pair (u, v), u < v."""
+    inst = search.inst
+    gap_of = inst.gap_of
+    cands = {g: {} for g in search.gap_order}
+    for a1, b1, a2, b2 in inst.countable_pairs():
+        for u, ou in ((a1, b1), (b1, a1)):
+            g = gap_of[u]
+            for v, ov in ((a2, b2), (b2, a2)):
+                if u != v and gap_of[v] == g and g not in (gap_of[ou], gap_of[ov]):
+                    key, ends = ((u, v), (ou, ov)) if u < v else ((v, u), (ov, ou))
+                    cands[g].setdefault(key, []).append(ends)
+    return cands
+
+
+def _reference_pair_costs(search, g, cands, placed):
+    """The costs of u before v and of v before u, recomputed from the
+    current positions; candidates with an unplaced far end are skipped."""
+    inst = search.inst
+    bu, bv = inst.base[g], inst.base[g] + 1
+    c_uv = c_vu = 0
+    for ou, ov in cands:
+        if any(p != 0 and inst.gap_of[p] not in placed for p in (ou, ov)):
+            continue
+        pou, pov = search.pos[ou], search.pos[ov]
+        c_uv += _cross(bu, pou, bv, pov)
+        c_vu += _cross(bv, pou, bu, pov)
+    return c_uv, c_vu
+
+
+def test_future_bound_matches_reference(monkeypatch):
+    """At every node the table bound equals the bound recomputed from the
+    positions, and the subset DP's weights equal the reference costs."""
+    checked = {"bound": 0, "varying": 0, "weights": 0}
+    search_class = oracle._Search
+    future_bound, weights = search_class._future_bound, search_class._last_gap_weights
+
+    reference = {}  # search -> its reference candidates
+
+    def candidates(search):
+        if search not in reference:
+            reference[search] = _reference_candidates(search)
+        return reference[search]
+
+    def checked_bound(self, level):
+        got = future_bound(self, level)
+        placed = set(self.gap_order[:level])
+        cands = candidates(self)
+        want = sum(
+            min(_reference_pair_costs(self, g, pair_cands, placed))
+            for g in self.gap_order[level:]
+            for pair_cands in cands[g].values()
+        )
+        assert got == want, (self.inst.curves, level)
+        checked["bound"] += 1
+        checked["varying"] += bool(self.bound_rows[level])
+        return got
+
+    def checked_weights(self, pts):
+        got = weights(self, pts)
+        g = self.gap_order[-1]
+        placed = set(self.gap_order[:-1])
+        want = [[0] * len(pts) for _ in pts]
+        for (u, v), pair_cands in candidates(self)[g].items():
+            c_uv, c_vu = _reference_pair_costs(self, g, pair_cands, placed)
+            want[pts.index(u)][pts.index(v)] += c_uv
+            want[pts.index(v)][pts.index(u)] += c_vu
+        assert got == want, self.inst.curves
+        checked["weights"] += 1
+        return got
+
+    monkeypatch.setattr(search_class, "_future_bound", checked_bound)
+    monkeypatch.setattr(search_class, "_last_gap_weights", checked_weights)
+    rng = random.Random(157)
+    for _ in range(300):
+        n = rng.choice((1, 2, 3))
+        tally = rng.choice(("self", "inter"))
+        curves = []
+        count = 2 if tally == "inter" else rng.randint(1, 2)
+        for _ in range(count):
+            letters = [rng.randint(0, n) for _ in range(rng.randint(1, 10 // count))]
+            closed = rng.random() < 0.4
+            if closed:
+                letters = letters[:len(letters) // 2 * 2]
+            else:
+                letters = [V] * rng.randint(0, 1) + letters + [V] * rng.randint(0, 1)
+            curves.append(CurveSpec(tuple(letters), closed, rng.choice((NORTH, SOUTH))))
+        minimize_crossings(n, tuple(curves), tally)
+    ladder = CurveSpec((V, 2) + (0, 1) * 6 + (2, V), False, NORTH)
+    assert minimize_crossings(2, (ladder,), "self")[0] == 17
+    assert min(checked.values()) > 0, checked
+
+
 # -- structural invariants --------------------------------------------------------
 
 
@@ -305,6 +433,8 @@ def test_curve_spec_validation():
         CurveSpec((0, V, 1), False, NORTH)  # basepoint inside a segment
     with pytest.raises(PreconditionError):
         CurveSpec((V, 0), True, NORTH)  # closed diagrams have no basepoint
+    with pytest.raises(PreconditionError):
+        CurveSpec((1, 0, 0), True, NORTH)  # chords alternate disks
     with pytest.raises(PreconditionError):
         CurveSpec((0, 1), False, "X")
 
