@@ -15,16 +15,18 @@ every interleaving exactly once.
 
 The minimization is exact branch and bound: gaps are ordered one at a time
 in a fixed order, and a chord pair is charged as soon as the orders of all
-gaps holding two or more of its endpoints are fixed.  Unordered gaps add a
-lower bound: for each pair of their points, the cheaper of its two relative
-orders, counting the chord pairs whose far ends are placed.  Which gaps are
-placed at each level is known before the search starts, so the bound is one
-table per level, built once per search: a constant that folds every point
-pair whose cost the search can no longer change, plus comparisons of far
-ends that share a placed gap, the only costs still open at that level.  The
-largest gap without internal chords is left last and solved by dynamic
-programming over point subsets instead of permutations, with its weights
-read from the same table.
+gaps holding two or more of its endpoints are fixed.  A gap's orders are
+visited in lexicographic order of point ids, and each is searched as soon
+as it scores below the bound, so a level holds one order at a time.
+Unordered gaps add a lower bound: for each pair of their points, the
+cheaper of its two relative orders, counting the chord pairs whose far ends
+are placed.  Which gaps are placed at each level is known before the search
+starts, so the bound is one table per level, built once per search: a
+constant that folds every point pair whose cost the search can no longer
+change, plus comparisons of far ends that share a placed gap, the only costs
+still open at that level.  The largest gap without internal chords is left
+last and solved by dynamic programming over point subsets instead of
+permutations, with its weights read from the same table.
 """
 
 from __future__ import annotations
@@ -137,6 +139,7 @@ class Drawing:
             gap_orders={
                 int(g): tuple((ci, j) for ci, j in order)
                 for g, order in obj["gapOrders"].items()
+                if order  # older witnesses list empty gaps too
             },
         )
 
@@ -196,7 +199,9 @@ class _Instance:
         self.points: list[tuple[int, int]] = []
         self.point_id: dict[tuple[int, int], int] = {}
         self.gap_of: list[int] = [V]
-        gap_points: dict[int, list[int]] = {g: [] for g in range(n + 1)}
+        # only gaps that hold points get an entry, so memory follows the
+        # word and not n
+        gap_points: dict[int, list[int]] = {}
         for ci, spec in enumerate(curves):
             for j, g in enumerate(spec.letters):
                 if g == V:
@@ -207,18 +212,16 @@ class _Instance:
                 self.point_id[(ci, j)] = pid
                 self.points.append((ci, j))
                 self.gap_of.append(g)
-                gap_points[g].append(pid)
+                gap_points.setdefault(g, []).append(pid)
         self.gap_points = gap_points
 
-        # block bases in equator order (0, v, 1, ..., n)
-        base: dict[int, int] = {}
+        # block bases in equator order (0, v, 1, ..., n); an empty gap takes
+        # no room, and every gap after 0 sits past the basepoint slot
+        base: dict[int, int] = {V: len(gap_points.get(0, ()))}
         off = 0
-        for g in range(n + 1):
-            base[g] = off
+        for g in sorted(gap_points):
+            base[g] = off + (g > 0)
             off += len(gap_points[g])
-            if g == 0:
-                base[V] = off
-                off += 1
         self.base = base
 
         # chords as (idA, idB, disk, curve, v_incident); basepoint id is 0,
@@ -253,9 +256,9 @@ class _Instance:
     def positions_for(self, orders: dict[int, tuple[int, ...]]) -> list[int]:
         pos = [0] * len(self.gap_of)
         pos[0] = self.base[V]
-        for g in range(self.n + 1):
+        for g in self.gap_points.keys() | orders.keys():
             order = orders.get(g, ())
-            if sorted(order) != sorted(self.gap_points[g]):
+            if sorted(order) != sorted(self.gap_points.get(g, ())):
                 raise PreconditionError(f"order for gap {g} does not list its crossings")
             for idx, pid in enumerate(order):
                 pos[pid] = self.base[g] + idx
@@ -269,8 +272,8 @@ class _Instance:
             n=self.n,
             curves=self.curves,
             gap_orders={
-                g: tuple(self.points[pid - 1] for pid in orders.get(g, ()))
-                for g in range(self.n + 1)
+                g: tuple(self.points[pid - 1] for pid in orders[g])
+                for g in sorted(self.gap_points)
             },
         )
 
@@ -282,8 +285,7 @@ class _Search:
         self.cutoff = cutoff
         self.units = 0
 
-        n = inst.n
-        sized = [g for g in range(n + 1) if inst.gap_points[g]]
+        sized = sorted(inst.gap_points)
         clean = [g for g in sized if g not in inst.within_gap]
         last = max(clean, key=lambda g: (len(inst.gap_points[g]), -g)) if clean else None
         rest = sorted(
@@ -308,7 +310,6 @@ class _Search:
         }
         gap_of = inst.gap_of
         base_pos = [inst.base[g] for g in gap_of]
-        base_pos[0] = inst.base[V]
         for pair in inst.countable_pairs():
             gaps = [gap_of[p] for p in pair if p != 0]
             multi = {g for g in gaps if gaps.count(g) >= 2}
@@ -448,7 +449,6 @@ class _Search:
         bucket = self.buckets[level]
         pos = self.pos
         base = self.inst.base[g]
-        scored = []
         for perm in itertools.permutations(pts):
             self._charge(1)
             for idx, pid in enumerate(perm):
@@ -457,15 +457,9 @@ class _Search:
             for a1, b1, a2, b2 in bucket:
                 if _cross(pos[a1], pos[b1], pos[a2], pos[b2]):
                     inc += 1
-            scored.append((inc, perm))
-        scored.sort()
-        for inc, perm in scored:
-            if acc + inc >= self.bound:
-                break  # scored ascending: no later permutation can help
-            for idx, pid in enumerate(perm):
-                pos[pid] = base + idx
-            self.current[g] = perm
-            self._dfs(level + 1, acc + inc)
+            if acc + inc < self.bound:
+                self.current[g] = perm
+                self._dfs(level + 1, acc + inc)
         self.current.pop(g, None)
         for pid in pts:
             pos[pid] = base
@@ -556,10 +550,8 @@ def count_crossings(drawing: Drawing, tally: str = "auto") -> int:
     inst = _Instance(drawing.n, drawing.curves, tally)
     try:
         orders = {
-            g: tuple(
-                inst.point_id[pt] for pt in drawing.gap_orders.get(g, ())
-            )
-            for g in range(drawing.n + 1)
+            g: tuple(inst.point_id[pt] for pt in order)
+            for g, order in drawing.gap_orders.items()
         }
     except KeyError as exc:
         raise PreconditionError(f"drawing lists an unknown crossing point {exc}") from exc

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from loopforge import Drawing, count_crossings
 from loopforge.cli import main
 
 
@@ -227,3 +228,14 @@ def test_reports_deterministic(runner, tmp_path):
         args = ["enumerate", "--n", "2", "--k", "2", "--cache-dir", str(cache)]
         outputs.append(_invoke(runner, args).output)
     assert outputs[0] == outputs[1]
+
+
+def test_selfint_memory_follows_word_not_n(runner):
+    # only the gaps holding crossings get an entry, in the search and in the
+    # witness, so a huge --n costs nothing
+    result = _invoke(runner, ["selfint", "--n", "100000000", "--no-cache", "0 1"])
+    assert result.exit_code == 0
+    assert len(result.output) < 1024
+    data = json.loads(result.output)
+    assert set(data["witness"]["gapOrders"]) == {"0", "1"}
+    assert count_crossings(Drawing.from_json(data["witness"])) == data["value"]

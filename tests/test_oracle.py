@@ -1,10 +1,11 @@
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import naive_reference as naive
@@ -233,15 +234,77 @@ def _instances(draw):
     return n, tuple(curves), tally
 
 
+def _plain(curves):
+    return [(list(c.letters), c.closed, 0 if c.hemisphere == NORTH else 1) for c in curves]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_instances())
 def test_minimize_matches_reference(instance):
     n, curves, tally = instance
     value, witness, exact = minimize_crossings(n, curves, tally)
-    plain = [(list(c.letters), c.closed, 0 if c.hemisphere == NORTH else 1) for c in curves]
     assert exact
-    assert value == naive.minimize(plain, n, tally)
+    assert value == naive.minimize(_plain(curves), n, tally)
     assert count_crossings(witness, tally) == value
+
+
+def _flip(hemisphere, parity):
+    return (NORTH, SOUTH)[(hemisphere == SOUTH) ^ parity]
+
+
+def _symmetric_forms(curves, rotation):
+    """Curve tuples that differ from `curves` by a symmetry the cache keys
+    rely on: each curve reversed, each closed curve rotated by `rotation`,
+    the curves swapped, every hemisphere mirrored."""
+    for i, c in enumerate(curves):
+        # chord j of an m-letter curve lies in hemisphere h + j, and the
+        # reversal starts on chord m - 2: hemisphere h + m, which keeps h for
+        # a closed curve (m even)
+        rev = CurveSpec(c.letters[::-1], c.closed, _flip(c.hemisphere, len(c.letters) % 2))
+        yield curves[:i] + (rev,) + curves[i + 1:]
+        if c.closed and c.letters:
+            r = rotation % len(c.letters)
+            rot = CurveSpec(
+                c.letters[r:] + c.letters[:r], True, _flip(c.hemisphere, r % 2)
+            )
+            yield curves[:i] + (rot,) + curves[i + 1:]
+    if len(curves) == 2:
+        yield curves[::-1]
+    yield tuple(CurveSpec(c.letters, c.closed, _flip(c.hemisphere, 1)) for c in curves)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_instances(), st.integers(1, 5))
+# the drawn closed curves of inter instances have two letters, where either
+# hemisphere gives one drawing; this one needs the right reversal rule
+@example(
+    (2, (CurveSpec((0, 0, 1, 1), True, NORTH), CurveSpec((V, 0, 2, V), False, NORTH)), "inter"),
+    1,
+)
+def test_key_symmetries_keep_value(instance, rotation):
+    """Every transform the cache keys identify leaves the minimum unchanged,
+    for the oracle and for the brute-force reference alike."""
+    n, curves, tally = instance
+    want = naive.minimize(_plain(curves), n, tally)
+    for moved in _symmetric_forms(curves, rotation):
+        value, _, exact = minimize_crossings(n, moved, tally)
+        assert exact and value == want, (curves, moved)
+        assert naive.minimize(_plain(moved), n, tally) == want, (curves, moved)
+
+
+def test_gap_orders_not_materialized():
+    """A gap's orders are scored and searched one at a time, never collected:
+    the ladder's first gap has 7! orders, and the search stays far below the
+    memory a list of them takes."""
+    ladder = CurveSpec((V, 2) + (0, 1) * 7 + (2, V), False, NORTH)
+    tracemalloc.start()
+    try:
+        value, _, exact = minimize_crossings(2, (ladder,), "self")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exact and value == 20
+    assert peak < 250_000, peak
 
 
 def _reference_candidates(search):
@@ -392,14 +455,19 @@ def test_reduction_monotonicity(config, alpha2):
         assert small <= full, inner
 
 
-def test_segment_threshold_agrees_with_exact(config, alpha2):
+def test_segment_threshold_agrees_with_exact(config, nocache_config, alpha2, tmp_path):
+    # without a cache the threshold search decides every verdict; a cache
+    # holding only threshold entries answers from them once they cover k,
+    # and the shared `config` cache answers from the exact entry
+    thresholds = OracleConfig(cache_dir=tmp_path)
     rng = random.Random(139)
     for _ in range(40):
         letters = tuple(rng.choice((0, 1, 2)) for _ in range(rng.randint(2, 6)))
         exact = segment_self_intersections(letters, alpha2, config).value
-        for k in (1, 2, 3):
-            verdict = segment_self_at_least(letters, k, alpha2, config)
-            assert verdict == (exact >= k), (letters, k)
+        for k in range(exact + 2):
+            for cfg in (nocache_config, thresholds, config):
+                verdict = segment_self_at_least(letters, k, alpha2, cfg)
+                assert verdict == (exact >= k), (letters, k, cfg)
 
 
 def test_segment_threshold_outcomes(tmp_path):
