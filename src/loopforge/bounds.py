@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,18 +21,32 @@ from .words import (
     Span,
     V,
     Word,
+    all_maximal_spans,
     has_adjacent_repeat,
     hemisphere_after,
-    maximal_two_letter_words,
     orientation,
 )
 
 
-def obstacle_gap_pairs(alphabet: GapAlphabet) -> dict[int, tuple[int, int]]:
-    """Gap pair incident to each obstacle; obstacle 0 is the point at
-    infinity, obstacle i >= 1 the i-th puncture (1 = the basepoint)."""
+def obstacle_spans(
+    letters: tuple[int, ...], alphabet: GapAlphabet
+) -> list[tuple[int, Span]]:
+    """(obstacle, span) for each maximal two-letter span of depth at least 1
+    around an obstacle, by obstacle and then by start.  Obstacle 0 is the
+    point at infinity, between gaps n and 0; obstacle i >= 1 is the i-th
+    puncture (1 = the basepoint), between gaps i - 1 and i, so for n = 1 the
+    pair {0, 1} borders both.  Only the letter pairs the word uses are
+    scanned, so the work follows the word and not n."""
     n = alphabet.n
-    return {i: ((i - 1) % (n + 1), i % (n + 1)) for i in range(n + 1)}
+    out = []
+    for span in all_maximal_spans(letters):
+        if span.depth < 1:
+            continue
+        if (span.a, span.b) == (0, n):
+            out.append((0, span))
+        if span.b == span.a + 1 <= n:
+            out.append((span.b, span))
+    return sorted(out, key=lambda item: (item[0], item[1].start))
 
 
 @dataclass(frozen=True)
@@ -69,26 +84,20 @@ def _span_windings(
     alphabet: GapAlphabet,
     basepoint_at_ends: bool,
 ) -> list[Winding]:
-    n = alphabet.n
     out: list[Winding] = []
-    for obstacle, (a, b) in obstacle_gap_pairs(alphabet).items():
-        if a == b:
+    for obstacle, span in obstacle_spans(letters, alphabet):
+        left_is_end = span.start == 0
+        right_is_end = span.end == len(letters) - 1
+        if obstacle == 1:
+            # borders of basepoint windings must be real crossings away
+            # from the basepoint; end-touching blocks are snail material
+            if left_is_end or right_is_end:
+                continue
+        elif not basepoint_at_ends and (left_is_end or right_is_end):
+            # an off-equator based word has no crossing bordering its ends
             continue
-        for span in maximal_two_letter_words(letters, a, b):
-            if span.depth < 1:
-                continue
-            left_is_end = span.start == 0
-            right_is_end = span.end == len(letters) - 1
-            if obstacle == 1:
-                # borders of basepoint windings must be real crossings away
-                # from the basepoint; end-touching blocks are snail material
-                if left_is_end or right_is_end:
-                    continue
-            elif not basepoint_at_ends and (left_is_end or right_is_end):
-                # an off-equator based word has no crossing bordering its ends
-                continue
-            form = "aba" if span.length % 2 == 1 else "abab"
-            out.append(Winding(obstacle, span.depth, span, form))
+        form = "aba" if span.length % 2 == 1 else "abab"
+        out.append(Winding(obstacle, span.depth, span, form))
     return out
 
 
@@ -114,8 +123,7 @@ def winding_self_lower_bound(word: Word, alphabet: GapAlphabet) -> int:
     therefore the maximum over obstacles, oracle-checked exhaustively in the
     tests.
     """
-    windings = find_windings(word, alphabet)
-    return _aggregate_depths(windings)
+    return best_obstacle_bound((w.obstacle, w.depth) for w in find_windings(word, alphabet))
 
 
 def depth_family_bound(depths: list[int] | tuple[int, ...]) -> int:
@@ -126,13 +134,13 @@ def depth_family_bound(depths: list[int] | tuple[int, ...]) -> int:
     return sum(s * (2 * j + 1) for j, s in enumerate(sorted(depths, reverse=True)))
 
 
-def _aggregate_depths(windings: list[Winding]) -> int:
+def best_obstacle_bound(depths: Iterable[tuple[int, int]]) -> int:
+    """The largest :func:`depth_family_bound` of one obstacle's windings,
+    given (obstacle, depth) pairs."""
     by_obstacle: dict[int, list[int]] = {}
-    for w in windings:
-        by_obstacle.setdefault(w.obstacle, []).append(w.depth)
-    return max(
-        (depth_family_bound(depths) for depths in by_obstacle.values()), default=0
-    )
+    for obstacle, depth in depths:
+        by_obstacle.setdefault(obstacle, []).append(depth)
+    return max(map(depth_family_bound, by_obstacle.values()), default=0)
 
 
 def _leading_snail(word: Word, first_arc_hemisphere: str, reverse: bool) -> Snail | None:

@@ -217,7 +217,7 @@ def windings(word_text: str, n: int) -> None:
     )
 
 
-@main.command()
+@main.command(name="decompose")
 @n_option
 @click.argument("word_text")
 def decompose_cmd(word_text: str, n: int) -> None:
@@ -322,9 +322,6 @@ def growth(kmax: int, n: int, jobs: int, fmt: str, config: OracleConfig) -> None
                              "lnCountOverSqrtK", "fUpperDoubleExpExponent", "exact"])
     else:
         _emit({"rows": rows, "exact": True})
-
-
-main.add_command(decompose_cmd, name="decompose")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .bounds import depth_family_bound, obstacle_gap_pairs
+from .bounds import best_obstacle_bound, obstacle_spans
 from .canon import LoopClass, VLoopClass, XLoopClass
 from .oracle import (
     CrossingCount,
@@ -36,7 +36,6 @@ from .words import (
     PreconditionError,
     V,
     Word,
-    maximal_two_letter_words,
 )
 
 
@@ -127,16 +126,7 @@ def prefix_winding_lb(prefix: tuple[int, ...], alphabet: GapAlphabet) -> int:
     :func:`loopforge.bounds.winding_self_lower_bound`, obstacles do not
     combine additively; the bound is the best single obstacle's.
     """
-    best = 0
-    for obstacle, (a, b) in obstacle_gap_pairs(alphabet).items():
-        depths = [
-            span.depth
-            for span in maximal_two_letter_words(prefix, a, b)
-            if span.depth >= 1
-        ]
-        if depths:
-            best = max(best, depth_family_bound(depths))
-    return best
+    return best_obstacle_bound((o, span.depth) for o, span in obstacle_spans(prefix, alphabet))
 
 
 def _map(fn, calls: list[tuple], jobs: int) -> list:
@@ -215,7 +205,7 @@ def enumerate_classes(
     entries: list[CatalogEntry] = []
 
     if n == 1:
-        words = [w for w in _enumerate_x_words(cap) if len(w.letters) <= cap]
+        words = _enumerate_x_words(cap)
         results = _evaluate_words(words, alphabet, config, jobs)
         for word, res in zip(words, results):
             if not res.exact:
@@ -340,6 +330,10 @@ class FamilyBounds:
         }
 
 
+# nodes the exact clique search may visit before it keeps the greedy clique
+CLIQUE_NODE_LIMIT = 1_000_000
+
+
 def _greedy_clique(neigh: dict[int, set[int]]) -> list[int]:
     order = sorted(neigh, key=lambda v: (-len(neigh[v]), v))
     clique: list[int] = []
@@ -349,12 +343,10 @@ def _greedy_clique(neigh: dict[int, set[int]]) -> list[int]:
     return clique
 
 
-def max_clique(
-    neigh: dict[int, set[int]], node_limit: int = 1_000_000
-) -> tuple[list[int], bool]:
+def max_clique(neigh: dict[int, set[int]]) -> tuple[list[int], bool]:
     """Exact maximum clique by branch and bound with greedy coloring;
-    returns (clique, exact).  Falls back to the greedy clique when the node
-    limit is hit."""
+    returns (clique, exact).  Falls back to the greedy clique when the
+    search visits more than CLIQUE_NODE_LIMIT nodes."""
     best = _greedy_clique(neigh)
     nodes = 0
 
@@ -375,7 +367,7 @@ def max_clique(
     def expand(clique: list[int], cands: list[int]) -> None:
         nonlocal best, nodes
         nodes += 1
-        if nodes > node_limit:
+        if nodes > CLIQUE_NODE_LIMIT:
             raise TimeoutError
         if not cands:
             if len(clique) > len(best):
@@ -396,7 +388,7 @@ def max_clique(
         return best, False
 
 
-def family_bounds(graph: CompatibilityGraph, node_limit: int = 1_000_000) -> FamilyBounds:
+def family_bounds(graph: CompatibilityGraph) -> FamilyBounds:
     """Clique sizes of the compatibility graph.
 
     The true extremal family size is at most `clique_upper` (any valid
@@ -406,7 +398,7 @@ def family_bounds(graph: CompatibilityGraph, node_limit: int = 1_000_000) -> Fam
     neigh = graph.neighbors()
     if not neigh:
         return FamilyBounds(0, 0, True)
-    clique, exact = max_clique(neigh, node_limit)
+    clique, exact = max_clique(neigh)
     return FamilyBounds(len(clique), len(clique) if exact else None, exact)
 
 

@@ -20,13 +20,15 @@ visited in lexicographic order of point ids, and each is searched as soon
 as it scores below the bound, so a level holds one order at a time.
 Unordered gaps add a lower bound: for each pair of their points, the
 cheaper of its two relative orders, counting the chord pairs whose far ends
-are placed.  Which gaps are placed at each level is known before the search
-starts, so the bound is one table per level, built once per search: a
-constant that folds every point pair whose cost the search can no longer
-change, plus comparisons of far ends that share a placed gap, the only costs
-still open at that level.  The largest gap without internal chords is left
-last and solved by dynamic programming over point subsets instead of
-permutations, with its weights read from the same table.
+lie in two different gaps, whose blocks decide them from the start, and
+those whose far ends share a gap once that gap is placed.  Which gaps are
+placed at each level is known before the search starts, so the bound is one
+table per level, built once per search: a constant that folds every point
+pair whose cost the search can no longer change, plus comparisons of far
+ends that share a placed gap, the only costs still open at that level.
+The largest gap without internal chords is left last and solved by dynamic
+programming over point subsets instead of permutations, with its weights
+read from the same table.
 """
 
 from __future__ import annotations
@@ -327,21 +329,21 @@ class _Search:
                         pair_candidates[g].setdefault(key, []).append(ends)
 
         # per-level bound tables.  At level L the placed gaps are
-        # gap_order[:L] plus the basepoint, so a candidate (ou, ov) of a point
-        # pair (u, v) of gap g counts from the level after both its far ends
-        # are placed.  u and v are adjacent and ou, ov are two other points
-        # (chords of one disk share no endpoint), so exactly one of the two
-        # orders crosses: "u before v" iff ou comes first going round the
-        # circle from g.  The blocks of the far ends fix which, unless both
-        # lie in one gap; then "u before v" crosses iff pos[p] < pos[q] for
-        # ends (p, q).  With f and b the fixed costs of the two orders and x
-        # of the k varying candidates ordered p before q, the pair adds
+        # gap_order[:L] plus the basepoint.  For a candidate (ou, ov) of a
+        # point pair (u, v) of gap g, u and v are adjacent and ou, ov are two
+        # other points (chords of one disk share no endpoint), so exactly one
+        # of the two orders crosses: "u before v" iff ou comes first going
+        # round the circle from g.  Far ends in two gaps: their blocks decide
+        # which, before the search starts, so the candidate joins the fixed
+        # cost f of "u before v" or b of "v before u" at every level.  Far
+        # ends sharing a gap h: "u before v" crosses iff pos[p] < pos[q] for
+        # ends (p, q), counted from the level after h is placed, and never if
+        # h is ordered after g (the pair then counts for the point pair of h).
+        # With x of the k varying candidates ordered p before q, the pair adds
         # min(f + x, b + k - x).  Where one order is never dearer that is a
         # constant plus x (or k - x), kept as one flat list of comparisons;
         # only the other rows pay for the min.
         levels = len(self.gap_order)
-        # the first level at which each point is placed; the basepoint always is
-        after = [0] + [order_index[g] + 1 for g in gap_of[1:]]
         self.bound_const = [0] * (levels + 1)
         self.bound_less: list[list[tuple[int, int]]] = [[] for _ in range(levels + 1)]
         self.bound_rows: list[list[tuple[int, int, list[tuple[int, int]]]]] = [
@@ -352,24 +354,21 @@ class _Search:
             gi = order_index[g]
             bu, bv = inst.base[g], inst.base[g] + 1
             for (u, v), cands in cands_of.items():
-                rules = []  # (level it counts from, "u before v" crosses, varying ends)
-                for ou, ov in cands:
-                    pou = base_pos[ou]
-                    same = gap_of[ou] == gap_of[ov]
-                    uv = _cross(bu, pou, bv, pou + 1 if same else base_pos[ov])
-                    ends = ((ou, ov) if uv else (ov, ou)) if same else None
-                    rules.append((max(after[ou], after[ov]), uv, ends))
                 f = b = 0
+                opens: dict[int, list[tuple[int, int]]] = {}  # level -> varying ends
+                for ou, ov in cands:
+                    h, pou = gap_of[ou], base_pos[ou]
+                    if h != gap_of[ov]:
+                        if _cross(bu, pou, bv, base_pos[ov]):
+                            f += 1
+                        else:
+                            b += 1
+                    elif order_index[h] < gi:
+                        ends = (ou, ov) if _cross(bu, pou, bv, pou + 1) else (ov, ou)
+                        opens.setdefault(order_index[h] + 1, []).append(ends)
                 varying: list[tuple[int, int]] = []
                 for level in range(gi + 1):
-                    for ready, uv, ends in rules:
-                        if ready == level:
-                            if ends:
-                                varying.append(ends)
-                            elif uv:
-                                f += 1
-                            else:
-                                b += 1
+                    varying += opens.get(level, ())
                     k = len(varying)
                     if f + k <= b:
                         self.bound_const[level] += f
@@ -391,7 +390,8 @@ class _Search:
 
     def _future_bound(self, level: int) -> int:
         """Sum over the point pairs of the unordered gaps of the cheaper
-        relative order, counting only candidates whose far ends are placed."""
+        relative order, counting candidates whose far ends lie in two gaps or
+        share a placed gap."""
         pos = self.pos
         total = self.bound_const[level]
         for p, q in self.bound_less[level]:
@@ -484,7 +484,7 @@ class _Search:
         pts = self.inst.gap_points[g]
         m = len(pts)
         w = self._last_gap_weights(pts)
-        self._charge(max(1, (1 << m)))
+        self._charge(1 << m)
         size = 1 << m
         INF = 1 << 60
         dp = [INF] * size

@@ -106,9 +106,6 @@ class Word:
         """Letters without the ``v`` endpoints (identity for x-words)."""
         return self.letters[1:-1] if self.kind == "v" else self.letters
 
-    def reversed(self) -> "Word":
-        return Word(tuple(reversed(self.letters)), self.kind)
-
     def __str__(self) -> str:
         return format_letters(self.letters)
 

@@ -137,8 +137,9 @@ def run_families(lf, oracle, recorder: Recorder, seed: int, count: int) -> None:
 
 
 def compare(path_a: str, path_b: str) -> None:
-    """Print how many records differ in each field, and which way exact
-    flags and verdicts moved from A to B."""
+    """Print how many records differ in each field, which way exact flags
+    and verdicts moved from A to B, and, among searches completed on both
+    sides, how many spent more or fewer units in B."""
     with open(path_a) as fa, open(path_b) as fb:
         a = [json.loads(line) for line in fa]
         b = [json.loads(line) for line in fb]
@@ -172,6 +173,13 @@ def compare(path_a: str, path_b: str) -> None:
         counts["verdict contradicts"] += None not in (va, vb) and va != vb
         counts["units A"] += ra["units"] or 0
         counts["units B"] += rb["units"] or 0
+        if ra["exact"] and rb["exact"]:
+            # a tighter bound may only shorten a completed search
+            rise = (rb["units"] or 0) - (ra["units"] or 0)
+            counts["exact on both: units rose"] += rise > 0
+            counts["exact on both: units fell"] += rise < 0
+            top = "exact on both: largest units rise"
+            counts[top] = max(counts[top], rise)
     for name in ("records", "inputs", *FIELDS):
         print(f"{name}: {counts[name]}")
     for name in sorted(counts):

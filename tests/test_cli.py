@@ -140,6 +140,17 @@ def test_windings_command(runner):
     assert data["windings"][0]["obstacle"] == 1
 
 
+def test_windings_follow_word_not_n(runner):
+    # only obstacles between two gaps the word uses can wind, so a huge --n
+    # costs nothing and changes nothing for words over gaps 0..2
+    for word in ("v 2 0 1 0 2 v", "v 0 1 0 1 2 1 2 1 0 2 0 2 v", "2 0 2 0 1 0 1 2 1 2 0 2"):
+        small = _invoke(runner, ["windings", "--n", "3", word])
+        huge = _invoke(runner, ["windings", "--n", "100000000", word])
+        assert small.exit_code == huge.exit_code == 0
+        assert json.loads(small.output)["windings"], word
+        assert huge.output == small.output
+
+
 def test_decompose_command(runner):
     result = _invoke(runner, ["decompose", "--n", "2", "v 2 0 1 0 1 0 1 2 v"])
     data = json.loads(result.output)
@@ -210,6 +221,13 @@ def test_run_config_validation(runner):
     assert result.exit_code == 2
     result = _invoke(runner, ["enumerate", "--n", "2", "--k", "1", "--jobs", "0"])
     assert result.exit_code == 2
+
+
+def test_commands_registered_once():
+    assert sorted(main.commands) == [
+        "bounds", "canon", "count-expansions", "decompose", "enumerate", "equiv",
+        "graph", "growth", "pairint", "reduce", "selfint", "windings",
+    ]
 
 
 def test_oracle_options_only_where_used():

@@ -16,7 +16,14 @@ from loopforge import (
     length_cap,
     winding_self_lower_bound,
 )
-from loopforge.extremal import max_clique, prefix_winding_lb
+from loopforge import extremal
+from loopforge.extremal import (
+    CompatibilityGraph,
+    FamilyBounds,
+    GraphEdge,
+    max_clique,
+    prefix_winding_lb,
+)
 from loopforge.words import NORTH, SOUTH
 
 
@@ -202,6 +209,23 @@ def test_family_bounds_on_catalog(config):
     assert fb.clique_found <= fb.clique_upper <= catalog.count
     # the catalog size matches the closed-form family cap for one puncture
     assert catalog.count == 2 * 2 + 1
+
+
+def test_family_bounds_greedy_fallback(config, monkeypatch):
+    """Past the node limit the clique search keeps the greedy clique and
+    claims no upper bound.  On a 5-cycle the coloring bound (3) exceeds the
+    greedy clique (2), so the search must go below its root."""
+    catalog = enumerate_classes(1, 2, config)
+    cycle = {(i, (i + 1) % 5) for i in range(5)}
+    edges = {
+        (i, j): GraphEdge(0, True, (i, j) in cycle or (j, i) in cycle)
+        for i in range(5)
+        for j in range(i + 1, 5)
+    }
+    graph = CompatibilityGraph(catalog, edges)
+    assert family_bounds(graph) == FamilyBounds(2, 2, True)
+    monkeypatch.setattr(extremal, "CLIQUE_NODE_LIMIT", 1)
+    assert family_bounds(graph) == FamilyBounds(2, None, False)
 
 
 # -- growth report --------------------------------------------------------------------

@@ -324,14 +324,21 @@ def _reference_candidates(search):
     return cands
 
 
-def _reference_pair_costs(search, g, cands, placed):
+def _reference_pair_costs(search, g, cands, placed, rule="shared"):
     """The costs of u before v and of v before u, recomputed from the
-    current positions; candidates with an unplaced far end are skipped."""
+    current positions.  Far ends in two gaps are decided by their blocks, so
+    the "shared" rule skips a candidate only when both far ends share an
+    unplaced gap; the "placed" rule, the earlier and weaker one, skips every
+    candidate with a far end in an unplaced gap."""
     inst = search.inst
+    gap_of = inst.gap_of
     bu, bv = inst.base[g], inst.base[g] + 1
     c_uv = c_vu = 0
     for ou, ov in cands:
-        if any(p != 0 and inst.gap_of[p] not in placed for p in (ou, ov)):
+        if rule == "shared":
+            if gap_of[ou] == gap_of[ov] and gap_of[ou] not in placed:
+                continue
+        elif any(p != 0 and gap_of[p] not in placed for p in (ou, ov)):
             continue
         pou, pov = search.pos[ou], search.pos[ov]
         c_uv += _cross(bu, pou, bv, pov)
@@ -341,8 +348,10 @@ def _reference_pair_costs(search, g, cands, placed):
 
 def test_future_bound_matches_reference(monkeypatch):
     """At every node the table bound equals the bound recomputed from the
-    positions, and the subset DP's weights equal the reference costs."""
-    checked = {"bound": 0, "varying": 0, "weights": 0}
+    positions, and the subset DP's weights equal the reference costs.  The
+    bound is never below the one that waits for both far ends to be placed,
+    and above it at some node."""
+    checked = {"bound": 0, "varying": 0, "weights": 0, "tighter": 0}
     search_class = oracle._Search
     future_bound, weights = search_class._future_bound, search_class._last_gap_weights
 
@@ -357,13 +366,18 @@ def test_future_bound_matches_reference(monkeypatch):
         got = future_bound(self, level)
         placed = set(self.gap_order[:level])
         cands = candidates(self)
-        want = sum(
-            min(_reference_pair_costs(self, g, pair_cands, placed))
-            for g in self.gap_order[level:]
-            for pair_cands in cands[g].values()
+        want, floor = (
+            sum(
+                min(_reference_pair_costs(self, g, pair_cands, placed, rule))
+                for g in self.gap_order[level:]
+                for pair_cands in cands[g].values()
+            )
+            for rule in ("shared", "placed")
         )
         assert got == want, (self.inst.curves, level)
+        assert got >= floor, (self.inst.curves, level)
         checked["bound"] += 1
+        checked["tighter"] += got > floor
         checked["varying"] += bool(self.bound_rows[level])
         return got
 
