@@ -246,13 +246,20 @@ def family_bound_snails(k: int) -> int:
 
 
 def _format_big(value: int, digit_cap: int = 20000) -> str | None:
-    """Decimal string of `value`, or None when it would exceed `digit_cap`."""
+    """Decimal string of `value`, or None when it would exceed `digit_cap`.
+    The interpreter's limit on int-to-str digits is lifted for this one
+    conversion and then restored."""
     digits = int(value.bit_length() * 0.30103) + 1
     if digits > digit_cap:
         return None
-    if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits() < digits + 10:
-        sys.set_int_max_str_digits(digits + 10)
-    text = str(value)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:  # 0 means no limit
+        sys.set_int_max_str_digits(0)
+    try:
+        text = str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return text if len(text) <= digit_cap else None
 
 

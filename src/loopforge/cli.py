@@ -3,8 +3,8 @@
 Every report is JSON (or CSV for tabular reports) on stdout and carries an
 "exact" flag.  Exit codes: 0 success, 2 precondition violation (with a
 machine-readable error object), 3 oracle budget exhausted (report emitted
-with exact=false, or an error object when a catalog is incomplete).  Large
-numbers are emitted as decimal strings.
+with exact=false, or an error object when a catalog is incomplete) or memory
+exhausted (an error object).  Large numbers are emitted as decimal strings.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ def _emit_csv(rows: list[dict], columns: list[str]) -> None:
 
 
 class _Group(click.Group):
-    """Turns a precondition violation into exit 2 and an enumeration that ran
-    out of oracle budget into exit 3, each with an error object on stdout."""
+    """Turns a precondition violation into exit 2, and an enumeration that ran
+    out of oracle budget or a run out of memory into exit 3, each with an
+    error object on stdout."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -66,8 +67,9 @@ class _Group(click.Group):
         except PreconditionError as exc:
             _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
             sys.exit(EXIT_PRECONDITION)
-        except EnumerationIncompleteError as exc:
-            _emit({"error": {"type": "EnumerationIncomplete", "message": str(exc)},
+        except (EnumerationIncompleteError, MemoryError) as exc:
+            kind = "MemoryError" if isinstance(exc, MemoryError) else "EnumerationIncomplete"
+            _emit({"error": {"type": kind, "message": str(exc) or "out of memory"},
                    "exact": False})
             sys.exit(EXIT_BUDGET)
 

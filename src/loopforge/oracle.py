@@ -28,7 +28,7 @@ pair whose cost the search can no longer change, plus comparisons of far
 ends that share a placed gap, the only costs still open at that level.
 The largest gap without internal chords is left last and solved by dynamic
 programming over point subsets instead of permutations, with its weights
-read from the same table.
+read from the chord pairs its level charges.
 """
 
 from __future__ import annotations
@@ -299,17 +299,12 @@ class _Search:
         order_index = {g: i for i, g in enumerate(self.gap_order)}
 
         # one pass over the countable pairs.  A pair with no gap holding two
-        # of its endpoints is constant; any other is charged at the level
-        # that orders the last such gap.  One endpoint of each chord in gap
-        # g, both other ends outside g, makes the pair a candidate of that
-        # point pair for the bounds and the subset DP of g.
+        # of its endpoints is constant; any other goes to the bucket of the
+        # level that orders the last such gap, and is charged there.
         self.const_cost = 0
         self.buckets: list[list[tuple[int, int, int, int]]] = [
             [] for _ in self.gap_order
         ]
-        pair_candidates: dict[int, dict[tuple[int, int], list[tuple[int, int]]]] = {
-            g: {} for g in self.gap_order
-        }
         gap_of = inst.gap_of
         base_pos = [inst.base[g] for g in gap_of]
         for pair in inst.countable_pairs():
@@ -320,26 +315,20 @@ class _Search:
                     self.const_cost += 1
                 continue
             self.buckets[max(order_index[g] for g in multi)].append(pair)
-            a1, b1, a2, b2 = pair
-            for u, ou in ((a1, b1), (b1, a1)):
-                g = gap_of[u]
-                for v, ov in ((a2, b2), (b2, a2)):
-                    if u != v and gap_of[v] == g and g not in (gap_of[ou], gap_of[ov]):
-                        key, ends = ((u, v), (ou, ov)) if u < v else ((v, u), (ov, ou))
-                        pair_candidates[g].setdefault(key, []).append(ends)
 
         # per-level bound tables.  At level L the placed gaps are
-        # gap_order[:L] plus the basepoint.  For a candidate (ou, ov) of a
-        # point pair (u, v) of gap g, u and v are adjacent and ou, ov are two
-        # other points (chords of one disk share no endpoint), so exactly one
-        # of the two orders crosses: "u before v" iff ou comes first going
-        # round the circle from g.  Far ends in two gaps: their blocks decide
-        # which, before the search starts, so the candidate joins the fixed
-        # cost f of "u before v" or b of "v before u" at every level.  Far
-        # ends sharing a gap h: "u before v" crosses iff pos[p] < pos[q] for
-        # ends (p, q), counted from the level after h is placed, and never if
-        # h is ordered after g (the pair then counts for the point pair of h).
-        # With x of the k varying candidates ordered p before q, the pair adds
+        # gap_order[:L] plus the basepoint.  A pair in the bucket of gap g
+        # with one endpoint u, v of each chord in g and both far ends ou, ov
+        # outside g is a candidate of the point pair (u, v).  u and v are
+        # adjacent and ou, ov are two other points (chords of one disk share
+        # no endpoint), so exactly one of the two orders crosses: "u before
+        # v" iff ou comes first going round the circle from g.  Far ends in
+        # two gaps: their blocks decide which, before the search starts, so
+        # the candidate joins the fixed cost f of "u before v" or b of "v
+        # before u" at every level.  Far ends sharing a gap h, which the
+        # bucket puts before g: "u before v" crosses iff pos[p] < pos[q] for
+        # ends (p, q), counted from the level after h is placed.  With x of
+        # the k varying candidates ordered p before q, the pair adds
         # min(f + x, b + k - x).  Where one order is never dearer that is a
         # constant plus x (or k - x), kept as one flat list of comparisons;
         # only the other rows pay for the min.
@@ -349,11 +338,16 @@ class _Search:
         self.bound_rows: list[list[tuple[int, int, list[tuple[int, int]]]]] = [
             [] for _ in range(levels + 1)
         ]
-        self.dp_rows: list[tuple[int, int, int, int, list[tuple[int, int]]]] = []
-        for g, cands_of in pair_candidates.items():
-            gi = order_index[g]
+        for gi, g in enumerate(self.gap_order):
             bu, bv = inst.base[g], inst.base[g] + 1
-            for (u, v), cands in cands_of.items():
+            cands_of: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            for a1, b1, a2, b2 in self.buckets[gi]:
+                ends = [(p, q) for p, q in ((a1, b1), (b1, a1), (a2, b2), (b2, a2))
+                        if gap_of[p] == g != gap_of[q]]
+                if len(ends) == 2:
+                    (u, ou), (v, ov) = sorted(ends)
+                    cands_of.setdefault((u, v), []).append((ou, ov))
+            for cands in cands_of.values():
                 f = b = 0
                 opens: dict[int, list[tuple[int, int]]] = {}  # level -> varying ends
                 for ou, ov in cands:
@@ -363,7 +357,7 @@ class _Search:
                             f += 1
                         else:
                             b += 1
-                    elif order_index[h] < gi:
+                    else:
                         ends = (ou, ov) if _cross(bu, pou, bv, pou + 1) else (ov, ou)
                         opens.setdefault(order_index[h] + 1, []).append(ends)
                 varying: list[tuple[int, int]] = []
@@ -380,8 +374,6 @@ class _Search:
                         self.bound_const[level] += f
                     else:
                         self.bound_rows[level].append((f, b + k, list(varying)))
-                if self.dp_last and gi == levels - 1:
-                    self.dp_rows.append((u, v, f, b, varying))
 
         self.pos = list(base_pos)
         self.current: dict[int, tuple[int, ...]] = {}
@@ -466,18 +458,21 @@ class _Search:
 
     def _last_gap_weights(self, pts: list[int]) -> list[list[int]]:
         """w[i][j]: the cost of point pts[i] before point pts[j] in the last
-        gap, with every other gap placed."""
+        gap, with every other gap placed.  The gap holds no chord, so each
+        pair of its bucket has one endpoint u, v of each chord in it, and
+        exactly one of the two orders of u and v crosses."""
         index = {pid: i for i, pid in enumerate(pts)}
-        pos = self.pos
+        gap_of, pos = self.inst.gap_of, self.pos
+        g = gap_of[pts[0]]
+        bu = self.inst.base[g]
         w = [[0] * len(pts) for _ in pts]
-        for u, v, f, b, ends in self.dp_rows:
-            x = 0
-            for p, q in ends:
-                if pos[p] < pos[q]:
-                    x += 1
-            i, j = index[u], index[v]
-            w[i][j] += f + x
-            w[j][i] += b + len(ends) - x
+        for a1, b1, a2, b2 in self.buckets[-1]:
+            u, ou = (a1, b1) if gap_of[a1] == g else (b1, a1)
+            v, ov = (a2, b2) if gap_of[a2] == g else (b2, a2)
+            if _cross(bu, pos[ou], bu + 1, pos[ov]):
+                w[index[u]][index[v]] += 1
+            else:
+                w[index[v]][index[u]] += 1
         return w
 
     def _solve_last_dp(self, g: int, acc: int) -> None:

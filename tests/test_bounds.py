@@ -1,4 +1,6 @@
+import hashlib
 import random
+import sys
 
 import pytest
 
@@ -240,6 +242,23 @@ def test_analytic_bounds_json_big_numbers():
         data["fUpperDoubleExp"]["value"], str
     )
     assert data["exact"] is True
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_analytic_bounds_restores_int_digit_limit():
+    """Expanding 2^65536 lifts the interpreter's int/str digit limit for that
+    one conversion only, and still prints every digit."""
+    before = sys.get_int_max_str_digits()
+    value = analytic_bounds(2, 8).f_upper_double_exp_value
+    assert sys.get_int_max_str_digits() == before
+    if before:
+        with pytest.raises(ValueError):
+            int("9" * (before + 1))
+    assert len(value) == 19729
+    assert value.startswith("20035299304068464649") and value.endswith("45587895905719156736")
+    assert hashlib.sha256(value.encode()).hexdigest() == (
+        "64829919027d6b545f931768c171c25c3022620a646a692116639aecb45f0ba8"
+    )
 
 
 def test_analytic_bounds_rejects_bad_args():

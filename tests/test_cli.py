@@ -113,6 +113,24 @@ def test_enumeration_budget_error_object(runner, args):
     assert data["exact"] is False
 
 
+@pytest.mark.parametrize("command, call", [
+    (["selfint", "--n", "2", "v 2 0 1 0 2 v"], "self_intersection_number"),
+    (["enumerate", "--n", "2", "--k", "2"], "enumerate_classes"),
+])
+def test_memory_error_object(runner, monkeypatch, command, call):
+    # running out of memory exits 3 with an error object, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"loopforge.cli.{call}", exhausted)
+    result = _invoke(runner, command + ["--no-cache"])
+    assert result.exit_code == 3
+    assert json.loads(result.output) == {
+        "error": {"type": "MemoryError", "message": "out of memory"},
+        "exact": False,
+    }
+
+
 def test_pairint_command(runner, tmp_path):
     result = _invoke(
         runner,

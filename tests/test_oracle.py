@@ -416,6 +416,73 @@ def test_future_bound_matches_reference(monkeypatch):
     assert min(checked.values()) > 0, checked
 
 
+def _random_curves(rng):
+    """n, curves and tally of a random instance, drawn as in
+    test_future_bound_matches_reference: at most ten crossing points."""
+    n = rng.choice((1, 2, 3))
+    tally = rng.choice(("self", "inter"))
+    curves = []
+    count = 2 if tally == "inter" else rng.randint(1, 2)
+    for _ in range(count):
+        letters = [rng.randint(0, n) for _ in range(rng.randint(1, 10 // count))]
+        closed = rng.random() < 0.4
+        if closed:
+            letters = letters[:len(letters) // 2 * 2]
+        else:
+            letters = [V] * rng.randint(0, 1) + letters + [V] * rng.randint(0, 1)
+        curves.append(CurveSpec(tuple(letters), closed, rng.choice((NORTH, SOUTH))))
+    return n, tuple(curves), tally
+
+
+def _order_cost(w, order):
+    return sum(w[i][j] for a, i in enumerate(order) for j in order[a + 1:])
+
+
+def test_subset_dp_matches_brute_force(monkeypatch):
+    """On last gaps of at most 7 points, the subset DP agrees with the
+    minimum of sum w[i][j] (i before j) over all orders of the gap: a drawing
+    it records has value acc + that minimum and its order of the gap attains
+    it, and when it records nothing no order beats the bound it started
+    with."""
+    checked = {"recorded": 0, "refuted": 0, "five or more": 0}
+    solve = oracle._Search._solve_last_dp
+
+    def checked_solve(self, g, acc):
+        pts = self.inst.gap_points[g]
+        if len(pts) > 7:
+            return solve(self, g, acc)
+        w = self._last_gap_weights(pts)
+        best = min(_order_cost(w, order) for order in itertools.permutations(range(len(pts))))
+        bound, orders = self.bound, self.orders
+        solve(self, g, acc)
+        if self.orders is orders:
+            assert acc + best >= bound, self.inst.curves
+            checked["refuted"] += 1
+        else:
+            assert self.value == acc + best, self.inst.curves
+            assert _order_cost(w, [pts.index(p) for p in self.orders[g]]) == best
+            checked["recorded"] += 1
+        checked["five or more"] += len(pts) >= 5
+
+    monkeypatch.setattr(oracle._Search, "_solve_last_dp", checked_solve)
+    ladders = [
+        (2, (CurveSpec((V, 2) + (0, 1) * m + (2, V), False, NORTH),), "self") for m in range(3, 7)
+    ]
+    # a last gap of 4 points whose cheaper pair orders form a cycle, so the
+    # DP can refute a node that the bound keeps
+    cycle = (2, (CurveSpec((1, 2, 0, 2, 1), False, NORTH),
+                 CurveSpec((V, 2, 1, 0, 2, 1, 0, V), False, NORTH)), "inter")
+    rng = random.Random(157)
+    values = []
+    for n, curves, tally in ladders + [cycle] + [_random_curves(rng) for _ in range(300)]:
+        value, _, exact = minimize_crossings(n, curves, tally)
+        # with the minimum as cutoff, every DP call must refute
+        assert exact and minimize_crossings(n, curves, tally, cutoff=value)[2]
+        values.append(value)
+    assert values[:4] == [8, 11, 14, 17]
+    assert min(checked.values()) > 0, checked
+
+
 # -- structural invariants --------------------------------------------------------
 
 
