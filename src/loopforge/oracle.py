@@ -14,28 +14,32 @@ cross at least once in any drawing, and generic straight chords realize
 every interleaving exactly once.
 
 The minimization is exact branch and bound: gaps are ordered one at a time
-in a fixed order, and a chord pair is charged as soon as the orders of all
-gaps holding two or more of its endpoints are fixed.  A gap's orders are
-visited in lexicographic order of point ids, and each is searched as soon
-as it scores below the bound, so a level holds one order at a time.
-Unordered gaps add a lower bound: for each pair of their points, the
-cheaper of its two relative orders, counting the chord pairs whose far ends
-lie in two different gaps, whose blocks decide them from the start, and
-those whose far ends share a gap once that gap is placed.  Which gaps are
-placed at each level is known before the search starts, so the bound is one
-table per level, built once per search: a constant that folds every point
-pair whose cost the search can no longer change, plus comparisons of far
-ends that share a placed gap, the only costs still open at that level.
-The largest gap without internal chords is left last and solved by dynamic
-programming over point subsets instead of permutations, with its weights
-read from the chord pairs its level charges.
+in a fixed order, and each gap's order is built one appended point at a
+time, trying the unplaced points in point-id order, so complete orders are
+visited in lexicographic order and a level holds one partial order.  The
+unplaced points of a gap will all follow its placed ones, so a chord pair is
+decided, and charged, once at most one of its endpoints in gaps holding two
+or more of them is unplaced.  Unplaced points add a lower bound: for each pair of
+them, the cheaper of its two relative orders, counting the chord pairs whose
+far ends lie in two different gaps, whose blocks decide them from the start,
+and those whose far ends share a gap once their order there is known.
+Which gaps are placed at each level is known before the search starts, so
+the bound of the later gaps is one table per level, built once per search:
+a constant that folds every point pair whose cost the search can no longer
+change, plus comparisons of far ends that share a placed gap, the only
+costs still open at that level.  The unplaced points of the gap being
+ordered share the position after its placed ones, so the same table serves
+every partial order of that gap, and its own unplaced pairs add a running
+total.  The largest gap without internal chords is left last and solved by
+dynamic programming over point subsets instead, with its pair costs read
+from the chord pairs its level charges.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import add
 from pathlib import Path
 
 from .cache import CacheStore, default_cache_dir
@@ -302,9 +306,7 @@ class _Search:
         # of its endpoints is constant; any other goes to the bucket of the
         # level that orders the last such gap, and is charged there.
         self.const_cost = 0
-        self.buckets: list[list[tuple[int, int, int, int]]] = [
-            [] for _ in self.gap_order
-        ]
+        buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in self.gap_order]
         gap_of = inst.gap_of
         base_pos = [inst.base[g] for g in gap_of]
         for pair in inst.countable_pairs():
@@ -314,42 +316,61 @@ class _Search:
                 if _cross(*(base_pos[p] for p in pair)):
                     self.const_cost += 1
                 continue
-            self.buckets[max(order_index[g] for g in multi)].append(pair)
+            buckets[max(order_index[g] for g in multi)].append(pair)
 
-        # per-level bound tables.  At level L the placed gaps are
-        # gap_order[:L] plus the basepoint.  A pair in the bucket of gap g
-        # with one endpoint u, v of each chord in g and both far ends ou, ov
-        # outside g is a candidate of the point pair (u, v).  u and v are
-        # adjacent and ou, ov are two other points (chords of one disk share
-        # no endpoint), so exactly one of the two orders crosses: "u before
-        # v" iff ou comes first going round the circle from g.  Far ends in
-        # two gaps: their blocks decide which, before the search starts, so
-        # the candidate joins the fixed cost f of "u before v" or b of "v
-        # before u" at every level.  Far ends sharing a gap h, which the
-        # bucket puts before g: "u before v" crosses iff pos[p] < pos[q] for
-        # ends (p, q), counted from the level after h is placed.  With x of
-        # the k varying candidates ordered p before q, the pair adds
-        # min(f + x, b + k - x).  Where one order is never dearer that is a
-        # constant plus x (or k - x), kept as one flat list of comparisons;
-        # only the other rows pay for the min.
+        # per-level tables.  A pair in the bucket of gap g with one endpoint
+        # u, v of each chord in g and both far ends ou, ov outside g is a
+        # candidate of the point pair (u, v).  u and v are adjacent and ou, ov
+        # are two other points (chords of one disk share no endpoint), so
+        # exactly one of the two orders crosses: "u before v" iff ou comes
+        # first going round the circle from g.  Far ends in two gaps: their
+        # blocks decide which, before the search starts, so the candidate
+        # joins the fixed cost f of "u before v" or b of "v before u".  Far
+        # ends sharing a gap h, which the bucket puts before g: "u before v"
+        # crosses iff pos[p] < pos[q] for ends (p, q), known once h is
+        # placed.  Every other pair of the bucket has a chord inside g; it is
+        # listed under each of its endpoints in g, with the others.
         levels = len(self.gap_order)
+        self.fixed_w: list[list[list[int]]] = []
+        self.varying_w: list[list[tuple[int, int, int, int]]] = []
+        self.inner: list[list[list[tuple[tuple[int, int, int, int], list[int]]]]] = []
+        # bound tables.  Table L is read while gap L - 1 is being ordered, so
+        # it covers the candidates of gaps L and later.  The ends in gap h
+        # count from table index(h) + 1 on, when the placed points of h sit
+        # in their order and its unplaced points share the next position:
+        # with x of the k varying candidates ordered p before q and y
+        # ordered q before p (two unplaced ends count for neither), the pair
+        # adds min(f + x, b + y).  Where one order is never dearer that is a
+        # constant plus x (or y), kept as one flat list of comparisons; only
+        # the other rows pay for the min.
         self.bound_const = [0] * (levels + 1)
         self.bound_less: list[list[tuple[int, int]]] = [[] for _ in range(levels + 1)]
         self.bound_rows: list[list[tuple[int, int, list[tuple[int, int]]]]] = [
             [] for _ in range(levels + 1)
         ]
         for gi, g in enumerate(self.gap_order):
+            pts = inst.gap_points[g]
+            index = {pid: i for i, pid in enumerate(pts)}
+            fixed = [[0] * len(pts) for _ in pts]
+            varying_w: list[tuple[int, int, int, int]] = []
+            inner: list[list[tuple[tuple[int, int, int, int], list[int]]]] = [[] for _ in pts]
             bu, bv = inst.base[g], inst.base[g] + 1
             cands_of: dict[tuple[int, int], list[tuple[int, int]]] = {}
-            for a1, b1, a2, b2 in self.buckets[gi]:
+            for pair in buckets[gi]:
+                a1, b1, a2, b2 = pair
                 ends = [(p, q) for p, q in ((a1, b1), (b1, a1), (a2, b2), (b2, a2))
                         if gap_of[p] == g != gap_of[q]]
                 if len(ends) == 2:
                     (u, ou), (v, ov) = sorted(ends)
                     cands_of.setdefault((u, v), []).append((ou, ov))
-            for cands in cands_of.values():
+                else:
+                    mine = [p for p in pair if gap_of[p] == g]
+                    for p in mine:
+                        inner[index[p]].append((pair, [e for e in mine if e != p]))
+            for (u, v), cands in cands_of.items():
+                i, j = index[u], index[v]
                 f = b = 0
-                opens: dict[int, list[tuple[int, int]]] = {}  # level -> varying ends
+                opens: dict[int, list[tuple[int, int]]] = {}  # table -> varying ends
                 for ou, ov in cands:
                     h, pou = gap_of[ou], base_pos[ou]
                     if h != gap_of[ov]:
@@ -359,9 +380,11 @@ class _Search:
                             b += 1
                     else:
                         ends = (ou, ov) if _cross(bu, pou, bv, pou + 1) else (ov, ou)
+                        varying_w.append((i, j) + ends)
                         opens.setdefault(order_index[h] + 1, []).append(ends)
+                fixed[i][j], fixed[j][i] = f, b
                 varying: list[tuple[int, int]] = []
-                for level in range(gi + 1):
+                for level in range(1, gi + 1):
                     varying += opens.get(level, ())
                     k = len(varying)
                     if f + k <= b:
@@ -373,28 +396,47 @@ class _Search:
                     elif k == 1:  # f == b: either order costs f
                         self.bound_const[level] += f
                     else:
-                        self.bound_rows[level].append((f, b + k, list(varying)))
+                        self.bound_rows[level].append((f, b, list(varying)))
+            self.fixed_w.append(fixed)
+            self.varying_w.append(varying_w)
+            self.inner.append(inner)
 
         self.pos = list(base_pos)
         self.current: dict[int, tuple[int, ...]] = {}
 
     # -- bound helpers ---------------------------------------------------
 
-    def _future_bound(self, level: int) -> int:
-        """Sum over the point pairs of the unordered gaps of the cheaper
-        relative order, counting candidates whose far ends lie in two gaps or
-        share a placed gap."""
+    def _gap_weights(self, level: int) -> list[list[int]]:
+        """w[i][j]: the cost of the i-th point of the gap at `level` before
+        its j-th, counted over the candidates of the point pair, with the
+        gaps before it placed."""
+        w = [row[:] for row in self.fixed_w[level]]
         pos = self.pos
-        total = self.bound_const[level]
+        for i, j, p, q in self.varying_w[level]:
+            if pos[p] < pos[q]:
+                w[i][j] += 1
+            else:
+                w[j][i] += 1
+        return w
+
+    def _future_bound(self, level: int, rest: int) -> int:
+        """Lower bound on the cost still to charge while the gap at
+        `level` - 1 is being ordered: `rest`, the cheaper orders of its pairs
+        of unplaced points, plus, over the point pairs of the later gaps, the
+        cheaper relative order, counting candidates whose far ends lie in two
+        gaps or share a gap in which their order is known."""
+        pos = self.pos
+        total = rest + self.bound_const[level]
         for p, q in self.bound_less[level]:
             if pos[p] < pos[q]:
                 total += 1
-        for f, bk, ends in self.bound_rows[level]:
-            x = 0
-            for p, q in ends:
+        for f, b, ends in self.bound_rows[level]:
+            for p, q in ends:  # f + x and b + y
                 if pos[p] < pos[q]:
-                    x += 1
-            total += min(f + x, bk - x)
+                    f += 1
+                elif pos[q] < pos[p]:
+                    b += 1
+            total += f if f < b else b
         return total
 
     def _charge(self, amount: int) -> None:
@@ -415,7 +457,9 @@ class _Search:
             if self.value >= self.bound:  # else the seed already beats the cutoff
                 self._dfs(0, self.const_cost)
                 return self.value, self.orders, True
-        except _Stop:
+        except (_Stop, RecursionError):
+            # each appended point is one call deeper, so gaps of about a
+            # thousand points end the search as the budget does
             pass
         return self.value, self.orders, False
 
@@ -427,77 +471,91 @@ class _Search:
         self.bound = value
 
     def _dfs(self, level: int, acc: int) -> None:
-        if acc + self._future_bound(level) >= self.bound:
-            return
+        """Search the orders of the gaps from `level` on, the earlier ones
+        placed and `acc` charged."""
         if level == len(self.gap_order):
-            self._record(acc, self.current)
+            if acc < self.bound:
+                self._record(acc, self.current)
             return
-        g = self.gap_order[level]
+        w = self._gap_weights(level)
+        m = len(w)
+        rest = sum(min(w[i][j], w[j][i]) for i in range(m) for j in range(i + 1, m))
+        if acc + self._future_bound(level + 1, rest) >= self.bound:
+            return
         if self.dp_last and level == len(self.gap_order) - 1:
-            self._solve_last_dp(g, acc)
-            return
+            self._solve_last_dp(acc, w)
+        else:
+            self._extend(level, acc, rest, (), list(range(m)), w)
 
+    def _extend(self, level: int, acc: int, rest: int, order: tuple[int, ...],
+                left: list[int], w: list[list[int]]) -> None:
+        """Append each point of `left`, the indices of the unplaced points of
+        the gap at `level`, after the placed points `order`, and search on
+        below the bound.  The unplaced points share the position after the
+        placed ones, since each of them will follow every placed point."""
+        g = self.gap_order[level]
         pts = self.inst.gap_points[g]
-        bucket = self.buckets[level]
+        inner = self.inner[level]
         pos = self.pos
-        base = self.inst.base[g]
-        for perm in itertools.permutations(pts):
+        at = self.inst.base[g] + len(order)
+        for i in left:
             self._charge(1)
-            for idx, pid in enumerate(perm):
-                pos[pid] = base + idx
-            inc = 0
-            for a1, b1, a2, b2 in bucket:
-                if _cross(pos[a1], pos[b1], pos[a2], pos[b2]):
+            p = pts[i]
+            pos[p] = at
+            others = [j for j in left if j != i]
+            inc = drop = 0
+            wi = w[i]
+            for j in others:
+                pos[pts[j]] = at + 1
+                # a pair of p and an unplaced point is decided: p goes first
+                c_ij, c_ji = wi[j], w[j][i]
+                inc += c_ij
+                drop += c_ij if c_ij < c_ji else c_ji
+            for (a1, b1, a2, b2), ends in inner[i]:
+                # decided now if one other endpoint in the gap is left: it
+                # goes last
+                if sum(pos[e] > at for e in ends) == 1 and _cross(
+                        pos[a1], pos[b1], pos[a2], pos[b2]):
                     inc += 1
-            if acc + inc < self.bound:
-                self.current[g] = perm
-                self._dfs(level + 1, acc + inc)
-        self.current.pop(g, None)
-        for pid in pts:
-            pos[pid] = base
+            if len(others) <= 1:  # the last point goes after all the others
+                self._charge(len(others))
+                if acc + inc < self.bound:
+                    self.current[g] = order + (p,) + tuple(pts[j] for j in others)
+                    self._dfs(level + 1, acc + inc)
+            elif acc + inc + self._future_bound(level + 1, rest - drop) < self.bound:
+                self._extend(level, acc + inc, rest - drop, order + (p,), others, w)
+        for i in left:
+            pos[pts[i]] = at
 
-    def _last_gap_weights(self, pts: list[int]) -> list[list[int]]:
-        """w[i][j]: the cost of point pts[i] before point pts[j] in the last
-        gap, with every other gap placed.  The gap holds no chord, so each
-        pair of its bucket has one endpoint u, v of each chord in it, and
-        exactly one of the two orders of u and v crosses."""
-        index = {pid: i for i, pid in enumerate(pts)}
-        gap_of, pos = self.inst.gap_of, self.pos
-        g = gap_of[pts[0]]
-        bu = self.inst.base[g]
-        w = [[0] * len(pts) for _ in pts]
-        for a1, b1, a2, b2 in self.buckets[-1]:
-            u, ou = (a1, b1) if gap_of[a1] == g else (b1, a1)
-            v, ov = (a2, b2) if gap_of[a2] == g else (b2, a2)
-            if _cross(bu, pos[ou], bu + 1, pos[ov]):
-                w[index[u]][index[v]] += 1
-            else:
-                w[index[v]][index[u]] += 1
-        return w
-
-    def _solve_last_dp(self, g: int, acc: int) -> None:
+    def _solve_last_dp(self, acc: int, w: list[list[int]]) -> None:
+        """Order the last gap, which holds no chord, by dynamic programming
+        over the subsets of its points, with the pair costs `w`."""
+        g = self.gap_order[-1]
         pts = self.inst.gap_points[g]
         m = len(pts)
-        w = self._last_gap_weights(pts)
-        self._charge(1 << m)
         size = 1 << m
+        self._charge(size)
         INF = 1 << 60
         dp = [INF] * size
         dp[0] = 0
         choice = [0] * size
+        # col[k][p]: the cost of p after the points of s, for s of k points.
+        # The points of s but its lowest are the last subset of k - 1 points
+        # visited before s, so row k adds that point's costs to row k - 1:
+        # m steps per subset, and m + 1 rows in all.
+        col = [[0] * m for _ in range(m + 1)]
+        bits = [(p, 1 << p) for p in range(m)]
+        sums = col[0]
         for s in range(size):
+            if s:
+                k = s.bit_count()
+                sums = col[k] = list(map(add, col[k - 1], w[(s & -s).bit_length() - 1]))
             ds = dp[s]
-            for p in range(m):
-                if s & (1 << p):
+            for p, bit in bits:
+                if s & bit:
                     continue
-                add = 0
-                t = s
-                while t:
-                    q = (t & -t).bit_length() - 1
-                    add += w[q][p]
-                    t &= t - 1
-                ns = s | (1 << p)
-                nv = ds + add
+                ns = s | bit
+                nv = ds + sums[p]
                 if nv < dp[ns]:
                     dp[ns] = nv
                     choice[ns] = p

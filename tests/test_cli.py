@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -99,6 +101,25 @@ def test_selfint_budget_exit_code(runner, tmp_path):
     assert result.exit_code == 3
     data = json.loads(result.output)
     assert data["exact"] is False
+
+
+def test_selfint_small_budget_bounds_the_search(runner):
+    # the m=10 ladder has two 10-point gaps; a budget of 1000 units (appended
+    # points or DP states) stops it at once, before the 1024-state DP
+    ladder = "v 2 " + "0 1 " * 10 + "2 v"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        result = _invoke(runner, ["selfint", "--n", "2", "--no-cache", "--budget", "1000", ladder])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert peak < 2_000_000, peak
+    assert result.exit_code == 3
+    data = json.loads(result.output)
+    assert data["exact"] is False
+    assert count_crossings(Drawing.from_json(data["witness"])) == data["value"]
 
 
 @pytest.mark.parametrize("args", [["enumerate", "--k", "2"], ["graph", "--k", "2"],

@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -293,9 +295,9 @@ def test_key_symmetries_keep_value(instance, rotation):
 
 
 def test_gap_orders_not_materialized():
-    """A gap's orders are scored and searched one at a time, never collected:
-    the ladder's first gap has 7! orders, and the search stays far below the
-    memory a list of them takes."""
+    """A gap's order is built one appended point at a time, and its orders
+    are never collected: the ladder's first gap has 7! of them, and the
+    search stays far below the memory a list of them takes."""
     ladder = CurveSpec((V, 2) + (0, 1) * 7 + (2, V), False, NORTH)
     tracemalloc.start()
     try:
@@ -305,6 +307,17 @@ def test_gap_orders_not_materialized():
         tracemalloc.stop()
     assert exact and value == 20
     assert peak < 250_000, peak
+
+
+@pytest.mark.parametrize("m, value", [(10, 29), (11, 32)])
+def test_ladder_gaps_ordered_point_by_point(m, value):
+    """The ladder's two m-point gaps have m! orders each, but the search
+    prunes after every appended point: m = 10 and m = 11 finish exact
+    within 50,000 units, far below the 10! orders of one gap."""
+    ladder = CurveSpec((V, 2) + (0, 1) * m + (2, V), False, NORTH)
+    got, witness, exact = minimize_crossings(2, (ladder,), "self", budget=50_000)
+    assert exact and got == value
+    assert count_crossings(witness, "self") == value
 
 
 def _reference_candidates(search):
@@ -324,36 +337,65 @@ def _reference_candidates(search):
     return cands
 
 
-def _reference_pair_costs(search, g, cands, placed, rule="shared"):
+def _reference_pair_costs(search, g, cands, placed, rule="shared", unplaced=()):
     """The costs of u before v and of v before u, recomputed from the
-    current positions.  Far ends in two gaps are decided by their blocks, so
-    the "shared" rule skips a candidate only when both far ends share an
-    unplaced gap; the "placed" rule, the earlier and weaker one, skips every
-    candidate with a far end in an unplaced gap."""
+    current positions.  `placed` holds the gaps whose orders are fixed or
+    being built, and `unplaced` the points of the gap being built that are
+    not placed yet: each of them will follow every placed point of its gap.
+    Far ends in two gaps are decided by their blocks, so the "shared" rule
+    skips a candidate only when both far ends share an unplaced gap or are
+    both unplaced points, since either order of them can still come and the
+    cheaper one counts for neither; the "placed" rule, the earlier and weaker
+    one, skips every candidate with a far end in an unplaced gap or at an
+    unplaced point."""
     inst = search.inst
     gap_of = inst.gap_of
     bu, bv = inst.base[g], inst.base[g] + 1
+
+    def free(p):
+        return p != 0 and (gap_of[p] not in placed or p in unplaced)
+
+    def position(p):
+        if p in unplaced:  # after the placed points of its gap
+            return inst.base[gap_of[p]] + len(inst.gap_points[gap_of[p]]) - len(unplaced)
+        return search.pos[p]
+
     c_uv = c_vu = 0
     for ou, ov in cands:
         if rule == "shared":
-            if gap_of[ou] == gap_of[ov] and gap_of[ou] not in placed:
+            if gap_of[ou] == gap_of[ov] and free(ou) and free(ov):
                 continue
-        elif any(p != 0 and gap_of[p] not in placed for p in (ou, ov)):
+        elif free(ou) or free(ov):
             continue
-        pou, pov = search.pos[ou], search.pos[ov]
+        pou, pov = position(ou), position(ov)
         c_uv += _cross(bu, pou, bv, pov)
         c_vu += _cross(bv, pou, bu, pov)
     return c_uv, c_vu
 
 
+def _unplaced_points(search, g):
+    """The points of gap g not placed yet: they share the position after the
+    placed points of g, which each sit alone."""
+    pos = search.pos
+    pts = search.inst.gap_points[g]
+    shared = [p for p in pts if sum(pos[q] == pos[p] for q in pts) > 1]
+    if shared:
+        at = pos[shared[0]]
+        assert all(pos[p] == at for p in shared), search.inst.curves
+        assert all(pos[p] < at for p in pts if p not in shared), search.inst.curves
+    return set(shared)
+
+
 def test_future_bound_matches_reference(monkeypatch):
-    """At every node the table bound equals the bound recomputed from the
-    positions, and the subset DP's weights equal the reference costs.  The
-    bound is never below the one that waits for both far ends to be placed,
-    and above it at some node."""
-    checked = {"bound": 0, "varying": 0, "weights": 0, "tighter": 0}
+    """At every node and sub-node the table bound equals the bound
+    recomputed from the positions, and each level's weights equal the
+    reference costs.  A sub-node of level L orders the gap at L point by
+    point: its bound covers the pairs of its unplaced points and the gaps
+    after it.  The bound is never below the one that waits for both far ends
+    to be placed, and above it at some node."""
+    checked = {"bound": 0, "sub-node": 0, "varying": 0, "weights": 0, "tighter": 0}
     search_class = oracle._Search
-    future_bound, weights = search_class._future_bound, search_class._last_gap_weights
+    future_bound, weights = search_class._future_bound, search_class._gap_weights
 
     reference = {}  # search -> its reference candidates
 
@@ -362,29 +404,38 @@ def test_future_bound_matches_reference(monkeypatch):
             reference[search] = _reference_candidates(search)
         return reference[search]
 
-    def checked_bound(self, level):
-        got = future_bound(self, level)
+    def checked_bound(self, level, rest):
+        got = future_bound(self, level, rest)
+        building = self.gap_order[level - 1]
+        unplaced = _unplaced_points(self, building)
         placed = set(self.gap_order[:level])
         cands = candidates(self)
         want, floor = (
             sum(
-                min(_reference_pair_costs(self, g, pair_cands, placed, rule))
+                min(_reference_pair_costs(self, g, pair_cands, placed, rule, unplaced))
                 for g in self.gap_order[level:]
                 for pair_cands in cands[g].values()
+            )
+            + sum(
+                min(_reference_pair_costs(self, building, pair_cands, placed - {building}, rule))
+                for (u, v), pair_cands in cands[building].items()
+                if u in unplaced and v in unplaced
             )
             for rule in ("shared", "placed")
         )
         assert got == want, (self.inst.curves, level)
         assert got >= floor, (self.inst.curves, level)
         checked["bound"] += 1
+        checked["sub-node"] += 0 < len(unplaced) < len(self.inst.gap_points[building])
         checked["tighter"] += got > floor
         checked["varying"] += bool(self.bound_rows[level])
         return got
 
-    def checked_weights(self, pts):
-        got = weights(self, pts)
-        g = self.gap_order[-1]
-        placed = set(self.gap_order[:-1])
+    def checked_weights(self, level):
+        got = weights(self, level)
+        g = self.gap_order[level]
+        pts = self.inst.gap_points[g]
+        placed = set(self.gap_order[:level])
         want = [[0] * len(pts) for _ in pts]
         for (u, v), pair_cands in candidates(self)[g].items():
             c_uv, c_vu = _reference_pair_costs(self, g, pair_cands, placed)
@@ -395,30 +446,18 @@ def test_future_bound_matches_reference(monkeypatch):
         return got
 
     monkeypatch.setattr(search_class, "_future_bound", checked_bound)
-    monkeypatch.setattr(search_class, "_last_gap_weights", checked_weights)
+    monkeypatch.setattr(search_class, "_gap_weights", checked_weights)
     rng = random.Random(157)
     for _ in range(300):
-        n = rng.choice((1, 2, 3))
-        tally = rng.choice(("self", "inter"))
-        curves = []
-        count = 2 if tally == "inter" else rng.randint(1, 2)
-        for _ in range(count):
-            letters = [rng.randint(0, n) for _ in range(rng.randint(1, 10 // count))]
-            closed = rng.random() < 0.4
-            if closed:
-                letters = letters[:len(letters) // 2 * 2]
-            else:
-                letters = [V] * rng.randint(0, 1) + letters + [V] * rng.randint(0, 1)
-            curves.append(CurveSpec(tuple(letters), closed, rng.choice((NORTH, SOUTH))))
-        minimize_crossings(n, tuple(curves), tally)
+        minimize_crossings(*_random_curves(rng))
     ladder = CurveSpec((V, 2) + (0, 1) * 6 + (2, V), False, NORTH)
     assert minimize_crossings(2, (ladder,), "self")[0] == 17
     assert min(checked.values()) > 0, checked
 
 
 def _random_curves(rng):
-    """n, curves and tally of a random instance, drawn as in
-    test_future_bound_matches_reference: at most ten crossing points."""
+    """n, curves and tally of a random instance with at most ten crossing
+    points."""
     n = rng.choice((1, 2, 3))
     tally = rng.choice(("self", "inter"))
     curves = []
@@ -447,14 +486,14 @@ def test_subset_dp_matches_brute_force(monkeypatch):
     checked = {"recorded": 0, "refuted": 0, "five or more": 0}
     solve = oracle._Search._solve_last_dp
 
-    def checked_solve(self, g, acc):
+    def checked_solve(self, acc, w):
+        g = self.gap_order[-1]
         pts = self.inst.gap_points[g]
         if len(pts) > 7:
-            return solve(self, g, acc)
-        w = self._last_gap_weights(pts)
+            return solve(self, acc, w)
         best = min(_order_cost(w, order) for order in itertools.permutations(range(len(pts))))
         bound, orders = self.bound, self.orders
-        solve(self, g, acc)
+        solve(self, acc, w)
         if self.orders is orders:
             assert acc + best >= bound, self.inst.curves
             checked["refuted"] += 1
@@ -605,6 +644,20 @@ def test_budget_exhaustion_flags_inexact():
     # the reported value is an upper bound realized by a drawing
     assert count_crossings(res.witness, "self") == res.value
     assert res.value >= 8
+
+
+def test_search_deeper_than_recursion_limit_flags_inexact():
+    # every appended point is one call deeper: a search that would go deeper
+    # than the interpreter allows stops as an exhausted budget does
+    ladder = CurveSpec((V, 2) + (0, 1) * 60 + (2, V), False, NORTH)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        value, witness, exact = minimize_crossings(2, (ladder,), "self")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not exact
+    assert count_crossings(witness, "self") == value
 
 
 def test_cache_round_trip(tmp_path):
