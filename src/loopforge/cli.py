@@ -93,7 +93,7 @@ def oracle_options(fn):
     command = n_option(command)
     command = click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
                            help="search budget per oracle call, in units of one point "
-                                "appended to a gap's order or one subset-DP state")(command)
+                                "appended to a gap's order")(command)
     command = click.option("--cache-dir", type=str, default=None,
                            help="oracle cache directory "
                                 "(default: $LOOPFORGE_CACHE or ./.loopforge-cache)")(command)

@@ -30,16 +30,17 @@ change, plus comparisons of far ends that share a placed gap, the only
 costs still open at that level.  The unplaced points of the gap being
 ordered share the position after its placed ones, so the same table serves
 every partial order of that gap, and its own unplaced pairs add a running
-total.  The largest gap without internal chords is left last and solved by
-dynamic programming over point subsets instead, with its pair costs read
-from the chord pairs its level charges.
+total.  Gaps go largest first, except that the largest gap holding no
+chord is left last, where every far end of its chord pairs is placed.
+Measured on one core without a cache, `graph --n 2 --k 5` takes about 5 s
+in this order and 27 s with the largest gap first, and ascending sizes
+make the 11-point ladder `v 2 (0 1)^11 2 v` about 1.5 times slower.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import add
 from pathlib import Path
 
 from .cache import CacheStore, default_cache_dir
@@ -299,7 +300,6 @@ class _Search:
             key=lambda g: (-len(inst.gap_points[g]), g),
         )
         self.gap_order = rest + ([last] if last is not None else [])
-        self.dp_last = last is not None
         order_index = {g: i for i, g in enumerate(self.gap_order)}
 
         # one pass over the countable pairs.  A pair with no gap holding two
@@ -482,10 +482,7 @@ class _Search:
         rest = sum(min(w[i][j], w[j][i]) for i in range(m) for j in range(i + 1, m))
         if acc + self._future_bound(level + 1, rest) >= self.bound:
             return
-        if self.dp_last and level == len(self.gap_order) - 1:
-            self._solve_last_dp(acc, w)
-        else:
-            self._extend(level, acc, rest, (), list(range(m)), w)
+        self._extend(level, acc, rest, (), list(range(m)), w)
 
     def _extend(self, level: int, acc: int, rest: int, order: tuple[int, ...],
                 left: list[int], w: list[list[int]]) -> None:
@@ -526,50 +523,6 @@ class _Search:
                 self._extend(level, acc + inc, rest - drop, order + (p,), others, w)
         for i in left:
             pos[pts[i]] = at
-
-    def _solve_last_dp(self, acc: int, w: list[list[int]]) -> None:
-        """Order the last gap, which holds no chord, by dynamic programming
-        over the subsets of its points, with the pair costs `w`."""
-        g = self.gap_order[-1]
-        pts = self.inst.gap_points[g]
-        m = len(pts)
-        size = 1 << m
-        self._charge(size)
-        INF = 1 << 60
-        dp = [INF] * size
-        dp[0] = 0
-        choice = [0] * size
-        # col[k][p]: the cost of p after the points of s, for s of k points.
-        # The points of s but its lowest are the last subset of k - 1 points
-        # visited before s, so row k adds that point's costs to row k - 1:
-        # m steps per subset, and m + 1 rows in all.
-        col = [[0] * m for _ in range(m + 1)]
-        bits = [(p, 1 << p) for p in range(m)]
-        sums = col[0]
-        for s in range(size):
-            if s:
-                k = s.bit_count()
-                sums = col[k] = list(map(add, col[k - 1], w[(s & -s).bit_length() - 1]))
-            ds = dp[s]
-            for p, bit in bits:
-                if s & bit:
-                    continue
-                ns = s | bit
-                nv = ds + sums[p]
-                if nv < dp[ns]:
-                    dp[ns] = nv
-                    choice[ns] = p
-        total = dp[size - 1]
-        if acc + total >= self.bound:
-            return
-        order = []
-        s = size - 1
-        while s:
-            p = choice[s]
-            order.append(pts[p])
-            s &= ~(1 << p)
-        order.reverse()
-        self._record(acc + total, {**self.current, g: tuple(order)})
 
 
 def minimize_crossings(

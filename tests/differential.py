@@ -9,6 +9,9 @@ family bounds.  Families:
 * `catalog n=1 k=4` and `catalog n=2 k=4`: `enumerate_classes`, then
   `compatibility_graph` and `family_bounds`, without cache;
 * `ladder m=6..8`: `self_intersection_number` of `v 2 (0 1)^m 2 v`;
+* `clean gap`: `self_intersection_number` over 11 punctures of
+  `v (10 0 1 0 2 0 ... 9 0)^2 10 0 10 v`, whose gap 0 holds 21 points and no
+  chord, so the search orders it last;
 * `random`: seeded single curves and curve pairs (n in {1, 2, 3}, open,
   closed and `v`-ended) at every budget of BUDGETS and cutoff of CUTOFFS.
 
@@ -122,6 +125,11 @@ def run_families(lf, oracle, recorder: Recorder, seed: int, count: int) -> None:
     alpha = lf.GapAlphabet(2)
     for m in range(6, 9):
         lf.self_intersection_number(lf.Word.v_word((2,) + (0, 1) * m + (2,)), alpha, nocache)
+    recorder.family = "clean gap"
+    spokes = tuple(x for g in (10, *range(1, 10)) for x in (g, 0))  # 10 0 1 0 ... 9 0
+    lf.self_intersection_number(
+        lf.Word.v_word(spokes * 2 + (10, 0, 10)), lf.GapAlphabet(11), nocache
+    )
     recorder.family = "random"
     rng = random.Random(seed)
     for _ in range(count):

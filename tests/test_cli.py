@@ -104,8 +104,8 @@ def test_selfint_budget_exit_code(runner, tmp_path):
 
 
 def test_selfint_small_budget_bounds_the_search(runner):
-    # the m=10 ladder has two 10-point gaps; a budget of 1000 units (appended
-    # points or DP states) stops it at once, before the 1024-state DP
+    # the m=10 ladder has two 10-point gaps; a budget of 1000 appended
+    # points stops it at once, before any order of the first gap is complete
     ladder = "v 2 " + "0 1 " * 10 + "2 v"
     tracemalloc.start()
     start = time.perf_counter()
@@ -120,6 +120,18 @@ def test_selfint_small_budget_bounds_the_search(runner):
     data = json.loads(result.output)
     assert data["exact"] is False
     assert count_crossings(Drawing.from_json(data["witness"])) == data["value"]
+
+
+def test_selfint_large_clean_gap_within_budget(runner):
+    # gap 0 holds 21 points and no chord, so it is ordered last; it costs
+    # appended points like every other gap, and 100,000 of them suffice
+    word = "v " + "10 0 1 0 2 0 3 0 4 0 5 0 6 0 7 0 8 0 9 0 " * 2 + "10 0 10 v"
+    result = _invoke(runner, ["selfint", "--n", "11", "--no-cache", "--budget", "100000", word])
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["exact"] is True
+    assert data["value"] == 75
+    assert count_crossings(Drawing.from_json(data["witness"])) == 75
 
 
 @pytest.mark.parametrize("args", [["enumerate", "--k", "2"], ["graph", "--k", "2"],

@@ -392,7 +392,8 @@ def test_future_bound_matches_reference(monkeypatch):
     reference costs.  A sub-node of level L orders the gap at L point by
     point: its bound covers the pairs of its unplaced points and the gaps
     after it.  The bound is never below the one that waits for both far ends
-    to be placed, and above it at some node."""
+    to be placed, and above it at some node.  Every search completes, also
+    with its minimum as cutoff, where it must refute every node."""
     checked = {"bound": 0, "sub-node": 0, "varying": 0, "weights": 0, "tighter": 0}
     search_class = oracle._Search
     future_bound, weights = search_class._future_bound, search_class._gap_weights
@@ -447,11 +448,20 @@ def test_future_bound_matches_reference(monkeypatch):
 
     monkeypatch.setattr(search_class, "_future_bound", checked_bound)
     monkeypatch.setattr(search_class, "_gap_weights", checked_weights)
+    ladders = [
+        (2, (CurveSpec((V, 2) + (0, 1) * m + (2, V), False, NORTH),), "self") for m in range(3, 7)
+    ]
+    # a last gap of 4 points whose cheaper pair orders form a cycle, so the
+    # bound keeps a node that only appending its points can refute
+    cycle = (2, (CurveSpec((1, 2, 0, 2, 1), False, NORTH),
+                 CurveSpec((V, 2, 1, 0, 2, 1, 0, V), False, NORTH)), "inter")
     rng = random.Random(157)
-    for _ in range(300):
-        minimize_crossings(*_random_curves(rng))
-    ladder = CurveSpec((V, 2) + (0, 1) * 6 + (2, V), False, NORTH)
-    assert minimize_crossings(2, (ladder,), "self")[0] == 17
+    values = []
+    for n, curves, tally in ladders + [cycle] + [_random_curves(rng) for _ in range(300)]:
+        value, _, exact = minimize_crossings(n, curves, tally)
+        assert exact and minimize_crossings(n, curves, tally, cutoff=value)[2]
+        values.append(value)
+    assert values[:4] == [8, 11, 14, 17]
     assert min(checked.values()) > 0, checked
 
 
@@ -471,55 +481,6 @@ def _random_curves(rng):
             letters = [V] * rng.randint(0, 1) + letters + [V] * rng.randint(0, 1)
         curves.append(CurveSpec(tuple(letters), closed, rng.choice((NORTH, SOUTH))))
     return n, tuple(curves), tally
-
-
-def _order_cost(w, order):
-    return sum(w[i][j] for a, i in enumerate(order) for j in order[a + 1:])
-
-
-def test_subset_dp_matches_brute_force(monkeypatch):
-    """On last gaps of at most 7 points, the subset DP agrees with the
-    minimum of sum w[i][j] (i before j) over all orders of the gap: a drawing
-    it records has value acc + that minimum and its order of the gap attains
-    it, and when it records nothing no order beats the bound it started
-    with."""
-    checked = {"recorded": 0, "refuted": 0, "five or more": 0}
-    solve = oracle._Search._solve_last_dp
-
-    def checked_solve(self, acc, w):
-        g = self.gap_order[-1]
-        pts = self.inst.gap_points[g]
-        if len(pts) > 7:
-            return solve(self, acc, w)
-        best = min(_order_cost(w, order) for order in itertools.permutations(range(len(pts))))
-        bound, orders = self.bound, self.orders
-        solve(self, acc, w)
-        if self.orders is orders:
-            assert acc + best >= bound, self.inst.curves
-            checked["refuted"] += 1
-        else:
-            assert self.value == acc + best, self.inst.curves
-            assert _order_cost(w, [pts.index(p) for p in self.orders[g]]) == best
-            checked["recorded"] += 1
-        checked["five or more"] += len(pts) >= 5
-
-    monkeypatch.setattr(oracle._Search, "_solve_last_dp", checked_solve)
-    ladders = [
-        (2, (CurveSpec((V, 2) + (0, 1) * m + (2, V), False, NORTH),), "self") for m in range(3, 7)
-    ]
-    # a last gap of 4 points whose cheaper pair orders form a cycle, so the
-    # DP can refute a node that the bound keeps
-    cycle = (2, (CurveSpec((1, 2, 0, 2, 1), False, NORTH),
-                 CurveSpec((V, 2, 1, 0, 2, 1, 0, V), False, NORTH)), "inter")
-    rng = random.Random(157)
-    values = []
-    for n, curves, tally in ladders + [cycle] + [_random_curves(rng) for _ in range(300)]:
-        value, _, exact = minimize_crossings(n, curves, tally)
-        # with the minimum as cutoff, every DP call must refute
-        assert exact and minimize_crossings(n, curves, tally, cutoff=value)[2]
-        values.append(value)
-    assert values[:4] == [8, 11, 14, 17]
-    assert min(checked.values()) > 0, checked
 
 
 # -- structural invariants --------------------------------------------------------
@@ -605,8 +566,7 @@ def test_segment_threshold_outcomes(tmp_path):
 
 
 def test_repeated_letter_words(nocache_config):
-    # every gap holds an internal chord here, so no gap qualifies for the
-    # subset DP and the search runs on permutations alone
+    # every gap holds a chord inside it, so the gaps go by size alone
     res = self_intersection_number(Word.x_word((0, 0)), GapAlphabet(1), nocache_config)
     assert res.exact and res.value == 0
     res = self_intersection_number(
