@@ -14,7 +14,7 @@ import re
 import tempfile
 from pathlib import Path
 
-MODEL_VERSION = "1"
+MODEL_VERSION = "2"
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -66,15 +66,3 @@ class CacheStore:
             except FileNotFoundError:
                 pass
             raise
-
-    def merge(self, key: str, fields: dict) -> dict:
-        """Merge `fields` into the existing entry, keeping the strongest facts."""
-        entry = self.get(key) or {}
-        merged = dict(entry)
-        for name, value in fields.items():
-            if name == "at_least":
-                merged[name] = max(value, merged.get(name, 0))
-            else:
-                merged[name] = value
-        self.put(key, merged)
-        return merged

@@ -90,7 +90,6 @@ def oracle_options(fn):
         config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache)
         return fn(config=config, **kwargs)
 
-    command = n_option(command)
     command = click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
                            help="search budget per oracle call, in units of one point "
                                 "appended to a gap's order")(command)
@@ -159,6 +158,7 @@ def equiv(word1: str, word2: str, n: int, hemi1: str, hemi2: str) -> None:
 
 @main.command()
 @oracle_options
+@n_option
 @click.argument("word_text")
 def selfint(word_text: str, n: int, config: OracleConfig) -> None:
     """Minimal self-intersection number of a word."""
@@ -171,6 +171,7 @@ def selfint(word_text: str, n: int, config: OracleConfig) -> None:
 
 @main.command()
 @oracle_options
+@n_option
 @click.option("--hemi1", type=click.Choice("NS"), default=NORTH, show_default=True)
 @click.option("--hemi2", type=click.Choice("NS"), default=NORTH, show_default=True)
 @click.argument("word1")
@@ -273,6 +274,7 @@ def count_expansions(length: int | None, k: int, sweep: bool, lmax: int, kmax: i
 
 @main.command(name="enumerate")
 @oracle_options
+@n_option
 @click.option("--k", type=int, required=True, help="crossing budget")
 @length_cap_option
 @click.option("--jobs", type=int, default=1, show_default=True)
@@ -288,6 +290,7 @@ def enumerate_cmd(n: int, k: int, cap: int | None, jobs: int, config: OracleConf
 
 @main.command()
 @oracle_options
+@n_option
 @click.option("--k", type=int, required=True, help="crossing budget")
 @length_cap_option
 @click.option("--jobs", type=int, default=1, show_default=True)
@@ -308,10 +311,8 @@ def graph(n: int, k: int, cap: int | None, jobs: int, config: OracleConfig) -> N
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv",
               show_default=True)
-def growth(kmax: int, n: int, jobs: int, fmt: str, config: OracleConfig) -> None:
+def growth(kmax: int, jobs: int, fmt: str, config: OracleConfig) -> None:
     """Class-count growth table for k = 1..kmax (two punctures)."""
-    if n != 2:
-        raise PreconditionError("the growth table is defined for two punctures")
     rows = growth_report(kmax, config, jobs=jobs)
     if fmt == "csv":
         str_rows = [

@@ -25,6 +25,7 @@ from .oracle import (
     CrossingCount,
     Drawing,
     OracleConfig,
+    _class_pair_key,
     pair_intersection_number,
     segment_self_at_least,
     self_intersection_number,
@@ -218,31 +219,17 @@ def enumerate_classes(
         return ClassCatalog(n, k, cap, tuple(entries), 0)
 
     cores = _collect_core_candidates(k, cap, alphabet, config)
-    words = [Word.v_word(core) for core in cores]
-    results = _evaluate_words(words, alphabet, config, jobs)
-    kept: list[tuple[tuple[int, ...], CrossingCount]] = [((), None)]
+    results = _evaluate_words([Word.v_word(core) for core in cores], alphabet, config, jobs)
+    kept = [((), 0, None)]
     for core, res in zip(cores, results):
         if not res.exact:
             raise EnumerationIncompleteError(f"budget exhausted on core {core}")
         if res.value < k:
-            kept.append((core, res))
-    for core, res in kept:
-        for hemisphere in (NORTH, SOUTH):
-            entries.append(
-                CatalogEntry(
-                    VLoopClass(core, hemisphere),
-                    0 if res is None else res.value,
-                    True,
-                    None if res is None else res.witness,
-                )
-            )
-    entries.sort(
-        key=lambda e: (
-            len(e.loop_class.core),
-            e.loop_class.core,
-            e.loop_class.start_hemisphere,
-        )
-    )
+            kept.append((core, res.value, res.witness))
+    entries = [CatalogEntry(VLoopClass(core, hemisphere), value, True, witness)
+               for core, value, witness in kept for hemisphere in (NORTH, SOUTH)]
+    entries.sort(key=lambda e: (len(e.loop_class.core), e.loop_class.core,
+                                e.loop_class.start_hemisphere))
     # the two polarity tags of the empty core may name one class
     return ClassCatalog(n, k, cap, tuple(entries), 1)
 
@@ -309,8 +296,14 @@ def compatibility_graph(
     alphabet = GapAlphabet(catalog.n)
     classes = [e.loop_class for e in catalog.entries]
     pairs = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))]
-    calls = [(classes[i], classes[j], alphabet, config, catalog.k) for i, j in pairs]
-    return CompatibilityGraph(catalog, dict(zip(pairs, _map(_edge, calls, jobs))))
+    # pairs of one cache key share one answer, so only the first is sent
+    keys = [_class_pair_key(classes[i], classes[j], catalog.n)[0] for i, j in pairs]
+    first: dict[str, tuple[int, int]] = {}
+    for pair, key in zip(pairs, keys):
+        first.setdefault(key, pair)
+    calls = [(classes[i], classes[j], alphabet, config, catalog.k) for i, j in first.values()]
+    edges = dict(zip(first, _map(_edge, calls, jobs)))
+    return CompatibilityGraph(catalog, {pair: edges[key] for pair, key in zip(pairs, keys)})
 
 
 # -- clique bounds --------------------------------------------------------------

@@ -32,14 +32,13 @@ ordered share the position after its placed ones, so the same table serves
 every partial order of that gap, and its own unplaced pairs add a running
 total.  Gaps go largest first, except that the largest gap holding no
 chord is left last, where every far end of its chord pairs is placed.
-Measured on one core without a cache, `graph --n 2 --k 5` takes about 5 s
-in this order and 27 s with the largest gap first, and ascending sizes
+Measured on one core without a cache, `graph --n 2 --k 5` takes about 2 s
+in this order and 5-6 s with the largest gap first, and ascending sizes
 make the 11-point ladder `v 2 (0 1)^11 2 v` about 1.5 times slower.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,6 +57,7 @@ from .words import (
 DEFAULT_BUDGET = 100_000_000
 
 _HEMI_INT = {NORTH: 0, SOUTH: 1}
+_HEMIS = (NORTH, SOUTH)
 
 
 class _Stop(Exception):
@@ -564,76 +564,137 @@ def count_crossings(drawing: Drawing, tally: str = "auto") -> int:
     return inst.evaluate_orders(orders)
 
 
-# -- canonical cache keys ----------------------------------------------------
+# -- canonical forms and cache keys --------------------------------------------
 
 
 def _letters_key(letters: tuple[int, ...]) -> str:
     return ".".join(format_letter(a) for a in letters)
 
 
-def _self_key(n: int, kind: str, letters: tuple[int, ...]) -> str:
-    forms = [letters, tuple(reversed(letters))]
-    if kind == "x":
-        # the closing chord makes the diagram cyclic
-        for r in range(1, len(letters)):
-            rot = letters[r:] + letters[:r]
-            forms.extend([rot, tuple(reversed(rot))])
-    word = min(_letters_key(f) for f in forms) if letters else ""
-    return f"n{n}|self|{kind}|{word}"
+def _moved(letters: tuple[int, ...], shift: int, rev: bool) -> tuple[int, ...]:
+    rot = letters[shift:] + letters[:shift]
+    return rot[::-1] if rev else rot
 
 
-def _pair_key(n: int, kind: str, specs) -> str:
+def _least(letters: tuple[int, ...], shifts=(0,)) -> tuple[str, int, bool]:
+    """The least letter string of `letters` over reversal and `shifts`, with
+    the shift and reversal that give it."""
+    return min((_letters_key(_moved(letters, s, r)), s, r) for s in shifts for r in (False, True))
+
+
+@dataclass(frozen=True)
+class _Form:
+    """A query in the form its cache key names.  Each search pairs the curves
+    to search with the query's curves that their drawings are drawn back on
+    (an x-pair searches both relative hemispheres).  The move (query curve,
+    shift, reversed) of a searched curve sends its position j to position
+    (shift + (m-1-j if reversed else j)) mod m of that query curve."""
+
+    searches: tuple[tuple[tuple[CurveSpec, ...], tuple[CurveSpec, ...]], ...]
+    moves: tuple[tuple[int, int, bool], ...]
+
+    @staticmethod
+    def of(queries, moves, hemispheres) -> "_Form":
+        """Search each query moved by `moves`, starting in its hemispheres."""
+        return _Form(tuple(
+            (tuple(CurveSpec(_moved(q[qi].letters, s, r), q[qi].closed, h)
+                   for (qi, s, r), h in zip(moves, hs)), q)
+            for q, hs in zip(queries, hemispheres)
+        ), moves)
+
+    def back(self, drawing: Drawing) -> Drawing:
+        """A drawing of searched curves, drawn on the query's curves."""
+        query = dict(self.searches)[drawing.curves]
+
+        def point(ci: int, j: int) -> tuple[int, int]:
+            qi, shift, rev = self.moves[ci]
+            m = len(query[qi].letters)
+            return qi, (shift + (m - 1 - j if rev else j)) % m
+
+        return Drawing(drawing.n, query, {g: tuple(point(*p) for p in order)
+                                          for g, order in drawing.gap_orders.items()})
+
+
+def _self_key(n: int, kind: str, letters: tuple[int, ...]) -> tuple[str, int, bool]:
+    # the closing chord makes the diagram cyclic
+    text, shift, rev = _least(letters, range(len(letters) or 1) if kind == "x" else (0,))
+    return f"n{n}|self|{kind}|{text}", shift, rev
+
+
+def _pair_key(n: int, kind: str, specs) -> tuple[str, _Form]:
+    """The key of two open curves given as (letters, hemisphere bit), and
+    the form it names."""
     # value-preserving transforms: swap curves, reverse either traversal,
     # mirror both hemispheres.  Of two mirrored strings the one whose first
     # curve starts at hemisphere 0 is smaller, so only that one is built.
-    def forms(letters, hemi):
+    def forms(i):
+        letters, hemi = specs[i]
         # the reversed traversal starts in the hemisphere of the last arc
-        rev_hemi = hemi ^ (len(letters) % 2)
-        return [(_letters_key(letters), hemi), (_letters_key(letters[::-1]), rev_hemi)]
+        return [(_letters_key(letters), hemi, i, False),
+                (_letters_key(letters[::-1]), hemi ^ (len(letters) % 2), i, True)]
 
-    (l1, h1), (l2, h2) = specs
-    keys = [
-        f"{first}@0~{second}@{hf ^ hs}"
-        for a in forms(l1, h1)
-        for b in forms(l2, h2)
-        for (first, hf), (second, hs) in ((a, b), (b, a))
-    ]
-    return f"n{n}|pair|{kind}|{min(keys)}"
-
-
-def _seg_key(n: int, letters: tuple[int, ...]) -> str:
-    letters = tuple(letters)
-    return f"n{n}|seg|" + min(_letters_key(letters), _letters_key(letters[::-1]))
+    text, (_, hf, i, ri), (_, hs, j, rj) = min(
+        (f"{a[0]}@0~{b[0]}@{a[1] ^ b[1]}", a, b)
+        for x in forms(0) for y in forms(1) for a, b in ((x, y), (y, x))
+    )
+    query = tuple(CurveSpec(tuple(letters), False, _HEMIS[h]) for letters, h in specs)
+    form = _Form.of([query], ((i, 0, ri), (j, 0, rj)), [(NORTH, _HEMIS[hf ^ hs])])
+    return f"n{n}|pair|{kind}|{text}", form
 
 
-def _solve(
-    n: int,
-    key: str,
-    variants: Callable[[], list[tuple[CurveSpec, ...]]],
-    tally: str,
-    config: OracleConfig,
-) -> CrossingCount:
-    """Answer from the cache, or minimize over every curve tuple that
-    `variants()` yields and cache the minimum once all searches completed.
+def _class_pair_key(c1: LoopClass, c2: LoopClass, n: int) -> tuple[str, _Form]:
+    """The key of a pair query on two classes, and the form it names."""
+    if type(c1) is not type(c2):
+        raise PreconditionError("cannot pair classes of different kinds")
+    if isinstance(c1, VLoopClass):
+        return _pair_key(n, "v", [(c.word().letters, _HEMI_INT[c.start_hemisphere])
+                                  for c in (c1, c2)])
+    keys = [_self_key(n, "x", c.reduced) for c in (c1, c2)]
+    order = sorted((0, 1), key=lambda i: keys[i][0])
+    # a searched closed curve starts one arc later than its query curve per
+    # odd shift, so each odd shift flips the relative hemisphere once
+    flip = (keys[0][1] + keys[1][1]) % 2
+    queries = [(_curve_for_word(c1.word(), NORTH), _curve_for_word(c2.word(), _HEMIS[h ^ flip]))
+               for h in (0, 1)]
+    form = _Form.of(queries, tuple((i,) + keys[i][1:] for i in order),
+                    [(NORTH, h) for h in _HEMIS])
+    return f"n{n}|pairx|" + "~".join(keys[i][0] for i in order), form
 
-    `variants` is only called on a cache miss, so cache hits build no curves.
-    """
+
+def _seg_key(n: int, letters: tuple[int, ...]) -> tuple[str, _Form]:
+    text, _, rev = _least(tuple(letters))
+    query = (CurveSpec(tuple(letters), False, NORTH),)
+    return f"n{n}|seg|{text}", _Form.of([query], ((0, 0, rev),), [(NORTH,)])
+
+
+def _solve(n: int, key: str, form: _Form, tally: str, config: OracleConfig,
+           cutoff: int | None = None) -> CrossingCount:
+    """Answer a query from the cache entry of `key` if the entry decides it,
+    or else search each curve tuple of `form`, keep the least value and
+    write what the searches proved.  An exact query (no `cutoff`) returns
+    its witness drawn on the query's curves; a threshold query reads as
+    `minimize_crossings` with that cutoff and returns no witness."""
     store = config.store()
-    entry = store.get(key) if store is not None else None
-    if entry and entry.get("exact"):
-        witness = Drawing.from_json(entry["witness"]) if entry.get("witness") else None
+    entry = (store.get(key) if store is not None else None) or {}
+    if entry.get("exact"):
+        witness = None if cutoff is not None else form.back(Drawing.from_json(entry["witness"]))
         return CrossingCount(entry["value"], True, witness)
-    best: tuple[int, Drawing] | None = None
-    all_exact = True
-    for curves in variants():
-        value, witness, exact = minimize_crossings(n, curves, tally, config.budget)
-        all_exact = all_exact and exact
-        if best is None or value < best[0]:
-            best = (value, witness)
-    value, witness = best
-    if store is not None and all_exact:
-        store.merge(key, {"value": value, "exact": True, "witness": witness.to_json()})
-    return CrossingCount(value, all_exact, witness)
+    if cutoff is not None and entry.get("at_least", 0) >= cutoff:
+        return CrossingCount(cutoff, True, None)
+    if cutoff is not None and entry.get("upper", cutoff) < cutoff:
+        return CrossingCount(entry["upper"], False, None)
+    results = [minimize_crossings(n, curves, tally, config.budget, cutoff)
+               for curves, _ in form.searches]
+    value, witness, _ = min(results, key=lambda r: r[0])
+    exact = all(r[2] for r in results)
+    if cutoff is None:
+        facts = {"value": value, "exact": True, "witness": witness.to_json()} if exact else {}
+    else:
+        facts = {"upper": value} if value < cutoff else {"at_least": cutoff} if exact else {}
+    if store is not None and facts:
+        # the entry did not decide the query, so these facts are stronger
+        store.put(key, {**entry, **facts})
+    return CrossingCount(value, exact, None if cutoff is not None else form.back(witness))
 
 
 # -- public word/class oracles ------------------------------------------------
@@ -653,8 +714,9 @@ def self_intersection_number(
     """
     for a in word.letters:
         alphabet.validate_letter(a)
-    key = _self_key(alphabet.n, word.kind, word.letters)
-    return _solve(alphabet.n, key, lambda: [(_curve_for_word(word, NORTH),)], "self", config)
+    key, shift, rev = _self_key(alphabet.n, word.kind, word.letters)
+    form = _Form.of([(_curve_for_word(word, NORTH),)], ((0, shift, rev),), [(NORTH,)])
+    return _solve(alphabet.n, key, form, "self", config)
 
 
 def pair_intersection_number(
@@ -669,24 +731,7 @@ def pair_intersection_number(
     minimum is additionally taken over the relative hemisphere choice.
     Basepoint coincidence is never an intersection.
     """
-    if type(c1) is not type(c2):
-        raise PreconditionError("cannot pair classes of different kinds")
-    if isinstance(c1, VLoopClass):
-        h1, h2 = c1.start_hemisphere, c2.start_hemisphere
-        specs = ((c1.word().letters, _HEMI_INT[h1]), (c2.word().letters, _HEMI_INT[h2]))
-        key = _pair_key(alphabet.n, "v", specs)
-        hemis2 = (h2,)
-    else:
-        # x-classes are also minimized over the relative hemisphere choice
-        h1, hemis2 = NORTH, (NORTH, SOUTH)
-        key = f"n{alphabet.n}|pairx|" + "~".join(
-            sorted(_self_key(alphabet.n, "x", c.reduced) for c in (c1, c2))
-        )
-
-    def variants():
-        return [(_curve_for_word(c1.word(), h1), _curve_for_word(c2.word(), h)) for h in hemis2]
-
-    return _solve(alphabet.n, key, variants, "inter", config)
+    return _solve(alphabet.n, *_class_pair_key(c1, c2, alphabet.n), "inter", config)
 
 
 # -- segment oracles -----------------------------------------------------------
@@ -698,11 +743,7 @@ def segment_self_intersections(
     config: OracleConfig = OracleConfig(),
 ) -> CrossingCount:
     """Minimal self-crossings of one open segment (polarity-independent)."""
-
-    def variants():
-        return [(CurveSpec(tuple(letters), False, NORTH),)]
-
-    return _solve(alphabet.n, _seg_key(alphabet.n, letters), variants, "self", config)
+    return _solve(alphabet.n, *_seg_key(alphabet.n, letters), "self", config)
 
 
 def segment_self_at_least(
@@ -712,30 +753,12 @@ def segment_self_at_least(
     config: OracleConfig = OracleConfig(),
 ) -> bool | None:
     """True if every drawing of the segment has >= k self-crossings, False if
-    some drawing has fewer, None if the budget ran out undecided."""
-    store = config.store()
-    key = _seg_key(alphabet.n, letters)
-    if store is not None:
-        entry = store.get(key)
-        if entry:
-            if entry.get("exact"):
-                return entry["value"] >= k
-            if entry.get("at_least", 0) >= k:
-                return True
-            if entry.get("upper") is not None and entry["upper"] < k:
-                return False
-    curves = (CurveSpec(tuple(letters), False, NORTH),)
-    value, _, exact = minimize_crossings(alphabet.n, curves, "self", config.budget, cutoff=k)
-    if exact and value >= k:
-        # the bounded search completed without finding a drawing below k
-        if store is not None:
-            store.merge(key, {"at_least": k})
-        return True
-    if value < k:
-        if store is not None:
-            store.merge(key, {"upper": value})
-        return False
-    return None
+    some drawing has fewer, None if the budget ran out undecided.  The
+    segment's own curve is searched, since no witness is returned."""
+    own = (CurveSpec(tuple(letters), False, NORTH),)
+    form = _Form(((own, own),), ((0, 0, False),))
+    res = _solve(alphabet.n, _seg_key(alphabet.n, letters)[0], form, "self", config, cutoff=k)
+    return False if res.value < k else (res.exact or None)
 
 
 def segment_pair_intersections(
@@ -747,10 +770,5 @@ def segment_pair_intersections(
     config: OracleConfig = OracleConfig(),
 ) -> CrossingCount:
     """Minimal crossings between two open segments of the given polarities."""
-    a, b = tuple(letters_a), tuple(letters_b)
-    key = _pair_key(alphabet.n, "seg", ((a, _HEMI_INT[polarity_a]), (b, _HEMI_INT[polarity_b])))
-
-    def variants():
-        return [(CurveSpec(a, False, polarity_a), CurveSpec(b, False, polarity_b))]
-
-    return _solve(alphabet.n, key, variants, "inter", config)
+    specs = ((tuple(letters_a), _HEMI_INT[polarity_a]), (tuple(letters_b), _HEMI_INT[polarity_b]))
+    return _solve(alphabet.n, *_pair_key(alphabet.n, "seg", specs), "inter", config)

@@ -15,7 +15,8 @@ family bounds.  Families:
 * `random`: seeded single curves and curve pairs (n in {1, 2, 3}, open,
   closed and `v`-ended) at every budget of BUDGETS and cutoff of CUTOFFS.
 
-Run it on each checkout, then compare the two records:
+Run it on each checkout, then compare the two records, which are matched
+by their inputs, so that one side may make fewer or more searches:
 
     python tests/differential.py --src OLD_CHECKOUT > old.jsonl
     python tests/differential.py --src NEW_CHECKOUT > new.jsonl
@@ -31,12 +32,13 @@ import hashlib
 import json
 import random
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 BUDGETS = (1, 3, 10, 100, 10**8)
 CUTOFFS = (None, 0, 1, 3, 5)
 FIELDS = ("value", "exact", "verdict", "units", "witness", "recounts", "report")
+INPUTS = ("family", "n", "tally", "curves", "budget", "cutoff")
 
 
 def _verdict(value: int, exact: bool, cutoff: int | None) -> bool | None:
@@ -144,55 +146,71 @@ def run_families(lf, oracle, recorder: Recorder, seed: int, count: int) -> None:
                 oracle.minimize_crossings(n, curves, tally, budget, cutoff)
 
 
+def _by_inputs(path: str) -> dict[str, list[dict]]:
+    """The records of one file, grouped by their inputs in file order."""
+    groups: dict[str, list[dict]] = defaultdict(list)
+    with open(path) as fh:
+        for line in fh:
+            record = json.loads(line)
+            groups[json.dumps([record.get(f) for f in INPUTS])].append(record)
+    return groups
+
+
 def compare(path_a: str, path_b: str) -> None:
-    """Print how many records differ in each field, which way exact flags
-    and verdicts moved from A to B, and, among searches completed on both
-    sides, how many spent more or fewer units in B."""
-    with open(path_a) as fa, open(path_b) as fb:
-        a = [json.loads(line) for line in fa]
-        b = [json.loads(line) for line in fb]
+    """Match the records of A and B by their inputs, as multisets: the i-th
+    record of some inputs in A with the i-th of the same inputs in B, so a
+    side that searches less misaligns nothing.  Print how many records are
+    only in A or only in B, how many matched ones differ in each field, in
+    all and per family, which way exact flags and verdicts moved from A to
+    B, and, among searches completed on both sides, how many spent more or
+    fewer units in B."""
+    a, b = _by_inputs(path_a), _by_inputs(path_b)
     counts = Counter()
-    inputs = ("family", "n", "tally", "curves", "budget", "cutoff")
-    if len(a) != len(b):
-        print(f"record counts differ: {len(a)} vs {len(b)}")
-    for ra, rb in zip(a, b):
-        counts["records"] += 1
-        if any(ra.get(f) != rb.get(f) for f in inputs):
-            counts["inputs"] += 1
-            continue
-        for f in FIELDS:
-            if ra.get(f) != rb.get(f):
-                counts[f] += 1
-        if "report" in ra:
-            continue
-        counts["B witness does not recount"] += not rb["recounts"]
-        if ra["budget"] == 10**8:
-            # a threshold search that finds a drawing below its cutoff returns
-            # the first one found, so only its verdict has to agree
-            kind = "exact search" if ra["cutoff"] is None else "threshold search"
-            counts[f"default budget: {kind} value differs"] += ra["value"] != rb["value"]
-            counts["default budget: exact differs"] += ra["exact"] != rb["exact"]
-            counts["default budget: verdict differs"] += ra["verdict"] != rb["verdict"]
-        counts["exact True -> False"] += ra["exact"] and not rb["exact"]
-        counts["exact False -> True"] += rb["exact"] and not ra["exact"]
-        va, vb = ra["verdict"], rb["verdict"]
-        counts["verdict undecided -> decided"] += va is None and vb is not None
-        counts["verdict decided -> undecided"] += va is not None and vb is None
-        counts["verdict contradicts"] += None not in (va, vb) and va != vb
-        counts["units A"] += ra["units"] or 0
-        counts["units B"] += rb["units"] or 0
-        if ra["exact"] and rb["exact"]:
-            # a tighter bound may only shorten a completed search
-            rise = (rb["units"] or 0) - (ra["units"] or 0)
-            counts["exact on both: units rose"] += rise > 0
-            counts["exact on both: units fell"] += rise < 0
-            top = "exact on both: largest units rise"
-            counts[top] = max(counts[top], rise)
-    for name in ("records", "inputs", *FIELDS):
+    for inputs in sorted(a.keys() | b.keys()):
+        in_a, in_b = a.get(inputs, []), b.get(inputs, [])
+        counts["only in A"] += max(0, len(in_a) - len(in_b))
+        counts["only in B"] += max(0, len(in_b) - len(in_a))
+        for ra, rb in zip(in_a, in_b):
+            counts["records"] += 1
+            _compare_pair(ra, rb, counts)
+    head = ("records", "only in A", "only in B", *FIELDS)
+    for name in head:
         print(f"{name}: {counts[name]}")
-    for name in sorted(counts):
-        if name not in ("records", "inputs", *FIELDS):
-            print(f"{name}: {counts[name]}")
+    for name in sorted(counts.keys() - set(head)):
+        print(f"{name}: {counts[name]}")
+
+
+def _compare_pair(ra: dict, rb: dict, counts: Counter) -> None:
+    """Count the differences of one matched pair of records."""
+    for f in FIELDS:
+        if ra.get(f) != rb.get(f):
+            counts[f] += 1
+            counts[f"{ra['family']}: {f} differs"] += 1
+    if "report" in ra:
+        return
+    counts["B witness does not recount"] += not rb["recounts"]
+    if ra["budget"] == 10**8:
+        # a threshold search that finds a drawing below its cutoff returns
+        # the first one found, so only its verdict has to agree
+        kind = "exact search" if ra["cutoff"] is None else "threshold search"
+        counts[f"default budget: {kind} value differs"] += ra["value"] != rb["value"]
+        counts["default budget: exact differs"] += ra["exact"] != rb["exact"]
+        counts["default budget: verdict differs"] += ra["verdict"] != rb["verdict"]
+    counts["exact True -> False"] += ra["exact"] and not rb["exact"]
+    counts["exact False -> True"] += rb["exact"] and not ra["exact"]
+    va, vb = ra["verdict"], rb["verdict"]
+    counts["verdict undecided -> decided"] += va is None and vb is not None
+    counts["verdict decided -> undecided"] += va is not None and vb is None
+    counts["verdict contradicts"] += None not in (va, vb) and va != vb
+    counts["units A"] += ra["units"] or 0
+    counts["units B"] += rb["units"] or 0
+    if ra["exact"] and rb["exact"]:
+        # a tighter bound may only shorten a completed search
+        rise = (rb["units"] or 0) - (ra["units"] or 0)
+        counts["exact on both: units rose"] += rise > 0
+        counts["exact on both: units fell"] += rise < 0
+        top = "exact on both: largest units rise"
+        counts[top] = max(counts[top], rise)
 
 
 def main() -> None:

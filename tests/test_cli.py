@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from loopforge import Drawing, count_crossings
 from loopforge.cli import main
+from loopforge.words import format_letters
 
 
 @pytest.fixture()
@@ -134,11 +135,12 @@ def test_selfint_large_clean_gap_within_budget(runner):
     assert count_crossings(Drawing.from_json(data["witness"])) == 75
 
 
-@pytest.mark.parametrize("args", [["enumerate", "--k", "2"], ["graph", "--k", "2"],
+@pytest.mark.parametrize("args", [["enumerate", "--n", "2", "--k", "2"],
+                                  ["graph", "--n", "2", "--k", "2"],
                                   ["growth", "--kmax", "3"]])
 def test_enumeration_budget_error_object(runner, args):
     # an incomplete catalog prints the error object instead of a report
-    result = _invoke(runner, args + ["--n", "2", "--no-cache", "--budget", "5"])
+    result = _invoke(runner, args + ["--no-cache", "--budget", "5"])
     assert result.exit_code == 3
     data = json.loads(result.output)
     assert data["error"]["type"] == "EnumerationIncomplete"
@@ -287,6 +289,43 @@ def test_oracle_options_only_where_used():
         params = {p.name for p in command.params}
         for option in ("budget", "cache_dir", "no_cache"):
             assert (option in params) == (name in oracle_commands), (name, option)
+    # the growth table is defined for two punctures only
+    assert "n" not in {p.name for p in main.commands["growth"].params}
+
+
+@pytest.mark.parametrize("args", [
+    ["enumerate", "--n", "2", "--k", "4"],
+    ["graph", "--n", "2", "--k", "4"],
+])
+def test_cache_does_not_change_reports(runner, tmp_path, args):
+    """Without a cache, with a fresh one and with a warm one, a report has
+    the same bytes: a cache hit draws its witness on the query's curves."""
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    outputs = [_invoke(runner, args + flags).output for flags in (["--no-cache"], cache, cache)]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0].splitlines()[0])["exact"] is True
+
+
+@pytest.mark.parametrize("queries", [
+    [(["selfint"], ["v 2 0 1 2 v"]), (["selfint"], ["v 2 1 0 2 v"])],
+    [(["pairint", "--hemi2", "S"], ["v 2 0 1 2 v", "v 2 1 0 2 v"]),
+     (["pairint", "--hemi1", "S"], ["v 2 1 0 2 v", "v 2 0 1 2 v"])],
+    [(["pairint"], ["0 1 2 0", "1 2"]), (["pairint"], ["1 2", "0 1 2 0"])],
+])
+def test_witness_draws_the_query(runner, tmp_path, queries):
+    """Each witness draws the query's own letters, and a reversed or swapped
+    query that shares the cache entry prints what it prints without one."""
+    cache = ["--cache-dir", str(tmp_path)]
+    for command, words in queries:
+        outputs = [_invoke(runner, command + ["--n", "2"] + flags + words).output
+                   for flags in (["--no-cache"], cache, cache)]
+        assert outputs[0] == outputs[1] == outputs[2], command + words
+        data = json.loads(outputs[0])
+        witness = Drawing.from_json(data["witness"])
+        assert [format_letters(c.letters) for c in witness.curves] == words
+        assert count_crossings(witness) == data["value"]
+    # the second query of each set read the entry the first one wrote
+    assert len(list(tmp_path.glob("*.json"))) == 1
 
 
 def test_reports_deterministic(runner, tmp_path):

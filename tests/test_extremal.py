@@ -16,7 +16,7 @@ from loopforge import (
     length_cap,
     winding_self_lower_bound,
 )
-from loopforge import extremal
+from loopforge import extremal, oracle
 from loopforge.extremal import (
     CompatibilityGraph,
     FamilyBounds,
@@ -172,6 +172,18 @@ def test_graph_jobs_match(nocache_config):
     g1 = compatibility_graph(catalog, nocache_config)
     g2 = compatibility_graph(catalog, nocache_config, jobs=2)
     assert g2.to_json() == g1.to_json()
+
+
+def test_graph_searches_each_key_once(nocache_config, monkeypatch):
+    # pairs of one cache key share one answer: the k=4 graph has 780 pairs
+    # and 132 distinct keys, and even without a cache each is searched once
+    catalog = enumerate_classes(2, 4, nocache_config)
+    search = oracle.minimize_crossings
+    calls = []
+    monkeypatch.setattr(oracle, "minimize_crossings", lambda *a: calls.append(a) or search(*a))
+    graph = compatibility_graph(catalog, nocache_config)
+    assert len(graph.edges) == 780
+    assert len(calls) == 132
 
 
 # -- cliques ------------------------------------------------------------------------

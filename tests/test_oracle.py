@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -620,27 +621,83 @@ def test_search_deeper_than_recursion_limit_flags_inexact():
     assert count_crossings(witness, "self") == value
 
 
+def test_witness_drawn_on_the_query(tmp_path, nocache_config):
+    """Every query searches the form its key names and draws the witness
+    back onto its own curves: same bytes with and without the cache, the
+    query's letters and hemispheres, a recount equal to the value, and the
+    value of a direct search of the query's curves."""
+    rng = random.Random(163)
+    alpha = GapAlphabet(3)
+    cached = OracleConfig(cache_dir=tmp_path)
+
+    def letters(low, high, step=1, top=3):
+        return tuple(rng.randint(0, top) for _ in range(step * rng.randint(low, high)))
+
+    for _ in range(60):
+        seg_a, seg_b = letters(1, 6), letters(1, 5)
+        hemis = rng.choice((NORTH, SOUTH)), rng.choice((NORTH, SOUTH))
+        v1, v2 = (VLoopClass(letters(0, 4), h) for h in hemis)
+        # closed curves of 4 to 6 letters over gaps 0..2 often cross more in
+        # one relative hemisphere, which the witness must then keep
+        x1, x2 = (XLoopClass(letters(2, 3, step=2, top=2)) for _ in range(2))
+        queries = [
+            (lambda c: self_intersection_number(Word.x_word(x1.reduced), alpha, c),
+             (CurveSpec(x1.reduced, True, NORTH),), (NORTH,)),
+            (lambda c: segment_self_intersections((V,) + seg_a, alpha, c),
+             (CurveSpec((V,) + seg_a, False, NORTH),), (NORTH,)),
+            (lambda c: segment_pair_intersections(seg_a, seg_b, *hemis, alpha, c),
+             (CurveSpec(seg_a, False, hemis[0]), CurveSpec(seg_b, False, hemis[1])), (hemis[1],)),
+            (lambda c: pair_intersection_number(v1, v2, alpha, c),
+             tuple(CurveSpec(v.word().letters, False, h) for v, h in zip((v1, v2), hemis)),
+             (hemis[1],)),
+            (lambda c: pair_intersection_number(x1, x2, alpha, c),
+             (CurveSpec(x1.reduced, True, NORTH), CurveSpec(x2.reduced, True, NORTH)),
+             (NORTH, SOUTH)),
+        ]
+        for query, curves, last_hemispheres in queries:
+            res = query(nocache_config)
+            assert res.exact and res.to_json() == query(cached).to_json() == query(cached).to_json()
+            assert res.witness.curves[:-1] == curves[:-1]
+            assert res.witness.curves[-1].letters == curves[-1].letters
+            assert res.witness.curves[-1].hemisphere in last_hemispheres
+            assert count_crossings(res.witness) == res.value
+            direct = [minimize_crossings(3, curves[:-1] + (replace(curves[-1], hemisphere=h),),
+                                         "self" if len(curves) == 1 else "inter")[0]
+                      for h in last_hemispheres]
+            assert res.value == min(direct), curves
+
+
 def test_cache_round_trip(tmp_path):
     config = OracleConfig(cache_dir=tmp_path)
     first = _selfint_v((2, 0, 1, 2), config)
     second = _selfint_v((2, 0, 1, 2), config)
     assert first == second
     assert any(tmp_path.iterdir())
-    # cached entries survive for the reversed word too
+    # cached entries survive for the reversed word too, drawn on its letters
     rev = _selfint_v((2, 1, 0, 2), config)
     assert rev.value == first.value
+    assert rev.witness.curves == (CurveSpec((V, 2, 1, 0, 2, V), False, NORTH),)
+    assert count_crossings(rev.witness, "self") == rev.value
+    assert len(list(tmp_path.iterdir())) == 1
 
 
-def test_cache_versioning(tmp_path):
+def test_cache_versioning(tmp_path, monkeypatch):
     from loopforge.cache import CacheStore
 
     store = CacheStore(tmp_path)
     store.put("some-key", {"value": 3})
     assert store.get("some-key")["value"] == 3
     assert store.get("other-key") is None
-    store.merge("some-key", {"at_least": 2})
-    store.merge("some-key", {"at_least": 1})
-    assert store.get("some-key")["at_least"] == 2
+    # a weaker fact never replaces a stronger one: the segment's minimum is
+    # 5, and once >= 3 is stored, asking for >= 2 reads it and writes nothing
+    letters, config = (V, 2, 0, 1, 0, 1, 0, 1, 2), OracleConfig(cache_dir=tmp_path / "seg")
+    assert segment_self_at_least(letters, 3, GapAlphabet(2), config) is True
+    writes = []
+    monkeypatch.setattr(CacheStore, "put", lambda self, key, fields: writes.append(key))
+    assert segment_self_at_least(letters, 2, GapAlphabet(2), config) is True
+    assert writes == []
+    [entry] = [json.loads(p.read_text()) for p in (tmp_path / "seg").iterdir()]
+    assert entry["at_least"] == 3
 
 
 PINNED_KEYS = Path(__file__).with_name("pinned_cache_keys.json")
@@ -707,11 +764,11 @@ def test_pair_key_transforms():
             letters = (V,) * v_start + letters[v_start:len(letters) - v_end] + (V,) * v_end
             other = tuple(rng.choice(labels) for _ in range(rng.randint(1, 8)))
             specs = ((letters, int(hemi)), (other, rng.randint(0, 1)))
-            key = _pair_key(12, "seg", specs)
+            key = _pair_key(12, "seg", specs)[0]
             assert key == _reference_pair_key(12, "seg", specs)
             for swap, rev1, rev2, mirror in itertools.product((False, True), repeat=4):
                 first, second = specs[::-1] if swap else specs
                 first = reverse(*first) if rev1 else first
                 second = reverse(*second) if rev2 else second
                 moved = tuple((ls, h ^ mirror) for ls, h in (first, second))
-                assert _pair_key(12, "seg", moved) == key, (specs, moved)
+                assert _pair_key(12, "seg", moved)[0] == key, (specs, moved)
