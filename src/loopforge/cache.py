@@ -12,28 +12,26 @@ import json
 import os
 import re
 import tempfile
-from pathlib import Path
 
 MODEL_VERSION = "2"
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get("LOOPFORGE_CACHE")
-    if env:
-        return Path(env)
-    return Path.cwd() / ".loopforge-cache"
+def default_cache_dir() -> str:
+    return os.environ.get("LOOPFORGE_CACHE") or os.path.join(os.getcwd(), ".loopforge-cache")
 
 
 class CacheStore:
-    def __init__(self, directory: Path | str):
-        self.directory = Path(directory)
+    """Entries in one directory, made on first write (paths are str: one store per query)."""
 
-    def _path(self, key: str) -> Path:
+    def __init__(self, directory: os.PathLike | str):
+        self.directory = os.fspath(directory)
+
+    def _path(self, key: str) -> str:
         digest = hashlib.sha256(f"{MODEL_VERSION}|{key}".encode()).hexdigest()[:16]
         stem = _SAFE.sub("_", key)[:80].strip("_") or "entry"
-        return self.directory / f"{stem}-{digest}.json"
+        return os.path.join(self.directory, f"{stem}-{digest}.json")
 
     def get(self, key: str) -> dict | None:
         """The entry of `key`, or None when it is missing, is not UTF-8 JSON,
@@ -51,14 +49,15 @@ class CacheStore:
         return entry
 
     def put(self, key: str, fields: dict) -> None:
-        entry = dict(fields)
-        entry["key"] = key
-        entry["version"] = MODEL_VERSION
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        text = json.dumps({**fields, "key": key, "version": MODEL_VERSION}, sort_keys=True)
+        try:
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        except FileNotFoundError:
+            os.makedirs(self.directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True)
+                fh.write(text)
             os.replace(tmp, self._path(key))
         except BaseException:
             try:

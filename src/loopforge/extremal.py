@@ -25,7 +25,8 @@ from .oracle import (
     CrossingCount,
     Drawing,
     OracleConfig,
-    _class_pair_key,
+    _class_text,
+    _pair_text,
     pair_intersection_number,
     segment_self_at_least,
     self_intersection_number,
@@ -297,7 +298,8 @@ def compatibility_graph(
     classes = [e.loop_class for e in catalog.entries]
     pairs = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))]
     # pairs of one cache key share one answer, so only the first is sent
-    keys = [_class_pair_key(classes[i], classes[j], catalog.n)[0] for i, j in pairs]
+    texts = [_class_text(c, catalog.n) for c in classes]
+    keys = [_pair_text(catalog.n, texts[i], texts[j])[0] for i, j in pairs]
     first: dict[str, tuple[int, int]] = {}
     for pair, key in zip(pairs, keys):
         first.setdefault(key, pair)

@@ -39,6 +39,7 @@ make the 11-point ladder `v 2 (0 1)^11 2 v` about 1.5 times slower.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,6 +59,7 @@ DEFAULT_BUDGET = 100_000_000
 
 _HEMI_INT = {NORTH: 0, SOUTH: 1}
 _HEMIS = (NORTH, SOUTH)
+_letter_text = functools.cache(format_letter)  # a lookup costs less than a call
 
 
 class _Stop(Exception):
@@ -568,7 +570,7 @@ def count_crossings(drawing: Drawing, tally: str = "auto") -> int:
 
 
 def _letters_key(letters: tuple[int, ...]) -> str:
-    return ".".join(format_letter(a) for a in letters)
+    return ".".join(map(_letter_text, letters))
 
 
 def _moved(letters: tuple[int, ...], shift: int, rev: bool) -> tuple[int, ...]:
@@ -621,25 +623,42 @@ def _self_key(n: int, kind: str, letters: tuple[int, ...]) -> tuple[str, int, bo
     return f"n{n}|self|{kind}|{text}", shift, rev
 
 
-def _pair_key(n: int, kind: str, specs) -> tuple[str, _Form]:
-    """The key of two open curves given as (letters, hemisphere bit), and
-    the form it names."""
+def _open_text(letters: tuple[int, ...], hemi: int) -> tuple:
+    """The text of an open curve: its forward and reversed letter strings,
+    each with the hemisphere bit of its first arc."""
+    return ((_letters_key(letters), hemi, False),
+            (_letters_key(letters[::-1]), hemi ^ (len(letters) % 2), True))
+
+
+def _class_text(c: LoopClass, n: int) -> tuple[str, tuple]:
+    """The kind and text of a class's curve, from which `_pair_text` builds keys."""
+    if isinstance(c, VLoopClass):
+        return "v", _open_text(c.word().letters, _HEMI_INT[c.start_hemisphere])
+    return "x", _self_key(n, "x", c.reduced)
+
+
+def _pair_text(n: int, t1: tuple[str, tuple], t2: tuple[str, tuple]) -> tuple[str, tuple]:
+    """The key of two curves of one kind, from their texts, and its form: the
+    order of closed curves, or the (text, hemi, curve, reversed) of open ones."""
+    (kind, a), (_, b) = t1, t2
+    if kind == "x":
+        order = (0, 1) if a[0] <= b[0] else (1, 0)
+        return f"n{n}|pairx|" + "~".join((a, b)[i][0] for i in order), order
     # value-preserving transforms: swap curves, reverse either traversal,
     # mirror both hemispheres.  Of two mirrored strings the one whose first
     # curve starts at hemisphere 0 is smaller, so only that one is built.
-    def forms(i):
-        letters, hemi = specs[i]
-        # the reversed traversal starts in the hemisphere of the last arc
-        return [(_letters_key(letters), hemi, i, False),
-                (_letters_key(letters[::-1]), hemi ^ (len(letters) % 2), i, True)]
+    xs, ys = ([(t, h, i, r) for t, h, r in part] for i, part in enumerate((a, b)))
+    text, first, second = min((f"{p[0]}@0~{q[0]}@{p[1] ^ q[1]}", p, q)
+                              for x in xs for y in ys for p, q in ((x, y), (y, x)))
+    return f"n{n}|pair|{kind}|{text}", (first, second)
 
-    text, (_, hf, i, ri), (_, hs, j, rj) = min(
-        (f"{a[0]}@0~{b[0]}@{a[1] ^ b[1]}", a, b)
-        for x in forms(0) for y in forms(1) for a, b in ((x, y), (y, x))
-    )
+
+def _pair_key(n: int, kind: str, specs) -> tuple[str, _Form]:
+    """The key of two open curves given as (letters, hemisphere bit), and its form."""
+    key, ((_, hf, i, ri), (_, hs, j, rj)) = _pair_text(
+        n, *((kind, _open_text(letters, hemi)) for letters, hemi in specs))
     query = tuple(CurveSpec(tuple(letters), False, _HEMIS[h]) for letters, h in specs)
-    form = _Form.of([query], ((i, 0, ri), (j, 0, rj)), [(NORTH, _HEMIS[hf ^ hs])])
-    return f"n{n}|pair|{kind}|{text}", form
+    return key, _Form.of([query], ((i, 0, ri), (j, 0, rj)), [(NORTH, _HEMIS[hf ^ hs])])
 
 
 def _class_pair_key(c1: LoopClass, c2: LoopClass, n: int) -> tuple[str, _Form]:
@@ -650,21 +669,19 @@ def _class_pair_key(c1: LoopClass, c2: LoopClass, n: int) -> tuple[str, _Form]:
         return _pair_key(n, "v", [(c.word().letters, _HEMI_INT[c.start_hemisphere])
                                   for c in (c1, c2)])
     keys = [_self_key(n, "x", c.reduced) for c in (c1, c2)]
-    order = sorted((0, 1), key=lambda i: keys[i][0])
+    key, order = _pair_text(n, ("x", keys[0]), ("x", keys[1]))
     # a searched closed curve starts one arc later than its query curve per
     # odd shift, so each odd shift flips the relative hemisphere once
     flip = (keys[0][1] + keys[1][1]) % 2
     queries = [(_curve_for_word(c1.word(), NORTH), _curve_for_word(c2.word(), _HEMIS[h ^ flip]))
                for h in (0, 1)]
-    form = _Form.of(queries, tuple((i,) + keys[i][1:] for i in order),
-                    [(NORTH, h) for h in _HEMIS])
-    return f"n{n}|pairx|" + "~".join(keys[i][0] for i in order), form
+    return key, _Form.of(queries, tuple((i,) + keys[i][1:] for i in order),
+                         [(NORTH, h) for h in _HEMIS])
 
 
-def _seg_key(n: int, letters: tuple[int, ...]) -> tuple[str, _Form]:
+def _seg_key(n: int, letters: tuple[int, ...]) -> tuple[str, bool]:
     text, _, rev = _least(tuple(letters))
-    query = (CurveSpec(tuple(letters), False, NORTH),)
-    return f"n{n}|seg|{text}", _Form.of([query], ((0, 0, rev),), [(NORTH,)])
+    return f"n{n}|seg|{text}", rev
 
 
 def _solve(n: int, key: str, form: _Form, tally: str, config: OracleConfig,
@@ -743,7 +760,9 @@ def segment_self_intersections(
     config: OracleConfig = OracleConfig(),
 ) -> CrossingCount:
     """Minimal self-crossings of one open segment (polarity-independent)."""
-    return _solve(alphabet.n, *_seg_key(alphabet.n, letters), "self", config)
+    key, rev = _seg_key(alphabet.n, letters)
+    form = _Form.of([(CurveSpec(tuple(letters), False, NORTH),)], ((0, 0, rev),), [(NORTH,)])
+    return _solve(alphabet.n, key, form, "self", config)
 
 
 def segment_self_at_least(

@@ -186,6 +186,21 @@ def test_graph_searches_each_key_once(nocache_config, monkeypatch):
     assert len(calls) == 132
 
 
+@pytest.mark.parametrize("n, k", [(2, 4), (1, 4)])
+def test_graph_keys_are_pair_keys(config, monkeypatch, n, k):
+    # the graph composes every pair's key from texts built once per class:
+    # each must be the key that the pair's own query reads
+    catalog = enumerate_classes(n, k, config)
+    compose, composed = extremal._pair_text, []
+    monkeypatch.setattr(extremal, "_pair_text",
+                        lambda *a: composed.append(compose(*a)[0]) or compose(*a))
+    compatibility_graph(catalog, config)
+    classes = [e.loop_class for e in catalog.entries]
+    pairs = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))]
+    assert composed == [oracle._class_pair_key(classes[i], classes[j], n)[0] for i, j in pairs]
+    assert len(composed) == {2: 780, 1: 36}[n]
+
+
 # -- cliques ------------------------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 import inspect
+import io
 import itertools
 import json
 import random
+import shutil
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -700,6 +702,29 @@ def test_cache_versioning(tmp_path, monkeypatch):
     assert entry["at_least"] == 3
 
 
+def test_cache_put_makes_its_directory(tmp_path):
+    from loopforge.cache import MODEL_VERSION, CacheStore
+
+    directory = tmp_path / "a" / "b"
+    store = CacheStore(directory)
+    fields = {"value": 2, "exact": True, "witness": {"n": 2, "gapOrders": {"2": [[0, 1]]},
+                                                     "curves": [{"letters": ["v", "2", "v"]}]}}
+    store.put("n2|self|v|v.2.v", fields)
+    assert store.get("n2|self|v|v.2.v")["value"] == 2
+    # a directory deleted under the store is made again by the next write
+    shutil.rmtree(tmp_path / "a")
+    store.put("n2|seg|v.2.0", fields)
+    assert store.get("n2|seg|v.2.0") == {**fields, "key": "n2|seg|v.2.0", "version": MODEL_VERSION}
+    assert store.get("n2|self|v|v.2.v") is None
+    assert [p.suffix for p in directory.iterdir()] == [".json"]
+    # the entry file holds the bytes that `json.dump(entry, fh, sort_keys=True)`
+    # writes, so the file format stays the same
+    [path] = directory.iterdir()
+    written = io.StringIO()
+    json.dump({**fields, "key": "n2|seg|v.2.0", "version": MODEL_VERSION}, written, sort_keys=True)
+    assert path.read_text(encoding="utf-8") == written.getvalue()
+
+
 PINNED_KEYS = Path(__file__).with_name("pinned_cache_keys.json")
 
 
@@ -766,6 +791,10 @@ def test_pair_key_transforms():
             specs = ((letters, int(hemi)), (other, rng.randint(0, 1)))
             key = _pair_key(12, "seg", specs)[0]
             assert key == _reference_pair_key(12, "seg", specs)
+            # the texts of the curves, built once, compose the key either way round
+            texts = [("seg", oracle._open_text(letters, hemi)) for letters, hemi in specs]
+            assert oracle._pair_text(12, *texts)[0] == key
+            assert oracle._pair_text(12, *texts[::-1])[0] == key
             for swap, rev1, rev2, mirror in itertools.product((False, True), repeat=4):
                 first, second = specs[::-1] if swap else specs
                 first = reverse(*first) if rev1 else first
