@@ -23,10 +23,8 @@ def default_cache_dir() -> str:
 
 
 class CacheStore:
-    """Entries in one directory, made on first write (paths are str: one store per query)."""
-
     def __init__(self, directory: os.PathLike | str):
-        self.directory = os.fspath(directory)
+        self.directory = os.fspath(directory)  # a str: a store is built per query
 
     def _path(self, key: str) -> str:
         digest = hashlib.sha256(f"{MODEL_VERSION}|{key}".encode()).hexdigest()[:16]

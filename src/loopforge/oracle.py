@@ -59,7 +59,7 @@ DEFAULT_BUDGET = 100_000_000
 
 _HEMI_INT = {NORTH: 0, SOUTH: 1}
 _HEMIS = (NORTH, SOUTH)
-_letter_text = functools.cache(format_letter)  # a lookup costs less than a call
+_letter_text = functools.cache(format_letter)  # each letter is formatted once
 
 
 class _Stop(Exception):
@@ -624,8 +624,7 @@ def _self_key(n: int, kind: str, letters: tuple[int, ...]) -> tuple[str, int, bo
 
 
 def _open_text(letters: tuple[int, ...], hemi: int) -> tuple:
-    """The text of an open curve: its forward and reversed letter strings,
-    each with the hemisphere bit of its first arc."""
+    """An open curve's forward and reversed letter strings, each with its first arc's hemisphere."""
     return ((_letters_key(letters), hemi, False),
             (_letters_key(letters[::-1]), hemi ^ (len(letters) % 2), True))
 
@@ -640,7 +639,9 @@ def _class_text(c: LoopClass, n: int) -> tuple[str, tuple]:
 def _pair_text(n: int, t1: tuple[str, tuple], t2: tuple[str, tuple]) -> tuple[str, tuple]:
     """The key of two curves of one kind, from their texts, and its form: the
     order of closed curves, or the (text, hemi, curve, reversed) of open ones."""
-    (kind, a), (_, b) = t1, t2
+    (kind, a), (other, b) = t1, t2
+    if kind != other:
+        raise PreconditionError("cannot pair classes of different kinds")
     if kind == "x":
         order = (0, 1) if a[0] <= b[0] else (1, 0)
         return f"n{n}|pairx|" + "~".join((a, b)[i][0] for i in order), order

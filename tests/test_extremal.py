@@ -201,6 +201,14 @@ def test_graph_keys_are_pair_keys(config, monkeypatch, n, k):
     assert len(composed) == {2: 780, 1: 36}[n]
 
 
+def test_graph_rejects_mixed_kinds(config):
+    v = enumerate_classes(2, 1, config).entries[0]
+    x = enumerate_classes(1, 1, config).entries[0]
+    for entries in ((v, x), (x, v)):
+        with pytest.raises(PreconditionError, match="different kinds"):
+            compatibility_graph(extremal.ClassCatalog(2, 1, 1, entries, 0), config)
+
+
 # -- cliques ------------------------------------------------------------------------
 
 
