@@ -198,7 +198,6 @@ def test_graph_keys_are_pair_keys(config, monkeypatch, n, k):
     classes = [e.loop_class for e in catalog.entries]
     pairs = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))]
     assert composed == [oracle._class_pair_key(classes[i], classes[j], n)[0] for i, j in pairs]
-    assert len(composed) == {2: 780, 1: 36}[n]
 
 
 def test_graph_rejects_mixed_kinds(config):
