@@ -1,44 +1,90 @@
-"""Persistent oracle cache: one JSON file per canonical key.
+"""Persistent oracle cache: one SQLite table per cache directory.
 
-Entries are written atomically (temp file + rename), so concurrent writers
-can only ever replace a whole entry.  Keys embed the model version; bumping
-:data:`MODEL_VERSION` invalidates old entries.
+Each directory holds one database file, `entries.sqlite`, whose table maps a
+canonical key to the JSON text of its entry.  Every `put` is one
+autocommitted `INSERT OR REPLACE` under the WAL journal, so concurrent
+writers (`--jobs` workers, other processes) only ever replace a whole entry.
+Keys embed the model version; bumping :data:`MODEL_VERSION` invalidates old
+entries.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import re
-import tempfile
+
+from .words import PreconditionError
 
 MODEL_VERSION = "2"
+DATABASE = "entries.sqlite"
 
-_SAFE = re.compile(r"[^A-Za-z0-9._-]+")
+sqlite3 = None  # imported on first cache use, so a run without a cache never loads it
+# (pid, database path) -> this process's connection: a forked worker opens
+# its own and never uses one inherited across `fork`
+_connections: dict = {}
 
 
 def default_cache_dir() -> str:
     return os.environ.get("LOOPFORGE_CACHE") or os.path.join(os.getcwd(), ".loopforge-cache")
 
 
+def _open(path: str):
+    # autocommit; SQLite serializes threads, so every thread may use it
+    conn = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+    try:
+        conn.executescript("PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; "
+                           "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, entry TEXT)")
+    except sqlite3.Error:
+        conn.close()
+        raise
+    return conn
+
+
 class CacheStore:
     def __init__(self, directory: os.PathLike | str):
         self.directory = os.fspath(directory)  # a str: a store is built per query
+        self.path = os.path.join(self.directory, DATABASE)
 
-    def _path(self, key: str) -> str:
-        digest = hashlib.sha256(f"{MODEL_VERSION}|{key}".encode()).hexdigest()[:16]
-        stem = _SAFE.sub("_", key)[:80].strip("_") or "entry"
-        return os.path.join(self.directory, f"{stem}-{digest}.json")
+    def _connection(self, write: bool):
+        """This process's connection to the database, opened on first use and
+        again by a write that finds the file gone (its directory deleted).
+        A read gets None when there is no usable database; a write makes the
+        directory and the database, and raises `OSError` or `sqlite3.Error`
+        when it cannot."""
+        key = (os.getpid(), self.path)
+        conn = _connections.get(key)
+        if conn is not None and (not write or os.path.exists(self.path)):
+            return conn
+        if not write and not os.path.isfile(self.path):
+            return None
+        global sqlite3
+        if sqlite3 is None:
+            import sqlite3
+        if conn is not None:
+            del _connections[key]
+            conn.close()
+        try:
+            if write:
+                os.makedirs(self.directory, exist_ok=True)
+            conn = _open(self.path)
+        except sqlite3.Error:
+            if write:
+                raise
+            return None
+        _connections[key] = conn
+        return conn
 
     def get(self, key: str) -> dict | None:
-        """The entry of `key`, or None when it is missing, is not UTF-8 JSON,
-        is not a JSON object, or was written for another key or version."""
-        path = self._path(key)
+        """The entry of `key`, or None when there is no database or no row, or
+        the row is not UTF-8 JSON, is not a JSON object, or was written for
+        another key or version.  Never creates the directory or the database."""
+        conn = self._connection(write=False)
+        if conn is None:
+            return None
         try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError):
+            row = conn.execute("SELECT entry FROM entries WHERE key = ?", (key,)).fetchone()
+            entry = json.loads(row[0]) if row is not None else None
+        except (sqlite3.Error, TypeError, ValueError):  # not UTF-8 JSON text
             return None
         if not isinstance(entry, dict):
             return None
@@ -49,17 +95,7 @@ class CacheStore:
     def put(self, key: str, fields: dict) -> None:
         text = json.dumps({**fields, "key": key, "version": MODEL_VERSION}, sort_keys=True)
         try:
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        except FileNotFoundError:
-            os.makedirs(self.directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
+            conn = self._connection(write=True)
+            conn.execute("INSERT OR REPLACE INTO entries (key, entry) VALUES (?, ?)", (key, text))
+        except (OSError, sqlite3.Error) as exc:
+            raise PreconditionError(f"cannot write the oracle cache {self.path}: {exc}") from exc

@@ -16,7 +16,6 @@ the found clique is not claimed to be realizable as a joint drawing.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .bounds import best_obstacle_bound, obstacle_spans
@@ -136,6 +135,8 @@ def _map(fn, calls: list[tuple], jobs: int) -> list:
     when there is more than one job and more than one call."""
     if jobs <= 1 or len(calls) <= 1:
         return [fn(*args) for args in calls]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only by a run that forks
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, *zip(*calls)))
 

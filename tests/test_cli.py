@@ -5,7 +5,9 @@ import tracemalloc
 import pytest
 from click.testing import CliRunner
 
+from cache_rows import cache_rows, write_row
 from loopforge import Drawing, count_crossings
+from loopforge.cache import DATABASE
 from loopforge.cli import main
 from loopforge.words import format_letters
 
@@ -81,16 +83,57 @@ def test_selfint_command(runner, tmp_path):
     assert data["witness"]["gapOrders"]
 
 
-@pytest.mark.parametrize("garbage", [b"\xff\xfe{", b"[1,2]"])
-def test_selfint_ignores_corrupt_cache_entry(runner, tmp_path, garbage):
-    # an entry that is not UTF-8 JSON, or not a JSON object, is a cache miss
+def _rerun_over(runner, tmp_path, corrupt):
+    """Run `selfint` on a fresh cache, replace the text of the one entry it
+    wrote by `corrupt(entry)` and run again: the entry is a cache miss, the
+    output is the same, and the search writes the entry anew."""
     args = ["selfint", "--n", "2", "--cache-dir", str(tmp_path), "v 2 0 1 2 v"]
     first = _invoke(runner, args)
-    [entry] = tmp_path.glob("*.json")
-    entry.write_bytes(garbage)
+    [(key, text)] = cache_rows(tmp_path).items()
+    write_row(tmp_path, key, corrupt(json.loads(text)))
     again = _invoke(runner, args)
     assert again.exit_code == first.exit_code == 0
     assert again.output == first.output
+    assert cache_rows(tmp_path) == {key: text}
+
+
+@pytest.mark.parametrize("garbage", [b"\xff\xfe{", b"[1,2]"])
+def test_selfint_ignores_corrupt_cache_entry(runner, tmp_path, garbage):
+    # an entry that is not UTF-8 JSON, or not a JSON object, is a cache miss
+    _rerun_over(runner, tmp_path, lambda entry: garbage)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda entry: json.dumps({**entry, "key": "n2|self|v|v.2.1.0.2.v"}, sort_keys=True),
+    lambda entry: json.dumps({**entry, "version": "1"}, sort_keys=True),
+    lambda entry: None,
+], ids=["other-key", "other-version", "null"])
+def test_selfint_ignores_foreign_cache_entry(runner, tmp_path, corrupt):
+    # an entry written for another key or model version, or no text at all,
+    # is a cache miss
+    _rerun_over(runner, tmp_path, corrupt)
+
+
+def test_unusable_cache_is_a_precondition_error(runner, tmp_path):
+    # a cache directory that is a regular file: reads miss, the write exits 2
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    args = ["selfint", "--n", "2", "--cache-dir", str(blocker), "v 2 0 1 2 v"]
+    result = _invoke(runner, args)
+    assert result.exit_code == 2
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "PreconditionError" and str(blocker) in error["message"]
+    # a database file that is not a SQLite database: reads miss, the first
+    # write exits 2 naming the file, which is left as it was
+    database = tmp_path / "cache" / DATABASE
+    database.parent.mkdir()
+    database.write_bytes(b"not a database" * 100)
+    args = ["selfint", "--n", "2", "--cache-dir", str(database.parent), "v 2 0 1 2 v"]
+    result = _invoke(runner, args)
+    assert result.exit_code == 2
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "PreconditionError" and str(database) in error["message"]
+    assert database.read_bytes() == b"not a database" * 100
 
 
 def test_selfint_budget_exit_code(runner, tmp_path):
@@ -325,7 +368,7 @@ def test_witness_draws_the_query(runner, tmp_path, queries):
         assert [format_letters(c.letters) for c in witness.curves] == words
         assert count_crossings(witness) == data["value"]
     # the second query of each set read the entry the first one wrote
-    assert len(list(tmp_path.glob("*.json"))) == 1
+    assert len(cache_rows(tmp_path)) == 1
 
 
 def test_reports_deterministic(runner, tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cache_rows import cache_rows
 from loopforge import (
     GapAlphabet,
     OracleConfig,
@@ -172,6 +173,20 @@ def test_graph_jobs_match(nocache_config):
     g1 = compatibility_graph(catalog, nocache_config)
     g2 = compatibility_graph(catalog, nocache_config, jobs=2)
     assert g2.to_json() == g1.to_json()
+
+
+def test_cached_jobs_match_sequential(tmp_path):
+    """Forked workers write a fresh cache directory that the parent has
+    already opened, each through its own connection: the reports and the
+    stored rows equal those of one process."""
+    runs = {}
+    for jobs in (1, 2):
+        config = OracleConfig(cache_dir=tmp_path / f"jobs{jobs}")
+        catalog = enumerate_classes(2, 3, config, jobs=jobs)
+        graph = compatibility_graph(catalog, config, jobs=jobs)
+        runs[jobs] = catalog.to_json(), graph.to_json(), cache_rows(config.cache_dir)
+    assert runs[2] == runs[1]
+    assert len(runs[1][2]) > 100
 
 
 def test_graph_searches_each_key_once(nocache_config, monkeypatch):

@@ -2,10 +2,12 @@ import inspect
 import io
 import itertools
 import json
+import multiprocessing
 import random
 import shutil
 import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import naive_reference as naive
+from cache_rows import cache_rows
 from loopforge import (
     CrossingCount,
     CurveSpec,
@@ -564,7 +567,7 @@ def test_segment_threshold_outcomes(tmp_path):
         assert not cache.exists()  # an undecided search caches nothing
         config = OracleConfig(budget=50, cache_dir=cache)
         assert segment_self_at_least(letters, k, GapAlphabet(2), config) is decided
-        [entry] = [json.loads(p.read_text()) for p in cache.iterdir()]
+        [entry] = [json.loads(text) for text in cache_rows(cache).values()]
         assert {f: v for f, v in entry.items() if f not in ("key", "version")} == stored
 
 
@@ -674,13 +677,13 @@ def test_cache_round_trip(tmp_path):
     first = _selfint_v((2, 0, 1, 2), config)
     second = _selfint_v((2, 0, 1, 2), config)
     assert first == second
-    assert any(tmp_path.iterdir())
+    assert cache_rows(tmp_path)
     # cached entries survive for the reversed word too, drawn on its letters
     rev = _selfint_v((2, 1, 0, 2), config)
     assert rev.value == first.value
     assert rev.witness.curves == (CurveSpec((V, 2, 1, 0, 2, V), False, NORTH),)
     assert count_crossings(rev.witness, "self") == rev.value
-    assert len(list(tmp_path.iterdir())) == 1
+    assert len(cache_rows(tmp_path)) == 1
 
 
 def test_cache_versioning(tmp_path, monkeypatch):
@@ -698,15 +701,16 @@ def test_cache_versioning(tmp_path, monkeypatch):
     monkeypatch.setattr(CacheStore, "put", lambda self, key, fields: writes.append(key))
     assert segment_self_at_least(letters, 2, GapAlphabet(2), config) is True
     assert writes == []
-    [entry] = [json.loads(p.read_text()) for p in (tmp_path / "seg").iterdir()]
+    [entry] = [json.loads(text) for text in cache_rows(tmp_path / "seg").values()]
     assert entry["at_least"] == 3
 
 
 def test_cache_put_makes_its_directory(tmp_path):
-    from loopforge.cache import MODEL_VERSION, CacheStore
+    from loopforge.cache import DATABASE, MODEL_VERSION, CacheStore
 
     directory = tmp_path / "a" / "b"
     store = CacheStore(directory)
+    assert store.get("n2|self|v|v.2.v") is None and not (tmp_path / "a").exists()
     fields = {"value": 2, "exact": True, "witness": {"n": 2, "gapOrders": {"2": [[0, 1]]},
                                                      "curves": [{"letters": ["v", "2", "v"]}]}}
     store.put("n2|self|v|v.2.v", fields)
@@ -716,13 +720,34 @@ def test_cache_put_makes_its_directory(tmp_path):
     store.put("n2|seg|v.2.0", fields)
     assert store.get("n2|seg|v.2.0") == {**fields, "key": "n2|seg|v.2.0", "version": MODEL_VERSION}
     assert store.get("n2|self|v|v.2.v") is None
-    assert [p.suffix for p in directory.iterdir()] == [".json"]
-    # the entry file holds the bytes that `json.dump(entry, fh, sort_keys=True)`
-    # writes, so the file format stays the same
-    [path] = directory.iterdir()
+    # the directory holds the database and its WAL sidecars, nothing else
+    assert {p.name for p in directory.iterdir()} <= {DATABASE, DATABASE + "-wal", DATABASE + "-shm"}
+    # the row holds the text that `json.dump(entry, fh, sort_keys=True)`
+    # writes, so the entry format stays the same
     written = io.StringIO()
     json.dump({**fields, "key": "n2|seg|v.2.0", "version": MODEL_VERSION}, written, sort_keys=True)
-    assert path.read_text(encoding="utf-8") == written.getvalue()
+    assert cache_rows(directory) == {"n2|seg|v.2.0": written.getvalue()}
+
+
+def _reads_through(directory, connection_id: int) -> bool:
+    """In a forked worker: read the cache, and tell whether the read went
+    through the connection object the parent had open."""
+    from loopforge.cache import CacheStore
+
+    store = CacheStore(directory)
+    assert store.get("some-key")["value"] == 3
+    return id(store._connection(write=False)) == connection_id
+
+
+def test_forked_worker_opens_its_own_connection(tmp_path):
+    from loopforge.cache import CacheStore
+
+    store = CacheStore(tmp_path)
+    store.put("some-key", {"value": 3})
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+        call = pool.submit(_reads_through, str(tmp_path), id(store._connection(write=False)))
+        assert call.result() is False
 
 
 PINNED_KEYS = Path(__file__).with_name("pinned_cache_keys.json")
@@ -739,7 +764,7 @@ def _written_keys(cache_dir) -> list[str]:
     segment_self_at_least((V, 2, 1, 0, 1, 2), 3, alpha2, config)
     segment_pair_intersections((2, 0, 1), (1, 0, 2), NORTH, SOUTH, alpha2, config)
     pair_intersection_number(XLoopClass((0, 1)), XLoopClass((1, 0, 1, 0)), GapAlphabet(1), config)
-    return sorted(json.loads(p.read_text())["key"] for p in Path(cache_dir).glob("*.json"))
+    return sorted(json.loads(text)["key"] for text in cache_rows(cache_dir).values())
 
 
 def test_cache_keys_pinned(tmp_path):
