@@ -4,7 +4,9 @@ Every report is JSON (or CSV for tabular reports) on stdout and carries an
 "exact" flag.  Exit codes: 0 success, 2 precondition violation (with a
 machine-readable error object), 3 oracle budget exhausted (report emitted
 with exact=false, or an error object when a catalog is incomplete) or memory
-exhausted (an error object).  Large numbers are emitted as decimal strings.
+exhausted (an error object), 130 interrupted by Ctrl-C (an `Interrupted`
+error object instead of a report).  Large numbers are emitted as decimal
+strings.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .words import (
 
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report it
 
 
 def _emit(obj: dict) -> None:
@@ -57,9 +60,9 @@ def _emit_csv(rows: list[dict], columns: list[str]) -> None:
 
 
 class _Group(click.Group):
-    """Turns a precondition violation into exit 2, and an enumeration that ran
-    out of oracle budget or a run out of memory into exit 3, each with an
-    error object on stdout."""
+    """Turns a precondition violation into exit 2, an enumeration that ran
+    out of oracle budget or a run out of memory into exit 3, and an
+    interrupt into exit 130, each with an error object on stdout."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -72,6 +75,9 @@ class _Group(click.Group):
             _emit({"error": {"type": kind, "message": str(exc) or "out of memory"},
                    "exact": False})
             sys.exit(EXIT_BUDGET)
+        except KeyboardInterrupt:
+            _emit({"error": {"type": "Interrupted", "message": "interrupted"}, "exact": False})
+            sys.exit(EXIT_INTERRUPTED)
 
 
 n_option = click.option("--n", "n", type=int, default=2, show_default=True,
@@ -92,7 +98,8 @@ def oracle_options(fn):
 
     command = click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
                            help="search budget per oracle call, in units of one point "
-                                "appended to a gap's order")(command)
+                                "appended to a gap's order; a catalog prefix that its "
+                                "grown drawing keeps below k runs no search")(command)
     command = click.option("--cache-dir", type=str, default=None,
                            help="oracle cache directory "
                                 "(default: $LOOPFORGE_CACHE or ./.loopforge-cache)")(command)

@@ -5,7 +5,10 @@ the catalog enumerates winding depths directly.  For two punctures the
 catalog walks all reduced core words (ends in letter 2) depth-first,
 pruning by the winding lower bound of the prefix and by a thresholded
 oracle run on the basepoint-anchored prefix segment; both prunes are sound,
-so the walk is exhaustive up to the provable length cap.
+so the walk is exhaustive up to the provable length cap.  The walk draws
+each anchored prefix by growing its parent's drawing by one point; a prefix
+drawn with fewer than k crossings is below k, so the oracle is asked only
+about prefixes whose grown drawing has k or more.
 
 Pairwise-compatibility graphs and clique sizes probe the extremal family
 sizes.  A clique upper bound is honest in one direction only: any valid
@@ -25,6 +28,7 @@ from .oracle import (
     Drawing,
     OracleConfig,
     _class_text,
+    _grow_segment,
     _pair_text,
     pair_intersection_number,
     segment_self_at_least,
@@ -158,25 +162,37 @@ def _enumerate_x_words(cap: int) -> list[Word]:
 def _collect_core_candidates(
     k: int, cap: int, alphabet: GapAlphabet, config: OracleConfig
 ) -> list[tuple[int, ...]]:
-    """Depth-first walk over reduced core words (start and end letter 2)."""
+    """Depth-first walk over reduced core words (start and end letter 2).
+
+    Each anchored prefix `(V,) + prefix` is drawn by growing its parent's
+    drawing by one point.  A drawing with fewer than k crossings shows that
+    the prefix is below k, so the oracle is asked only about prefixes whose
+    grown drawing has k or more; growing only adds crossings, so below such
+    a prefix no more drawings are grown."""
     candidates: list[tuple[int, ...]] = []
 
-    def walk(prefix: tuple[int, ...]) -> None:
+    def walk(prefix: tuple[int, ...], drawn: tuple[tuple[int, ...], int] | None) -> None:
+        # drawn: a drawing of the anchored parent prefix and its crossings
+        # while they are below k, else None
         if prefix_winding_lb(prefix, alphabet) >= k:
             return
-        if len(prefix) >= 4:
-            anchored = (V,) + prefix
-            if segment_self_at_least(anchored, k, alphabet, config):
-                return
+        anchored = (V,) + prefix
+        if drawn is not None:
+            drawn = _grow_segment(drawn, anchored)
+            if drawn[1] >= k:
+                drawn = None
+        if (drawn is None and len(prefix) >= 4
+                and segment_self_at_least(anchored, k, alphabet, config)):
+            return
         if prefix[-1] == 2:
             candidates.append(prefix)
         if len(prefix) >= cap:
             return
         for letter in (0, 1, 2):
             if letter != prefix[-1]:
-                walk(prefix + (letter,))
+                walk(prefix + (letter,), drawn)
 
-    walk((2,))
+    walk((2,), ((0,), 0))  # the basepoint alone
     return candidates
 
 

@@ -35,6 +35,11 @@ chord is left last, where every far end of its chord pairs is placed.
 Measured on one core without a cache, `graph --n 2 --k 5` takes about 2 s
 in this order and 5-6 s with the largest gap first, and ascending sizes
 make the 11-point ladder `v 2 (0 1)^11 2 v` about 1.5 times slower.
+
+Apart from the search, `_grow_segment` draws an open segment one crossing
+longer than a drawing it is given, placing the new crossing at its cheapest
+position in its gap.  The catalog walk grows its prefixes this way, and a
+grown drawing below k settles a prefix without a search.
 """
 
 from __future__ import annotations
@@ -307,18 +312,27 @@ class _Search:
         # one pass over the countable pairs.  A pair with no gap holding two
         # of its endpoints is constant; any other goes to the bucket of the
         # level that orders the last such gap, and is charged there.
+        # That level is the highest one shared by two of its endpoints: with
+        # the four endpoint levels sorted from the top, the first equal pair
+        # of neighbours.  The basepoint, at most one endpoint of a pair, has
+        # level -1, which no other endpoint shares.
         self.const_cost = 0
         buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in self.gap_order]
         gap_of = inst.gap_of
         base_pos = [inst.base[g] for g in gap_of]
+        level_of = [-1] + [order_index[g] for g in gap_of[1:]]
         for pair in inst.countable_pairs():
-            gaps = [gap_of[p] for p in pair if p != 0]
-            multi = {g for g in gaps if gaps.count(g) >= 2}
-            if not multi:
-                if _cross(*(base_pos[p] for p in pair)):
-                    self.const_cost += 1
-                continue
-            buckets[max(order_index[g] for g in multi)].append(pair)
+            a1, b1, a2, b2 = pair
+            l0, l1, l2, l3 = sorted((level_of[a1], level_of[b1], level_of[a2], level_of[b2]),
+                                    reverse=True)
+            if l0 == l1:
+                buckets[l0].append(pair)
+            elif l1 == l2:
+                buckets[l1].append(pair)
+            elif l2 == l3:
+                buckets[l2].append(pair)
+            elif _cross(base_pos[a1], base_pos[b1], base_pos[a2], base_pos[b2]):
+                self.const_cost += 1
 
         # per-level tables.  A pair in the bucket of gap g with one endpoint
         # u, v of each chord in g and both far ends ou, ov outside g is a
@@ -545,6 +559,41 @@ def minimize_crossings(
     search = _Search(inst, budget, cutoff)
     value, orders, exact = search.run()
     return value, inst.drawing_for(orders), exact
+
+
+def _grow_segment(drawn: tuple[tuple[int, ...], int],
+                  letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """A drawing of the open segment `letters`, first chord in the north
+    disk, grown from `drawn`, a drawing of `letters[:-1]` and its
+    self-crossing count, by its last crossing.
+
+    A drawing here is `circle`, the letter positions of the crossings and of
+    a basepoint letter in equator order (0, v, 1, ..., n).  The last
+    crossing, a gap letter, goes to the cheapest position in its gap, the
+    lowest one on ties.  Placing it keeps every earlier crossing, so the
+    count rises by the crossings of the one new chord with the earlier
+    chords of its disk; those are every second chord before it."""
+    circle, count = drawn
+    m = len(letters) - 1
+    pos = [0] * m
+    for i, p in enumerate(circle):
+        pos[p] = 2 * i  # doubled, so a slot between i - 1 and i sits at 2i - 1
+    # block ranks in equator order: gap 0, then v, then gaps 1..n.  The
+    # slots of the new crossing's gap run from its block's start to its end.
+    ranks = [1 if a == V else a + (a > 0) for a in (letters[p] for p in circle)]
+    rank = letters[m] + (letters[m] > 0)
+    start = sum(r < rank for r in ranks)
+    stop = start + ranks.count(rank)
+    ends = [(pos[j], pos[j + 1]) for j in range(m - 3, -1, -2)]
+    near = pos[m - 1]
+    best_cost, best = len(ends) + 1, start
+    for slot in range(start, stop + 1):
+        x = 2 * slot - 1
+        lo, hi = (near, x) if near < x else (x, near)
+        cost = sum((lo < a < hi) != (lo < b < hi) for a, b in ends)
+        if cost < best_cost:
+            best_cost, best = cost, slot
+    return circle[:best] + (m,) + circle[best:], count + best_cost
 
 
 def count_crossings(drawing: Drawing, tally: str = "auto") -> int:

@@ -209,6 +209,24 @@ def test_memory_error_object(runner, monkeypatch, command, call):
     }
 
 
+@pytest.mark.parametrize("command, call", [
+    (["selfint", "--n", "2", "v 2 0 1 0 2 v"], "self_intersection_number"),
+    (["graph", "--n", "2", "--k", "2"], "enumerate_classes"),
+])
+def test_interrupt_error_object(runner, monkeypatch, command, call):
+    # Ctrl-C exits 130 with an error object, not click's "Aborted!" and exit 1
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(f"loopforge.cli.{call}", interrupted)
+    result = _invoke(runner, command + ["--no-cache"])
+    assert result.exit_code == 130
+    assert json.loads(result.output) == {
+        "error": {"type": "Interrupted", "message": "interrupted"},
+        "exact": False,
+    }
+
+
 def test_pairint_command(runner, tmp_path):
     result = _invoke(
         runner,

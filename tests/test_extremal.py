@@ -26,6 +26,7 @@ from loopforge.extremal import (
     prefix_winding_lb,
 )
 from loopforge.words import NORTH, SOUTH
+from reference_walk import circle_drawing, reference_core_candidates
 
 
 def test_length_cap_values():
@@ -130,6 +131,39 @@ def test_enumerate_with_jobs_matches_sequential(nocache_config):
     seq = enumerate_classes(2, 2, nocache_config)
     par = enumerate_classes(2, 2, nocache_config, jobs=2)
     assert par.to_json() == seq.to_json()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_walk_settles_prefixes_by_their_drawings(k, alpha2, nocache_config, monkeypatch):
+    """Every prefix drawing the walk grows recounts to its count, and the
+    oracle is asked only about prefixes not drawn below k."""
+    grown, asked = {}, []
+    grow, ask = extremal._grow_segment, extremal.segment_self_at_least
+
+    def recorded_grow(drawn, letters):
+        grown[letters] = out = grow(drawn, letters)
+        return out
+
+    def recorded_ask(letters, *args):
+        asked.append(letters)
+        return ask(letters, *args)
+
+    monkeypatch.setattr(extremal, "_grow_segment", recorded_grow)
+    monkeypatch.setattr(extremal, "segment_self_at_least", recorded_ask)
+    extremal._collect_core_candidates(k, length_cap(k, 2), alpha2, nocache_config)
+    assert grown
+    for letters, (circle, count) in grown.items():
+        assert oracle.count_crossings(circle_drawing(2, letters, circle), "self") == count
+    assert all(letters not in grown or grown[letters][1] >= k for letters in asked)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_walk_matches_reference_walk(k, alpha2, nocache_config):
+    """Settling prefixes by their drawings keeps every candidate of the walk
+    that asks the oracle at every prefix, in the same order."""
+    cap = length_cap(k, 2)
+    assert (extremal._collect_core_candidates(k, cap, alpha2, nocache_config)
+            == reference_core_candidates(k, cap, alpha2, nocache_config))
 
 
 def test_enumerate_stable_under_larger_cap(config):

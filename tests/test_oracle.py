@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import naive_reference as naive
 from cache_rows import cache_rows
+from reference_walk import circle_drawing, reference_core_candidates
 from loopforge import (
     CrossingCount,
     CurveSpec,
@@ -31,6 +32,7 @@ from loopforge import (
     compatibility_graph,
     count_crossings,
     enumerate_classes,
+    length_cap,
     minimize_crossings,
     pair_intersection_number,
     parse_word,
@@ -80,6 +82,33 @@ def test_count_crossings_rejects_malformed():
     d = Drawing(n=1, curves=curves, gap_orders={0: ((0, 0),), 1: ((1, 5),)})
     with pytest.raises(PreconditionError):
         count_crossings(d)
+
+
+def test_grown_segments_recount():
+    """A segment drawing grown letter by letter from the basepoint puts each
+    new crossing at the cheapest position in its gap, the lowest on ties, and
+    its count is always the recount of its drawing."""
+    rng = random.Random(14)
+    for _ in range(60):
+        n = rng.choice((1, 2, 3))
+        blocks = [0, V, *range(1, n + 1)]  # the equator order
+        letters, drawn = (V,), ((0,), 0)
+        for _ in range(rng.randint(1, 12)):
+            g = rng.randint(0, n)
+            letters += (g,)
+            m = len(letters) - 1
+            circle = drawn[0]
+            first = sum(blocks.index(letters[p]) < blocks.index(g) for p in circle)
+            size = sum(letters[p] == g for p in circle)
+            costs = [count_crossings(circle_drawing(n, letters, circle[:t] + (m,) + circle[t:]),
+                                     "self")
+                     for t in range(first, first + size + 1)]
+            drawn = oracle._grow_segment(drawn, letters)
+            assert [blocks.index(letters[p]) for p in drawn[0]] == sorted(
+                blocks.index(letters[p]) for p in drawn[0])
+            assert count_crossings(circle_drawing(n, letters, drawn[0]), "self") == drawn[1]
+            assert drawn[1] == min(costs)
+            assert drawn[0].index(m) == first + costs.index(min(costs))
 
 
 # -- frozen oracle values --------------------------------------------------------
@@ -755,9 +784,12 @@ PINNED_KEYS = Path(__file__).with_name("pinned_cache_keys.json")
 
 def _written_keys(cache_dir) -> list[str]:
     """Run a fixed set of queries on an empty cache; return the sorted keys
-    of the entries they wrote."""
+    of the entries they wrote.  The walk asks the oracle only about prefixes
+    it cannot draw below k, so the reference walk issues the segment queries
+    of every prefix, as the walk did when the keys were pinned."""
     config = OracleConfig(cache_dir=cache_dir)
     alpha2 = GapAlphabet(2)
+    reference_core_candidates(3, length_cap(3, 2), alpha2, config)
     catalog = enumerate_classes(2, 3, config)
     compatibility_graph(catalog, config)
     segment_self_intersections((2, 0, 1, 0, 2), alpha2, config)
