@@ -19,8 +19,9 @@ MODEL_VERSION = "2"
 DATABASE = "entries.sqlite"
 
 sqlite3 = None  # imported on first cache use, so a run without a cache never loads it
-# (pid, database path) -> this process's connection: a forked worker opens
-# its own and never uses one inherited across `fork`
+# pid -> (database path, connection): one connection per process, closed when
+# the process moves to another database.  A forked worker opens its own, and
+# neither uses nor closes one inherited across `fork`.
 _connections: dict = {}
 
 
@@ -48,12 +49,13 @@ class CacheStore:
     def _connection(self, write: bool):
         """This process's connection to the database, opened on first use and
         again by a write that finds the file gone (its directory deleted).
+        Opening it closes the process's connection to another database.
         A read gets None when there is no usable database; a write makes the
         directory and the database, and raises `OSError` or `sqlite3.Error`
         when it cannot."""
-        key = (os.getpid(), self.path)
-        conn = _connections.get(key)
-        if conn is not None and (not write or os.path.exists(self.path)):
+        pid = os.getpid()
+        path, conn = _connections.get(pid, (None, None))
+        if path == self.path and (not write or os.path.exists(self.path)):
             return conn
         if not write and not os.path.isfile(self.path):
             return None
@@ -61,7 +63,7 @@ class CacheStore:
         if sqlite3 is None:
             import sqlite3
         if conn is not None:
-            del _connections[key]
+            del _connections[pid]
             conn.close()
         try:
             if write:
@@ -71,7 +73,7 @@ class CacheStore:
             if write:
                 raise
             return None
-        _connections[key] = conn
+        _connections[pid] = (self.path, conn)
         return conn
 
     def get(self, key: str) -> dict | None:

@@ -57,6 +57,7 @@ from .words import (
     PreconditionError,
     Word,
     V,
+    equator_position,
     format_letter,
 )
 
@@ -68,8 +69,7 @@ _letter_text = functools.cache(format_letter)  # each letter is formatted once
 
 
 class _Stop(Exception):
-    """Ends a search early: the budget ran out, or a threshold search found a
-    drawing below its cutoff."""
+    """Ends a search early: the budget ran out."""
 
 
 @dataclass(frozen=True)
@@ -229,14 +229,13 @@ class _Instance:
                 gap_points.setdefault(g, []).append(pid)
         self.gap_points = gap_points
 
-        # block bases in equator order (0, v, 1, ..., n); an empty gap takes
-        # no room, and every gap after 0 sits past the basepoint slot
-        base: dict[int, int] = {V: len(gap_points.get(0, ()))}
+        # block bases in equator order; an empty gap takes no room, and the
+        # basepoint one position
+        self.base: dict[int, int] = {}
         off = 0
-        for g in sorted(gap_points):
-            base[g] = off + (g > 0)
-            off += len(gap_points[g])
-        self.base = base
+        for g in sorted((V, *gap_points), key=equator_position):
+            self.base[g] = off
+            off += len(gap_points[g]) if g != V else 1
 
         # chords as (idA, idB, disk, curve, v_incident); basepoint id is 0,
         # whose gap V is no gap, so a chord at v lies within no gap
@@ -466,13 +465,12 @@ class _Search:
         identity = self.inst.identity_orders()
         self.value, self.orders = self.inst.evaluate_orders(identity), identity
         # every prune keeps only drawings strictly below `bound`: the best
-        # value so far in an exact search, the cutoff in a threshold search
-        self.bound = self.value if self.cutoff is None else self.cutoff
+        # value so far, which starts at the cutoff if that is lower
+        self.bound = self.value if self.cutoff is None else min(self.value, self.cutoff)
         try:
             self._charge(1)
-            if self.value >= self.bound:  # else the seed already beats the cutoff
-                self._dfs(0, self.const_cost)
-                return self.value, self.orders, True
+            self._dfs(0, self.const_cost)
+            return self.value, self.orders, True
         except (_Stop, RecursionError):
             # each appended point is one call deeper, so gaps of about a
             # thousand points end the search as the budget does
@@ -480,10 +478,8 @@ class _Search:
         return self.value, self.orders, False
 
     def _record(self, value: int, orders: dict[int, tuple[int, ...]]) -> None:
-        """Keep a drawing below the bound; it decides a threshold search."""
+        """Keep a drawing below the bound, and lower the bound to it."""
         self.value, self.orders = value, dict(orders)
-        if self.cutoff is not None:
-            raise _Stop
         self.bound = value
 
     def _dfs(self, level: int, acc: int) -> None:
@@ -550,10 +546,10 @@ def minimize_crossings(
 ) -> tuple[int, Drawing, bool]:
     """Minimize counted crossings over all drawings of `curves`.
 
-    Returns (value, witness, exact).  With `cutoff` set, the search stops as
-    soon as a drawing below the cutoff is found (value is then just an upper
-    bound witnessing `min < cutoff`), while a completed search proves
-    `min >= cutoff` or reports the exact minimum below it.
+    Returns (value, witness, exact).  A `cutoff` only starts the search's
+    bound at it, so the search keeps just the drawings below it: a completed
+    search returns the exact minimum when that is below the cutoff, and
+    otherwise proves `min >= cutoff` with a value at or above it.
     """
     inst = _Instance(n, tuple(curves), tally)
     search = _Search(inst, budget, cutoff)
@@ -578,10 +574,10 @@ def _grow_segment(drawn: tuple[tuple[int, ...], int],
     pos = [0] * m
     for i, p in enumerate(circle):
         pos[p] = 2 * i  # doubled, so a slot between i - 1 and i sits at 2i - 1
-    # block ranks in equator order: gap 0, then v, then gaps 1..n.  The
-    # slots of the new crossing's gap run from its block's start to its end.
-    ranks = [1 if a == V else a + (a > 0) for a in (letters[p] for p in circle)]
-    rank = letters[m] + (letters[m] > 0)
+    # the slots of the new crossing's gap run from its block's start to its
+    # end in equator order
+    ranks = [equator_position(letters[p]) for p in circle]
+    rank = equator_position(letters[m])
     start = sum(r < rank for r in ranks)
     stop = start + ranks.count(rank)
     ends = [(pos[j], pos[j + 1]) for j in range(m - 3, -1, -2)]
@@ -667,9 +663,17 @@ class _Form:
 
 
 def _self_key(n: int, kind: str, letters: tuple[int, ...]) -> tuple[str, int, bool]:
+    """The key of a self query on a closed curve ("x"), a v-word ("v") or an
+    open segment ("seg"), with the shift and reversal that give it."""
     # the closing chord makes the diagram cyclic
     text, shift, rev = _least(letters, range(len(letters) or 1) if kind == "x" else (0,))
-    return f"n{n}|self|{kind}|{text}", shift, rev
+    return (f"n{n}|seg|{text}" if kind == "seg" else f"n{n}|self|{kind}|{text}"), shift, rev
+
+
+def _self_form(n: int, kind: str, curve: CurveSpec) -> tuple[str, _Form]:
+    """The key of a self query on `curve`, and the form it names."""
+    key, shift, rev = _self_key(n, kind, curve.letters)
+    return key, _Form.of([(curve,)], ((0, shift, rev),), [(NORTH,)])
 
 
 def _open_text(letters: tuple[int, ...], hemi: int) -> tuple:
@@ -703,65 +707,58 @@ def _pair_text(n: int, t1: tuple[str, tuple], t2: tuple[str, tuple]) -> tuple[st
     return f"n{n}|pair|{kind}|{text}", (first, second)
 
 
+def _open_form(order: tuple, query: tuple[CurveSpec, ...]) -> _Form:
+    """The form of two open query curves, from the order `_pair_text` gave."""
+    (_, hf, i, ri), (_, hs, j, rj) = order
+    return _Form.of([query], ((i, 0, ri), (j, 0, rj)), [(NORTH, _HEMIS[hf ^ hs])])
+
+
 def _pair_key(n: int, kind: str, specs) -> tuple[str, _Form]:
     """The key of two open curves given as (letters, hemisphere bit), and its form."""
-    key, ((_, hf, i, ri), (_, hs, j, rj)) = _pair_text(
-        n, *((kind, _open_text(letters, hemi)) for letters, hemi in specs))
-    query = tuple(CurveSpec(tuple(letters), False, _HEMIS[h]) for letters, h in specs)
-    return key, _Form.of([query], ((i, 0, ri), (j, 0, rj)), [(NORTH, _HEMIS[hf ^ hs])])
+    key, order = _pair_text(n, *((kind, _open_text(letters, hemi)) for letters, hemi in specs))
+    return key, _open_form(order, tuple(CurveSpec(tuple(letters), False, _HEMIS[h])
+                                        for letters, h in specs))
 
 
 def _class_pair_key(c1: LoopClass, c2: LoopClass, n: int) -> tuple[str, _Form]:
     """The key of a pair query on two classes, and the form it names."""
-    if type(c1) is not type(c2):
-        raise PreconditionError("cannot pair classes of different kinds")
-    if isinstance(c1, VLoopClass):
-        return _pair_key(n, "v", [(c.word().letters, _HEMI_INT[c.start_hemisphere])
-                                  for c in (c1, c2)])
-    keys = [_self_key(n, "x", c.reduced) for c in (c1, c2)]
-    key, order = _pair_text(n, ("x", keys[0]), ("x", keys[1]))
+    (kind, a), (_, b) = texts = _class_text(c1, n), _class_text(c2, n)
+    key, order = _pair_text(n, *texts)
+    if kind == "v":
+        return key, _open_form(order, tuple(_curve_for_word(c.word(), c.start_hemisphere)
+                                            for c in (c1, c2)))
     # a searched closed curve starts one arc later than its query curve per
     # odd shift, so each odd shift flips the relative hemisphere once
-    flip = (keys[0][1] + keys[1][1]) % 2
+    flip = (a[1] + b[1]) % 2
     queries = [(_curve_for_word(c1.word(), NORTH), _curve_for_word(c2.word(), _HEMIS[h ^ flip]))
                for h in (0, 1)]
-    return key, _Form.of(queries, tuple((i,) + keys[i][1:] for i in order),
+    return key, _Form.of(queries, tuple((i,) + (a, b)[i][1:] for i in order),
                          [(NORTH, h) for h in _HEMIS])
-
-
-def _seg_key(n: int, letters: tuple[int, ...]) -> tuple[str, bool]:
-    text, _, rev = _least(tuple(letters))
-    return f"n{n}|seg|{text}", rev
 
 
 def _solve(n: int, key: str, form: _Form, tally: str, config: OracleConfig,
            cutoff: int | None = None) -> CrossingCount:
     """Answer a query from the cache entry of `key` if the entry decides it,
     or else search each curve tuple of `form`, keep the least value and
-    write what the searches proved.  An exact query (no `cutoff`) returns
-    its witness drawn on the query's curves; a threshold query reads as
-    `minimize_crossings` with that cutoff and returns no witness."""
+    write what the searches proved: the exact minimum with its witness, or
+    with a `cutoff` at or below the minimum, `at_least` the cutoff.  The
+    result reads as `minimize_crossings` with that cutoff, its witness
+    drawn on the query's curves; a cached `at_least` has no witness."""
     store = config.store()
     entry = (store.get(key) if store is not None else None) or {}
     if entry.get("exact"):
-        witness = None if cutoff is not None else form.back(Drawing.from_json(entry["witness"]))
-        return CrossingCount(entry["value"], True, witness)
+        return CrossingCount(entry["value"], True, form.back(Drawing.from_json(entry["witness"])))
     if cutoff is not None and entry.get("at_least", 0) >= cutoff:
         return CrossingCount(cutoff, True, None)
-    if cutoff is not None and entry.get("upper", cutoff) < cutoff:
-        return CrossingCount(entry["upper"], False, None)
     results = [minimize_crossings(n, curves, tally, config.budget, cutoff)
                for curves, _ in form.searches]
     value, witness, _ = min(results, key=lambda r: r[0])
     exact = all(r[2] for r in results)
-    if cutoff is None:
-        facts = {"value": value, "exact": True, "witness": witness.to_json()} if exact else {}
-    else:
-        facts = {"upper": value} if value < cutoff else {"at_least": cutoff} if exact else {}
-    if store is not None and facts:
-        # the entry did not decide the query, so these facts are stronger
-        store.put(key, {**entry, **facts})
-    return CrossingCount(value, exact, None if cutoff is not None else form.back(witness))
+    if store is not None and exact:
+        # the entry did not decide the query, so these facts replace it
+        store.put(key, {"value": value, "exact": True, "witness": witness.to_json()}
+                  if cutoff is None or value < cutoff else {"at_least": cutoff})
+    return CrossingCount(value, exact, form.back(witness))
 
 
 # -- public word/class oracles ------------------------------------------------
@@ -781,9 +778,8 @@ def self_intersection_number(
     """
     for a in word.letters:
         alphabet.validate_letter(a)
-    key, shift, rev = _self_key(alphabet.n, word.kind, word.letters)
-    form = _Form.of([(_curve_for_word(word, NORTH),)], ((0, shift, rev),), [(NORTH,)])
-    return _solve(alphabet.n, key, form, "self", config)
+    return _solve(alphabet.n, *_self_form(alphabet.n, word.kind, _curve_for_word(word, NORTH)),
+                  "self", config)
 
 
 def pair_intersection_number(
@@ -810,9 +806,8 @@ def segment_self_intersections(
     config: OracleConfig = OracleConfig(),
 ) -> CrossingCount:
     """Minimal self-crossings of one open segment (polarity-independent)."""
-    key, rev = _seg_key(alphabet.n, letters)
-    form = _Form.of([(CurveSpec(tuple(letters), False, NORTH),)], ((0, 0, rev),), [(NORTH,)])
-    return _solve(alphabet.n, key, form, "self", config)
+    curve = CurveSpec(tuple(letters), False, NORTH)
+    return _solve(alphabet.n, *_self_form(alphabet.n, "seg", curve), "self", config)
 
 
 def segment_self_at_least(
@@ -822,11 +817,11 @@ def segment_self_at_least(
     config: OracleConfig = OracleConfig(),
 ) -> bool | None:
     """True if every drawing of the segment has >= k self-crossings, False if
-    some drawing has fewer, None if the budget ran out undecided.  The
-    segment's own curve is searched, since no witness is returned."""
-    own = (CurveSpec(tuple(letters), False, NORTH),)
-    form = _Form(((own, own),), ((0, 0, False),))
-    res = _solve(alphabet.n, _seg_key(alphabet.n, letters)[0], form, "self", config, cutoff=k)
+    some drawing has fewer, None if the budget ran out undecided.  Below k
+    the search finds the exact minimum, which the cache keeps for
+    `segment_self_intersections`."""
+    curve = CurveSpec(tuple(letters), False, NORTH)
+    res = _solve(alphabet.n, *_self_form(alphabet.n, "seg", curve), "self", config, cutoff=k)
     return False if res.value < k else (res.exact or None)
 
 

@@ -142,11 +142,11 @@ def parse_word(text: str, alphabet: GapAlphabet) -> Word:
     n_v = letters.count(V)
     if n_v == 0:
         return Word.x_word(letters)
-    if len(letters) >= 2 and letters[0] == V and letters[-1] == V and n_v == 2:
-        return Word(letters, "v")
-    if letters[0] == V and letters[-1] == V:
+    if len(letters) < 2 or letters[0] != V or letters[-1] != V:
+        raise PreconditionError("'v' must appear at both ends or not at all")
+    if n_v > 2:
         raise PreconditionError("'v' in the interior of the word")
-    raise PreconditionError("'v' must appear at both ends or not at all")
+    return Word(letters, "v")
 
 
 def has_adjacent_repeat(word: Word | tuple[int, ...]) -> bool:
@@ -205,13 +205,9 @@ def reduce_word(word: Word) -> Reduction:
     return Reduction(Word.v_word(inner[start:end]), start % 2)
 
 
-def _ring_position(letter: int, n: int) -> int:
-    # equator cyclic order (0, v, 1, 2, ..., n)
-    if letter == V:
-        return 1
-    if letter == 0:
-        return 0
-    return letter + 1
+def equator_position(letter: int) -> int:
+    """The place of a gap letter in the equator's cyclic order (0, v, 1, 2, ..., n)."""
+    return 1 if letter == V else letter + (letter > 0)
 
 
 def orientation(a: int, b: int, c: int, alphabet: GapAlphabet) -> int:
@@ -219,10 +215,9 @@ def orientation(a: int, b: int, c: int, alphabet: GapAlphabet) -> int:
     if len({a, b, c}) != 3:
         raise PreconditionError("orientation needs three distinct gap points")
     for letter in (a, b, c):
-        if letter != V and not alphabet.is_gap(letter):
-            raise PreconditionError(f"letter {letter} outside gap range 0..{alphabet.n}")
+        alphabet.validate_letter(letter)
     ring = alphabet.n + 2
-    pa, pb, pc = (_ring_position(x, alphabet.n) for x in (a, b, c))
+    pa, pb, pc = map(equator_position, (a, b, c))
     return 1 if (pb - pa) % ring < (pc - pa) % ring else -1
 
 

@@ -190,8 +190,8 @@ def _compare_pair(ra: dict, rb: dict, counts: Counter) -> None:
         return
     counts["B witness does not recount"] += not rb["recounts"]
     if ra["budget"] == 10**8:
-        # a threshold search that finds a drawing below its cutoff returns
-        # the first one found, so only its verdict has to agree
+        # older versions stop a threshold search at the first drawing below
+        # its cutoff, so across checkouts only its verdict has to agree
         kind = "exact search" if ra["cutoff"] is None else "threshold search"
         counts[f"default budget: {kind} value differs"] += ra["value"] != rb["value"]
         counts["default budget: exact differs"] += ra["exact"] != rb["exact"]

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import multiprocessing
+import os
 import random
 import shutil
 import sys
@@ -587,9 +588,14 @@ def test_segment_threshold_agrees_with_exact(config, nocache_config, alpha2, tmp
 
 
 def test_segment_threshold_outcomes(tmp_path):
-    # the segment's minimum is 5; two budget units decide neither threshold
+    # the segment's minimum is 5; two budget units decide neither threshold.
+    # Below the cutoff the search finds the minimum, and stores the entry an
+    # exact query stores.
     letters = (V, 2, 0, 1, 0, 1, 0, 1, 2)
-    for k, decided, stored in ((5, True, {"at_least": 5}), (6, False, {"upper": 5})):
+    segment_self_intersections(letters, GapAlphabet(2), OracleConfig(cache_dir=tmp_path / "exact"))
+    [exact] = [json.loads(text) for text in cache_rows(tmp_path / "exact").values()]
+    del exact["key"], exact["version"]
+    for k, decided, stored in ((5, True, {"at_least": 5}), (6, False, exact)):
         cache = tmp_path / f"k{k}"
         config = OracleConfig(budget=2, cache_dir=cache)
         assert segment_self_at_least(letters, k, GapAlphabet(2), config) is None
@@ -598,6 +604,42 @@ def test_segment_threshold_outcomes(tmp_path):
         assert segment_self_at_least(letters, k, GapAlphabet(2), config) is decided
         [entry] = [json.loads(text) for text in cache_rows(cache).values()]
         assert {f: v for f, v in entry.items() if f not in ("key", "version")} == stored
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_instances())
+def test_cutoff_only_starts_the_bound(instance):
+    """Below the minimum a cutoff changes nothing: the search returns the
+    cutoff-free value and witness.  At or above it, the search proves
+    min >= cutoff with a value at or above the cutoff."""
+    n, curves, tally = instance
+    value, witness, exact = minimize_crossings(n, curves, tally)
+    assert exact
+    for cutoff in range(value + 2):
+        got = minimize_crossings(n, curves, tally, cutoff=cutoff)
+        if value < cutoff:
+            assert got == (value, witness, True), (instance, cutoff)
+        else:
+            assert got[2] and got[0] >= cutoff, (instance, cutoff)
+
+
+def test_threshold_entry_answers_the_exact_query(tmp_path, monkeypatch, nocache_config, alpha2):
+    """A threshold query below its cutoff leaves the exact entry, drawn on
+    the curves its key names (here the reversed segment), and a following
+    exact query reads it without a search."""
+    letters = (V, 2, 0, 1, 0, 1, 0, 1, 2)  # minimum 5
+    want = segment_self_intersections(letters, alpha2, nocache_config)
+    config = OracleConfig(cache_dir=tmp_path)
+    assert segment_self_at_least(letters, 6, alpha2, config) is False
+    [entry] = [json.loads(text) for text in cache_rows(tmp_path).values()]
+    assert entry["exact"] and entry["value"] == want.value == 5
+    assert entry["witness"]["curves"][0]["letters"] == [format_letter(a) for a in letters[::-1]]
+
+    def no_search(*args):
+        raise AssertionError("the exact query searched")
+
+    monkeypatch.setattr(oracle, "minimize_crossings", no_search)
+    assert segment_self_intersections(letters, alpha2, config).to_json() == want.to_json()
 
 
 def test_repeated_letter_words(nocache_config):
@@ -756,6 +798,25 @@ def test_cache_put_makes_its_directory(tmp_path):
     written = io.StringIO()
     json.dump({**fields, "key": "n2|seg|v.2.0", "version": MODEL_VERSION}, written, sort_keys=True)
     assert cache_rows(directory) == {"n2|seg|v.2.0": written.getvalue()}
+
+
+def test_cache_keeps_one_connection_per_process(tmp_path):
+    """Moving to another cache directory closes the process's connection to
+    the one before, so stores in new directories leave one connection."""
+    from loopforge import cache
+
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("counts open files by /proc/self/fd")
+    open_files = []
+    for i in range(5):
+        store = cache.CacheStore(tmp_path / str(i))
+        store.put("some-key", {"value": i})
+        assert store.get("some-key")["value"] == i
+        open_files.append(len(os.listdir("/proc/self/fd")))
+    # a connection left open keeps a database and its two WAL sidecars open
+    assert open_files[-1] - open_files[0] < 3, open_files
+    assert cache._connections[os.getpid()][0] == store.path
+    assert cache.CacheStore(tmp_path / "0").get("some-key")["value"] == 0
 
 
 def _reads_through(directory, connection_id: int) -> bool:

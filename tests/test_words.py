@@ -42,6 +42,9 @@ def test_parse_rejects_interior_v(alpha2):
 def test_parse_rejects_one_sided_v(alpha2):
     with pytest.raises(PreconditionError):
         parse_word("v 2 1", alpha2)
+    # a lone 'v' has no interior
+    with pytest.raises(PreconditionError, match="both ends or not at all"):
+        parse_word("v", alpha2)
 
 
 def test_parse_rejects_odd_x_word(alpha2):
