@@ -199,10 +199,7 @@ def snail_pair_lower_bound(s1: Snail, s2: Snail) -> int:
 
 
 def forced_arc_intersection(
-    word_a: tuple[int, ...],
-    word_b: tuple[int, ...],
-    alphabet: GapAlphabet,
-    same_polarity: bool = True,
+    word_a: tuple[int, ...], word_b: tuple[int, ...], alphabet: GapAlphabet
 ) -> bool:
     """Orientation test forcing an arc crossing between two same-polarity
     segments that agree on all middle letters and differ at both ends.
@@ -211,8 +208,6 @@ def forced_arc_intersection(
     orientations are opposite for even k and equal for odd k.  Returns False
     when an end triple is degenerate (the test does not apply).
     """
-    if not same_polarity:
-        raise PreconditionError("the forced-crossing test assumes equal polarities")
     a, b = tuple(word_a), tuple(word_b)
     if len(a) != len(b) or len(a) < 2:
         raise PreconditionError("segments must share their length (at least 2)")
@@ -245,22 +240,29 @@ def family_bound_snails(k: int) -> int:
 # -- closed-form bound evaluators ---------------------------------------------
 
 
-def _format_big(value: int, digit_cap: int = 20000) -> str | None:
-    """Decimal string of `value`, or None when it would exceed `digit_cap`.
+# 2**e has floor(e log10 2) + 1 decimal digits: at most 20000 up to e = 66438
+MAX_PRINTED_EXPONENT = 66438
+
+
+def double_exp_exponent(n: int, k: int) -> int:
+    """The exponent of the double-exponential bound f(n, k) <= 2^((2k)^(2n))."""
+    return (2 * k) ** (2 * n)
+
+
+def _power_of_two_text(exponent: int) -> str | None:
+    """Decimal string of 2**exponent, or None above MAX_PRINTED_EXPONENT.
     The interpreter's limit on int-to-str digits is lifted for this one
     conversion and then restored."""
-    digits = int(value.bit_length() * 0.30103) + 1
-    if digits > digit_cap:
+    if exponent > MAX_PRINTED_EXPONENT:
         return None
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:  # 0 means no limit
         sys.set_int_max_str_digits(0)
     try:
-        text = str(value)
+        return str(2**exponent)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    return text if len(text) <= digit_cap else None
 
 
 @dataclass(frozen=True)
@@ -325,7 +327,7 @@ def analytic_bounds(n: int, k: int) -> BoundsReport:
     """Evaluate every closed-form bound available at the given n and k."""
     if n < 1 or k < 1:
         raise PreconditionError("need n >= 1 and k >= 1")
-    exponent = (2 * k) ** (2 * n)
+    exponent = double_exp_exponent(n, k)
     sqrt_arg = None
     sqrt_exp = None
     if n <= 2 * k:
@@ -341,7 +343,7 @@ def analytic_bounds(n: int, k: int) -> BoundsReport:
         k=k,
         f_upper_single_puncture=2 * k + 1 if n == 1 else None,
         f_upper_double_exp_exponent=exponent,
-        f_upper_double_exp_value=_format_big(2**exponent) if exponent <= 80000 else None,
+        f_upper_double_exp_value=_power_of_two_text(exponent),
         f_lower_sqrt_exponent_sqrt_arg=sqrt_arg,
         f_lower_sqrt_exponent=sqrt_exp,
         f_lower_ratio_power=ratio_power,

@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Every report is JSON (or CSV for tabular reports) on stdout and carries an
-"exact" flag.  Exit codes: 0 success, 2 precondition violation (with a
-machine-readable error object), 3 oracle budget exhausted (report emitted
-with exact=false, or an error object when a catalog is incomplete) or memory
-exhausted (an error object), 130 interrupted by Ctrl-C (an `Interrupted`
-error object instead of a report).  Large numbers are emitted as decimal
-strings.
+"exact" flag.  Exit codes: 0 success, 2 precondition violation or usage
+error (with a machine-readable error object), 3 oracle budget exhausted
+(report emitted with exact=false, or an error object when a catalog is
+incomplete) or memory exhausted (an error object), 130 interrupted by Ctrl-C
+(an `Interrupted` error object instead of a report).  Large numbers are
+emitted as decimal strings.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import sys
 
 import click
+from click.core import ParameterSource
 
 from .bounds import analytic_bounds, find_windings, winding_self_lower_bound
 from .canon import canon_v, canon_x
@@ -60,15 +61,18 @@ def _emit_csv(rows: list[dict], columns: list[str]) -> None:
 
 
 class _Group(click.Group):
-    """Turns a precondition violation into exit 2, an enumeration that ran
-    out of oracle budget or a run out of memory into exit 3, and an
-    interrupt into exit 130, each with an error object on stdout."""
+    """Turns a precondition violation or a usage error of a command into
+    exit 2, an enumeration that ran out of oracle budget or a run out of
+    memory into exit 3, and an interrupt into exit 130, each with an error
+    object on stdout."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except PreconditionError as exc:
-            _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        except (PreconditionError, click.UsageError) as exc:
+            usage = isinstance(exc, click.UsageError)
+            _emit({"error": {"type": "UsageError" if usage else type(exc).__name__,
+                             "message": exc.format_message() if usage else str(exc)}})
             sys.exit(EXIT_PRECONDITION)
         except (EnumerationIncompleteError, MemoryError) as exc:
             kind = "MemoryError" if isinstance(exc, MemoryError) else "EnumerationIncomplete"
@@ -82,8 +86,8 @@ class _Group(click.Group):
 
 n_option = click.option("--n", "n", type=int, default=2, show_default=True,
                         help="number of punctures")
-
-
+k_option = click.option("--k", type=int, required=True, help="crossing budget")
+jobs_option = click.option("--jobs", type=int, default=1, show_default=True)
 length_cap_option = click.option("--length-cap", "cap", type=int, default=None,
                                  help="raise the provable length cap")
 
@@ -104,6 +108,13 @@ def oracle_options(fn):
                            help="oracle cache directory "
                                 "(default: $LOOPFORGE_CACHE or ./.loopforge-cache)")(command)
     return click.option("--no-cache", is_flag=True, help="disable the oracle cache")(command)
+
+
+def hemisphere_options(fn):
+    """Add --hemi1 and --hemi2, the first-arc hemispheres of two v-words."""
+    for name in ("--hemi2", "--hemi1"):
+        fn = click.option(name, type=click.Choice("NS"), default=NORTH, show_default=True)(fn)
+    return fn
 
 
 def _two_classes(word1: str, word2: str, n: int, hemi1: str, hemi2: str):
@@ -153,8 +164,7 @@ def canon(word_text: str, n: int, hemisphere: str) -> None:
 
 @main.command()
 @n_option
-@click.option("--hemi1", type=click.Choice("NS"), default=NORTH, show_default=True)
-@click.option("--hemi2", type=click.Choice("NS"), default=NORTH, show_default=True)
+@hemisphere_options
 @click.argument("word1")
 @click.argument("word2")
 def equiv(word1: str, word2: str, n: int, hemi1: str, hemi2: str) -> None:
@@ -179,8 +189,7 @@ def selfint(word_text: str, n: int, config: OracleConfig) -> None:
 @main.command()
 @oracle_options
 @n_option
-@click.option("--hemi1", type=click.Choice("NS"), default=NORTH, show_default=True)
-@click.option("--hemi2", type=click.Choice("NS"), default=NORTH, show_default=True)
+@hemisphere_options
 @click.argument("word1")
 @click.argument("word2")
 def pairint(word1: str, word2: str, n: int, hemi1: str, hemi2: str,
@@ -195,7 +204,7 @@ def pairint(word1: str, word2: str, n: int, hemi1: str, hemi2: str,
 
 @main.command()
 @n_option
-@click.option("--k", type=int, required=True, help="crossing budget")
+@k_option
 def bounds(n: int, k: int) -> None:
     """Closed-form bounds on the extremal family sizes."""
     _emit(analytic_bounds(n, k).to_json())
@@ -252,29 +261,33 @@ def decompose_cmd(word_text: str, n: int) -> None:
 
 @main.command(name="count-expansions")
 @click.option("--l", "length", type=int, help="expansion vector length")
-@click.option("--k", type=int, required=True, help="crossing budget")
+@click.option("--k", type=int, help="crossing budget; required without --sweep")
 @click.option("--sweep", is_flag=True, help="emit a CSV sweep over lengths and budgets")
 @click.option("--lmax", type=int, default=8, show_default=True)
 @click.option("--kmax", type=int, default=16, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
-def count_expansions(length: int | None, k: int, sweep: bool, lmax: int, kmax: int,
+def count_expansions(length: int | None, k: int | None, sweep: bool, lmax: int, kmax: int,
                      fmt: str) -> None:
     """Count expansion vectors whose forced-crossing bound stays below k."""
+    ctx = click.get_current_context()
+    unused = ("length", "k") if sweep else ("lmax", "kmax", "fmt")
+    given = [p.opts[0] for p in ctx.command.params if p.name in unused
+             and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
+    if given:
+        mode = "with" if sweep else "without"
+        raise click.UsageError(f"{', '.join(given)} not used {mode} --sweep")
     if sweep:
-        rows = sweep_rows(range(0, lmax + 1), range(1, kmax + 1))
-        rows = [
-            {key: ("" if val is None else str(val)) for key, val in row.items()}
-            for row in rows
-        ]
+        rows = [{key: "" if val is None else str(val) for key, val in row.items()}
+                for row in sweep_rows(range(0, lmax + 1), range(1, kmax + 1))]
         if fmt == "csv":
             _emit_csv(rows, ["length", "k", "exactCount", "mVectorCount",
                              "mVectorCap", "multinomialZ"])
         else:
             _emit({"rows": rows, "exact": True})
         return
-    if length is None:
-        raise PreconditionError("--l is required without --sweep")
+    if length is None or k is None:
+        raise click.UsageError("--l and --k are required without --sweep")
     value = count_vectors_exact(length, k)
     _emit({"count": str(value), "length": length, "k": k, "exact": True})
 
@@ -282,9 +295,9 @@ def count_expansions(length: int | None, k: int, sweep: bool, lmax: int, kmax: i
 @main.command(name="enumerate")
 @oracle_options
 @n_option
-@click.option("--k", type=int, required=True, help="crossing budget")
+@k_option
 @length_cap_option
-@click.option("--jobs", type=int, default=1, show_default=True)
+@jobs_option
 def enumerate_cmd(n: int, k: int, cap: int | None, jobs: int, config: OracleConfig) -> None:
     """Catalog of loop classes with self-crossing number below k (JSONL)."""
     catalog = enumerate_classes(n, k, config, length_cap_override=cap, jobs=jobs)
@@ -298,9 +311,9 @@ def enumerate_cmd(n: int, k: int, cap: int | None, jobs: int, config: OracleConf
 @main.command()
 @oracle_options
 @n_option
-@click.option("--k", type=int, required=True, help="crossing budget")
+@k_option
 @length_cap_option
-@click.option("--jobs", type=int, default=1, show_default=True)
+@jobs_option
 def graph(n: int, k: int, cap: int | None, jobs: int, config: OracleConfig) -> None:
     """Compatibility graph of the class catalog, with clique bounds."""
     catalog = enumerate_classes(n, k, config, length_cap_override=cap, jobs=jobs)
@@ -315,22 +328,17 @@ def graph(n: int, k: int, cap: int | None, jobs: int, config: OracleConfig) -> N
 @main.command()
 @oracle_options
 @click.option("--kmax", type=int, required=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@jobs_option
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv",
               show_default=True)
 def growth(kmax: int, jobs: int, fmt: str, config: OracleConfig) -> None:
     """Class-count growth table for k = 1..kmax (two punctures)."""
     rows = growth_report(kmax, config, jobs=jobs)
     if fmt == "csv":
-        str_rows = [
-            {
-                key: (json.dumps(val) if isinstance(val, bool) else str(val))
-                for key, val in row.items()
-            }
-            for row in rows
-        ]
-        _emit_csv(str_rows, ["k", "classCountN2", "countUncertainty", "classCountN1",
-                             "lnCountOverSqrtK", "fUpperDoubleExpExponent", "exact"])
+        _emit_csv([{key: json.dumps(val) if isinstance(val, bool) else val
+                    for key, val in row.items()} for row in rows],
+                  ["k", "classCountN2", "countUncertainty", "classCountN1",
+                   "lnCountOverSqrtK", "fUpperDoubleExpExponent", "exact"])
     else:
         _emit({"rows": rows, "exact": True})
 

@@ -116,6 +116,12 @@ def expansion_lower_bound(repeats: tuple[int, ...]) -> int:
     return depth_family_bound(repeats)
 
 
+def tail_cap(k: int, t: int) -> int:
+    """floor(sqrt(k/t)): the most entries at or above t in a vector below k,
+    since m such entries alone force m^2 t crossings."""
+    return math.isqrt(k // t)
+
+
 def tail_multiplicities(repeats: tuple[int, ...], k: int) -> tuple[int, ...]:
     """(m_{>=1}, ..., m_{>=k}): how many entries reach each threshold."""
     return tuple(sum(1 for s in repeats if s >= t) for t in range(1, k + 1))
@@ -158,16 +164,14 @@ def z_vector(length: int, k: int) -> tuple[int, ...]:
     """
     if k < 1:
         raise PreconditionError("k must be at least 1")
-    floor_sqrt = math.isqrt(k)
-    if length < 2 * floor_sqrt - math.isqrt(k // 2):
+    threshold = 2 * tail_cap(k, 1) - tail_cap(k, 2)
+    if length < threshold:
         raise PreconditionError(
-            f"length {length} below the feasibility threshold "
-            f"{2 * floor_sqrt - math.isqrt(k // 2)} for k={k}"
+            f"length {length} below the feasibility threshold {threshold} for k={k}"
         )
-    z = [length - floor_sqrt]
-    for i in range(1, k + 1):
-        z.append(math.isqrt(k // i) - math.isqrt(k // (i + 1)))
-    return tuple(z)
+    return (length - tail_cap(k, 1),) + tuple(
+        tail_cap(k, i) - tail_cap(k, i + 1) for i in range(1, k + 1)
+    )
 
 
 def multinomial(length: int, parts: tuple[int, ...]) -> int:
@@ -187,14 +191,12 @@ def multinomial(length: int, parts: tuple[int, ...]) -> int:
 def profile_feasible(profile: tuple[int, ...], length: int, k: int) -> bool:
     """Whether a multiplicity vector (m_0..m_k) sums to `length` with every
     tail m_{>=t} at most sqrt(k/t)."""
-    if len(profile) != k + 1 or any(m < 0 for m in profile):
-        return False
-    if sum(profile) != length:
+    if len(profile) != k + 1 or any(m < 0 for m in profile) or sum(profile) != length:
         return False
     tail = 0
     for t in range(k, 0, -1):
         tail += profile[t]
-        if tail * tail * t > k:
+        if tail > tail_cap(k, t):
             return False
     return True
 
@@ -214,13 +216,12 @@ def m_vector_count(length: int, k: int) -> tuple[int, int]:
     beta = ceil(k^(1/3)).  The exact count never exceeds the cap."""
     if length < 0 or k < 1:
         raise PreconditionError("need length >= 0 and k >= 1")
-    caps = [0] + [math.isqrt(k // t) for t in range(1, k + 1)]
 
     @lru_cache(maxsize=None)
     def count(t: int, prev: int) -> int:
         if t > k:
             return 1
-        return sum(count(t + 1, m) for m in range(0, min(prev, caps[t]) + 1))
+        return sum(count(t + 1, m) for m in range(0, min(prev, tail_cap(k, t)) + 1))
 
     exact = count(1, length)
     count.cache_clear()

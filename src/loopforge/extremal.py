@@ -21,8 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import best_obstacle_bound, obstacle_spans
+from .bounds import best_obstacle_bound, double_exp_exponent, obstacle_spans
 from .canon import LoopClass, VLoopClass, XLoopClass
+from .expansion import tail_cap
 from .oracle import (
     CrossingCount,
     Drawing,
@@ -52,7 +53,7 @@ def expansion_letter_budget(k: int) -> int:
     """Letters one pair's expansions can add to a core word staying below k
     forced crossings: twice the total repeat count, which is bounded both by
     k-1 and by the sum of the tail caps floor(sqrt(k/t))."""
-    return 2 * min(k - 1, sum(math.isqrt(k // t) for t in range(1, k + 1)))
+    return 2 * min(k - 1, sum(tail_cap(k, t) for t in range(1, k + 1)))
 
 
 def length_cap(k: int, n: int) -> int:
@@ -75,10 +76,8 @@ def length_cap(k: int, n: int) -> int:
         raise PreconditionError("k must be at least 1")
     if n == 1:
         return 2 * (k + 1)
-    if n == 2:
-        per_pair = math.isqrt(16 * k)  # floor(4 sqrt k)
-        core = 6 * per_pair + 1
-        return core + 3 * expansion_letter_budget(k)
+    if n == 2:  # math.isqrt(16 * k) is floor(4 sqrt k)
+        return 6 * math.isqrt(16 * k) + 1 + 3 * expansion_letter_budget(k)
     raise PreconditionError("catalogs support n in {1, 2}")
 
 
@@ -221,31 +220,25 @@ def enumerate_classes(
             raise PreconditionError(f"length cap below the provable cap {cap}")
         cap = length_cap_override
     alphabet = GapAlphabet(n)
-    entries: list[CatalogEntry] = []
-
     if n == 1:
         words = _enumerate_x_words(cap)
-        results = _evaluate_words(words, alphabet, config, jobs)
-        for word, res in zip(words, results):
-            if not res.exact:
-                raise EnumerationIncompleteError(f"budget exhausted on {word}")
-            if res.value < k:
-                entries.append(
-                    CatalogEntry(XLoopClass(word.letters), res.value, True, res.witness)
-                )
-        entries.sort(key=lambda e: (len(e.loop_class.reduced), e.loop_class.reduced))
-        return ClassCatalog(n, k, cap, tuple(entries), 0)
-
-    cores = _collect_core_candidates(k, cap, alphabet, config)
-    results = _evaluate_words([Word.v_word(core) for core in cores], alphabet, config, jobs)
-    kept = [((), 0, None)]
-    for core, res in zip(cores, results):
+        kept = []
+    else:
+        words = [Word.v_word(core) for core in _collect_core_candidates(k, cap, alphabet, config)]
+        kept = [(Word.v_word(()), 0, None)]
+    for word, res in zip(words, _evaluate_words(words, alphabet, config, jobs)):
         if not res.exact:
-            raise EnumerationIncompleteError(f"budget exhausted on core {core}")
+            name = word if n == 1 else f"core {word.inner()}"
+            raise EnumerationIncompleteError(f"budget exhausted on {name}")
         if res.value < k:
-            kept.append((core, res.value, res.witness))
-    entries = [CatalogEntry(VLoopClass(core, hemisphere), value, True, witness)
-               for core, value, witness in kept for hemisphere in (NORTH, SOUTH)]
+            kept.append((word, res.value, res.witness))
+
+    if n == 1:  # the words are listed by length, then by letters
+        entries = [CatalogEntry(XLoopClass(word.letters), value, True, witness)
+                   for word, value, witness in kept]
+        return ClassCatalog(n, k, cap, tuple(entries), 0)
+    entries = [CatalogEntry(VLoopClass(word.inner(), hemisphere), value, True, witness)
+               for word, value, witness in kept for hemisphere in (NORTH, SOUTH)]
     entries.sort(key=lambda e: (len(e.loop_class.core), e.loop_class.core,
                                 e.loop_class.start_hemisphere))
     # the two polarity tags of the empty core may name one class
@@ -444,7 +437,7 @@ def growth_report(
                 "countUncertainty": cat2.count_uncertainty,
                 "classCountN1": sum(e.selfint < k for e in cat1.entries),
                 "lnCountOverSqrtK": f"{math.log(count2) / math.sqrt(k):.6f}",
-                "fUpperDoubleExpExponent": (2 * k) ** 4,
+                "fUpperDoubleExpExponent": double_exp_exponent(2, k),
                 "exact": True,
             }
         )

@@ -112,13 +112,6 @@ class Word:
     def to_json(self) -> dict:
         return {"kind": self.kind, "letters": [format_letter(a) for a in self.letters]}
 
-    @staticmethod
-    def from_json(obj: dict) -> "Word":
-        letters = tuple(V if t == "v" else int(t) for t in obj["letters"])
-        if obj["kind"] == "v":
-            return Word(letters, "v")
-        return Word.x_word(letters)
-
 
 def parse_letters(text: str, alphabet: GapAlphabet) -> tuple[int, ...]:
     """Tokenize a word; tokens are whitespace- or dot-separated, 'v' or a decimal label."""

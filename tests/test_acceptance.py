@@ -251,8 +251,7 @@ def test_criterion_9_deterministic_reports(tmp_path):
         ["bounds", "--n", "2", "--k", "3"],
         ["windings", "--n", "2", "v 2 0 1 0 2 v"],
         ["decompose", "--n", "2", "v 2 0 1 0 1 0 1 2 v"],
-        ["count-expansions", "--k", "8", "--sweep", "--lmax", "6", "--kmax", "8",
-         "--format", "csv"],
+        ["count-expansions", "--sweep", "--lmax", "6", "--kmax", "8", "--format", "csv"],
         ["enumerate", "--n", "1", "--k", "3"],
         ["enumerate", "--n", "2", "--k", "3"],
         ["graph", "--n", "1", "--k", "2"],

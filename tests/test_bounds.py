@@ -18,6 +18,7 @@ from loopforge import (
     snail_pair_lower_bound,
     winding_self_lower_bound,
 )
+from loopforge.bounds import MAX_PRINTED_EXPONENT, _power_of_two_text, double_exp_exponent
 from loopforge.words import NORTH, SOUTH, V
 
 
@@ -38,11 +39,6 @@ def test_forced_rejects_equal_ends(alpha2):
 def test_forced_rejects_middle_mismatch(alpha2):
     with pytest.raises(PreconditionError):
         forced_arc_intersection((0, 1, 2), (2, 0, 1), alpha2)
-
-
-def test_forced_rejects_polarity_flag(alpha2):
-    with pytest.raises(PreconditionError):
-        forced_arc_intersection((0, 1), (V, 2), alpha2, same_polarity=False)
 
 
 def test_forced_degenerate_triple_is_false(alpha2):
@@ -259,6 +255,21 @@ def test_analytic_bounds_restores_int_digit_limit():
     assert hashlib.sha256(value.encode()).hexdigest() == (
         "64829919027d6b545f931768c171c25c3022620a646a692116639aecb45f0ba8"
     )
+
+
+def test_double_exp_value_printed_up_to_20000_digits():
+    # 2^e has at most 20000 digits exactly when e <= MAX_PRINTED_EXPONENT
+    assert 2**MAX_PRINTED_EXPONENT < 10**20000 <= 2 ** (MAX_PRINTED_EXPONENT + 1)
+    assert _power_of_two_text(MAX_PRINTED_EXPONENT + 1) is None
+    assert len(_power_of_two_text(MAX_PRINTED_EXPONENT)) == 20000
+    for n in range(1, 4):
+        for k in range(1, 13):
+            assert double_exp_exponent(n, k) == (2 * k) ** (2 * n)
+    # (2k)^(2n) = 66564 is the first exponent of a report past the cap
+    report = analytic_bounds(1, 129)
+    assert report.f_upper_double_exp_exponent == double_exp_exponent(1, 129) == 66564
+    assert report.f_upper_double_exp_value is None
+    assert analytic_bounds(1, 128).f_upper_double_exp_value is not None
 
 
 def test_analytic_bounds_rejects_bad_args():

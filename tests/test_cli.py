@@ -281,12 +281,39 @@ def test_count_expansions_command(runner):
 def test_count_expansions_sweep_csv(runner):
     result = _invoke(
         runner,
-        ["count-expansions", "--k", "1", "--sweep", "--lmax", "2", "--kmax", "2",
-         "--format", "csv"],
+        ["count-expansions", "--sweep", "--lmax", "2", "--kmax", "2", "--format", "csv"],
     )
     lines = result.output.strip().splitlines()
     assert lines[0] == "length,k,exactCount,mVectorCount,mVectorCap,multinomialZ"
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--sweep", "--k", "3"], "--k not used with --sweep"),
+    (["--sweep", "--l", "2", "--k", "3"], "--l, --k not used with --sweep"),
+    (["--l", "2", "--k", "3", "--format", "csv"], "--format not used without --sweep"),
+    (["--l", "2", "--k", "3", "--format", "json"], "--format not used without --sweep"),
+    (["--l", "2", "--k", "3", "--lmax", "2", "--kmax", "2"],
+     "--lmax, --kmax not used without --sweep"),
+    (["--l", "2"], "--l and --k are required without --sweep"),
+    (["--k", "3"], "--l and --k are required without --sweep"),
+])
+def test_count_expansions_rejects_options_of_the_other_mode(runner, args, message):
+    result = _invoke(runner, ["count-expansions", *args])
+    assert result.exit_code == 2
+    assert json.loads(result.stdout) == {"error": {"type": "UsageError", "message": message}}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["selfint", "--budget", "abc", "v 2 v"],
+     "Invalid value for '--budget': 'abc' is not a valid integer."),
+    (["nosuch"], "No such command 'nosuch'."),
+    (["bounds", "--n", "2"], "Missing option '--k'."),
+])
+def test_usage_errors_get_an_error_object(runner, args, message):
+    result = _invoke(runner, args)
+    assert result.exit_code == 2
+    assert json.loads(result.stdout) == {"error": {"type": "UsageError", "message": message}}
 
 
 def test_enumerate_command(runner, tmp_path):

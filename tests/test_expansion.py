@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +23,10 @@ from loopforge.expansion import (
     reassemble,
     shrink_core,
     sweep_rows,
+    tail_cap,
     tail_multiplicities,
 )
+from loopforge.extremal import expansion_letter_budget, length_cap
 
 
 # -- decomposition ----------------------------------------------------------------
@@ -182,6 +186,35 @@ def test_z_vector_examples():
 def test_z_vector_threshold():
     with pytest.raises(PreconditionError):
         z_vector(3, 9)  # needs at least 2*3 - 2 = 4
+
+
+def test_tail_cap_is_floor_sqrt_k_over_t():
+    for k in range(1, 301):
+        for t in range(1, k + 1):
+            m = tail_cap(k, t)
+            assert m * m * t <= k < (m + 1) ** 2 * t, (k, t)
+
+
+PINNED_FORMULAS = Path(__file__).with_name("pinned_expansion_formulas.json")
+
+
+def test_formulas_match_pinned_values():
+    """length_cap(k, 2), expansion_letter_budget(k), z_vector(L, k) (null
+    below its threshold) and m_vector_count(L, k) for k <= 40 and L <= 12,
+    pinned from the version that spelled out the tail cap at each use."""
+
+    def z(length, k):
+        try:
+            return list(z_vector(length, k))
+        except PreconditionError:
+            return None
+
+    for row in json.loads(PINNED_FORMULAS.read_text()):
+        k = row["k"]
+        assert length_cap(k, 2) == row["lengthCap"], k
+        assert expansion_letter_budget(k) == row["letterBudget"], k
+        assert [z(length, k) for length in range(13)] == row["zVector"], k
+        assert [list(m_vector_count(length, k)) for length in range(13)] == row["mVectorCount"], k
 
 
 def test_multinomial():

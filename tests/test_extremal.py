@@ -126,6 +126,17 @@ def test_enumerate_rejects_bad_args(config):
         enumerate_classes(2, 1, config, jobs=0)
 
 
+@pytest.mark.parametrize("n, message", [
+    (1, "budget exhausted on 0 1 0 1"),
+    (2, "budget exhausted on core (2, 0, 1, 0, 1, 0, 1, 2)"),
+])
+def test_enumerate_names_the_first_inexact_candidate(n, message):
+    config = OracleConfig(budget=1, use_cache=False)
+    with pytest.raises(extremal.EnumerationIncompleteError) as info:
+        enumerate_classes(n, 4, config)
+    assert str(info.value) == message
+
+
 def test_enumerate_with_jobs_matches_sequential(nocache_config):
     # no cache, so the pool itself computes every value and witness
     seq = enumerate_classes(2, 2, nocache_config)

@@ -59,11 +59,6 @@ def test_parse_rejects_unknown_token(alpha2):
         parse_word("0 7", alpha2)
 
 
-def test_word_json_round_trip(alpha2):
-    w = parse_word("v 2 1 0 2 v", alpha2)
-    assert Word.from_json(w.to_json()) == w
-
-
 # -- patterns -----------------------------------------------------------------
 
 
