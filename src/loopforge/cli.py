@@ -61,14 +61,23 @@ def _emit_csv(rows: list[dict], columns: list[str]) -> None:
 
 
 class _Group(click.Group):
-    """Turns a precondition violation or a usage error of a command into
-    exit 2, an enumeration that ran out of oracle budget or a run out of
-    memory into exit 3, and an interrupt into exit 130, each with an error
-    object on stdout."""
+    """Turns a precondition violation or a usage error, also one before the
+    command name, into exit 2, an enumeration that ran out of oracle budget
+    or a run out of memory into exit 3, and an interrupt into exit 130, each
+    with an error object on stdout."""
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        return self._reported(super().parse_args, ctx, args)
 
     def invoke(self, ctx: click.Context):
+        return self._reported(super().invoke, ctx)
+
+    @staticmethod
+    def _reported(call, *args):
         try:
-            return super().invoke(ctx)
+            return call(*args)
+        except click.exceptions.NoArgsIsHelpError:
+            raise  # a bare `loopforge` prints its help
         except (PreconditionError, click.UsageError) as exc:
             usage = isinstance(exc, click.UsageError)
             _emit({"error": {"type": "UsageError" if usage else type(exc).__name__,

@@ -8,7 +8,8 @@ oracle run on the basepoint-anchored prefix segment; both prunes are sound,
 so the walk is exhaustive up to the provable length cap.  The walk draws
 each anchored prefix by growing its parent's drawing by one point; a prefix
 drawn with fewer than k crossings is below k, so the oracle is asked only
-about prefixes whose grown drawing has k or more.
+about prefixes whose grown drawing has k or more.  Each candidate is a
+threshold query at k as well: its exact minimum and witness below k.
 
 Pairwise-compatibility graphs and clique sizes probe the extremal family
 sizes.  A clique upper bound is honest in one direction only: any valid
@@ -31,9 +32,9 @@ from .oracle import (
     _class_text,
     _grow_segment,
     _pair_text,
+    _self_query,
     pair_intersection_number,
     segment_self_at_least,
-    self_intersection_number,
 )
 from .words import (
     NORTH,
@@ -145,9 +146,10 @@ def _map(fn, calls: list[tuple], jobs: int) -> list:
 
 
 def _evaluate_words(
-    words: list[Word], alphabet: GapAlphabet, config: OracleConfig, jobs: int
+    words: list[Word], k: int, alphabet: GapAlphabet, config: OracleConfig, jobs: int
 ) -> list[CrossingCount]:
-    return _map(self_intersection_number, [(w, alphabet, config) for w in words], jobs)
+    """Each word's threshold query at k: its exact minimum below k."""
+    return _map(_self_query, [(w.kind, w.letters, alphabet, config, k) for w in words], jobs)
 
 
 def _enumerate_x_words(cap: int) -> list[Word]:
@@ -226,7 +228,7 @@ def enumerate_classes(
     else:
         words = [Word.v_word(core) for core in _collect_core_candidates(k, cap, alphabet, config)]
         kept = [(Word.v_word(()), 0, None)]
-    for word, res in zip(words, _evaluate_words(words, alphabet, config, jobs)):
+    for word, res in zip(words, _evaluate_words(words, k, alphabet, config, jobs)):
         if not res.exact:
             name = word if n == 1 else f"core {word.inner()}"
             raise EnumerationIncompleteError(f"budget exhausted on {name}")

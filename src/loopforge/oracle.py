@@ -39,12 +39,15 @@ make the 11-point ladder `v 2 (0 1)^11 2 v` about 1.5 times slower.
 Apart from the search, `_grow_segment` draws an open segment one crossing
 longer than a drawing it is given, placing the new crossing at its cheapest
 position in its gap.  The catalog walk grows its prefixes this way, and a
-grown drawing below k settles a prefix without a search.
+grown drawing below k settles a prefix without a search.  Other prefixes
+and the catalog's candidates are threshold queries at k (`_self_query`
+with a cutoff): the exact minimum and witness below k, else only k.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -670,12 +673,6 @@ def _self_key(n: int, kind: str, letters: tuple[int, ...]) -> tuple[str, int, bo
     return (f"n{n}|seg|{text}" if kind == "seg" else f"n{n}|self|{kind}|{text}"), shift, rev
 
 
-def _self_form(n: int, kind: str, curve: CurveSpec) -> tuple[str, _Form]:
-    """The key of a self query on `curve`, and the form it names."""
-    key, shift, rev = _self_key(n, kind, curve.letters)
-    return key, _Form.of([(curve,)], ((0, shift, rev),), [(NORTH,)])
-
-
 def _open_text(letters: tuple[int, ...], hemi: int) -> tuple:
     """An open curve's forward and reversed letter strings, each with its first arc's hemisphere."""
     return ((_letters_key(letters), hemi, False),
@@ -713,52 +710,67 @@ def _open_form(order: tuple, query: tuple[CurveSpec, ...]) -> _Form:
     return _Form.of([query], ((i, 0, ri), (j, 0, rj)), [(NORTH, _HEMIS[hf ^ hs])])
 
 
-def _pair_key(n: int, kind: str, specs) -> tuple[str, _Form]:
+def _pair_key(n: int, kind: str, specs) -> tuple[str, Callable[[], _Form]]:
     """The key of two open curves given as (letters, hemisphere bit), and its form."""
     key, order = _pair_text(n, *((kind, _open_text(letters, hemi)) for letters, hemi in specs))
-    return key, _open_form(order, tuple(CurveSpec(tuple(letters), False, _HEMIS[h])
-                                        for letters, h in specs))
+    return key, functools.partial(_open_form, order, tuple(
+        CurveSpec(tuple(letters), False, _HEMIS[h]) for letters, h in specs))
 
 
-def _class_pair_key(c1: LoopClass, c2: LoopClass, n: int) -> tuple[str, _Form]:
+def _class_pair_key(c1: LoopClass, c2: LoopClass, n: int) -> tuple[str, Callable[[], _Form]]:
     """The key of a pair query on two classes, and the form it names."""
     (kind, a), (_, b) = texts = _class_text(c1, n), _class_text(c2, n)
     key, order = _pair_text(n, *texts)
     if kind == "v":
-        return key, _open_form(order, tuple(_curve_for_word(c.word(), c.start_hemisphere)
-                                            for c in (c1, c2)))
+        return key, functools.partial(_open_form, order, tuple(
+            _curve_for_word(c.word(), c.start_hemisphere) for c in (c1, c2)))
     # a searched closed curve starts one arc later than its query curve per
     # odd shift, so each odd shift flips the relative hemisphere once
     flip = (a[1] + b[1]) % 2
     queries = [(_curve_for_word(c1.word(), NORTH), _curve_for_word(c2.word(), _HEMIS[h ^ flip]))
                for h in (0, 1)]
-    return key, _Form.of(queries, tuple((i,) + (a, b)[i][1:] for i in order),
-                         [(NORTH, h) for h in _HEMIS])
+    return key, functools.partial(_Form.of, queries, tuple((i,) + (a, b)[i][1:] for i in order),
+                                  [(NORTH, h) for h in _HEMIS])
 
 
-def _solve(n: int, key: str, form: _Form, tally: str, config: OracleConfig,
+def _solve(n: int, key: str, form: Callable[[], _Form], tally: str, config: OracleConfig,
            cutoff: int | None = None) -> CrossingCount:
     """Answer a query from the cache entry of `key` if the entry decides it,
-    or else search each curve tuple of `form`, keep the least value and
+    or else search each curve tuple of `form()`, keep the least value and
     write what the searches proved: the exact minimum with its witness, or
     with a `cutoff` at or below the minimum, `at_least` the cutoff.  The
-    result reads as `minimize_crossings` with that cutoff, its witness
-    drawn on the query's curves; a cached `at_least` has no witness."""
+    result reads as `minimize_crossings` with that cutoff, its witness drawn
+    on the query's curves, but a proof of `min >= cutoff`, searched or read,
+    is the cutoff with no witness, and `form` is built only when it is read."""
     store = config.store()
     entry = (store.get(key) if store is not None else None) or {}
-    if entry.get("exact"):
-        return CrossingCount(entry["value"], True, form.back(Drawing.from_json(entry["witness"])))
-    if cutoff is not None and entry.get("at_least", 0) >= cutoff:
+    known = entry["value"] if entry.get("exact") else entry.get("at_least", 0)
+    if cutoff is not None and known >= cutoff:
         return CrossingCount(cutoff, True, None)
+    if entry.get("exact"):
+        return CrossingCount(known, True, form().back(Drawing.from_json(entry["witness"])))
+    form = form()
     results = [minimize_crossings(n, curves, tally, config.budget, cutoff)
                for curves, _ in form.searches]
     value, witness, _ = min(results, key=lambda r: r[0])
     exact = all(r[2] for r in results)
+    below = cutoff is None or value < cutoff
     if store is not None and exact:
         # the entry did not decide the query, so these facts replace it
         store.put(key, {"value": value, "exact": True, "witness": witness.to_json()}
-                  if cutoff is None or value < cutoff else {"at_least": cutoff})
-    return CrossingCount(value, exact, form.back(witness))
+                  if below else {"at_least": cutoff})
+    return (CrossingCount(value, exact, form.back(witness)) if below
+            else CrossingCount(cutoff if exact else value, exact, None))
+
+
+def _self_query(kind: str, letters: tuple[int, ...], alphabet: GapAlphabet,
+                config: OracleConfig, cutoff: int | None = None) -> CrossingCount:
+    """The self query of the `kind` ("x", "v" or "seg") curve of `letters`,
+    first arc north; with a `cutoff`, the threshold query at it."""
+    key, shift, rev = _self_key(alphabet.n, kind, letters)
+    return _solve(alphabet.n, key, lambda: _Form.of(
+        [(CurveSpec(letters, kind == "x", NORTH),)], ((0, shift, rev),), [(NORTH,)]),
+        "self", config, cutoff)
 
 
 # -- public word/class oracles ------------------------------------------------
@@ -778,8 +790,7 @@ def self_intersection_number(
     """
     for a in word.letters:
         alphabet.validate_letter(a)
-    return _solve(alphabet.n, *_self_form(alphabet.n, word.kind, _curve_for_word(word, NORTH)),
-                  "self", config)
+    return _self_query(word.kind, word.letters, alphabet, config)
 
 
 def pair_intersection_number(
@@ -806,8 +817,7 @@ def segment_self_intersections(
     config: OracleConfig = OracleConfig(),
 ) -> CrossingCount:
     """Minimal self-crossings of one open segment (polarity-independent)."""
-    curve = CurveSpec(tuple(letters), False, NORTH)
-    return _solve(alphabet.n, *_self_form(alphabet.n, "seg", curve), "self", config)
+    return _self_query("seg", tuple(letters), alphabet, config)
 
 
 def segment_self_at_least(
@@ -820,8 +830,7 @@ def segment_self_at_least(
     some drawing has fewer, None if the budget ran out undecided.  Below k
     the search finds the exact minimum, which the cache keeps for
     `segment_self_intersections`."""
-    curve = CurveSpec(tuple(letters), False, NORTH)
-    res = _solve(alphabet.n, *_self_form(alphabet.n, "seg", curve), "self", config, cutoff=k)
+    res = _self_query("seg", tuple(letters), alphabet, config, k)
     return False if res.value < k else (res.exact or None)
 
 

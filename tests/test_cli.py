@@ -178,8 +178,8 @@ def test_selfint_large_clean_gap_within_budget(runner):
     assert count_crossings(Drawing.from_json(data["witness"])) == 75
 
 
-@pytest.mark.parametrize("args", [["enumerate", "--n", "2", "--k", "2"],
-                                  ["graph", "--n", "2", "--k", "2"],
+@pytest.mark.parametrize("args", [["enumerate", "--n", "2", "--k", "3"],
+                                  ["graph", "--n", "2", "--k", "3"],
                                   ["growth", "--kmax", "3"]])
 def test_enumeration_budget_error_object(runner, args):
     # an incomplete catalog prints the error object instead of a report
@@ -309,11 +309,22 @@ def test_count_expansions_rejects_options_of_the_other_mode(runner, args, messag
      "Invalid value for '--budget': 'abc' is not a valid integer."),
     (["nosuch"], "No such command 'nosuch'."),
     (["bounds", "--n", "2"], "Missing option '--k'."),
+    (["--bogus", "bounds", "--k", "2"], "No such option '--bogus'."),  # before the command
 ])
 def test_usage_errors_get_an_error_object(runner, args, message):
     result = _invoke(runner, args)
     assert result.exit_code == 2
     assert json.loads(result.stdout) == {"error": {"type": "UsageError", "message": message}}
+
+
+def test_help_is_not_a_usage_error(runner):
+    # a bare `loopforge` prints its help on stderr, and `--help` on stdout
+    bare = _invoke(runner, [])
+    assert bare.exit_code == 2
+    assert bare.stdout == "" and bare.stderr.startswith("Usage:")
+    asked = _invoke(runner, ["--help"])
+    assert asked.exit_code == 0
+    assert asked.stdout.startswith("Usage:") and "Commands:" in asked.stdout
 
 
 def test_enumerate_command(runner, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -128,7 +129,7 @@ def test_enumerate_rejects_bad_args(config):
 
 @pytest.mark.parametrize("n, message", [
     (1, "budget exhausted on 0 1 0 1"),
-    (2, "budget exhausted on core (2, 0, 1, 0, 1, 0, 1, 2)"),
+    (2, "budget exhausted on core (2, 0, 1, 2)"),
 ])
 def test_enumerate_names_the_first_inexact_candidate(n, message):
     config = OracleConfig(budget=1, use_cache=False)
@@ -142,6 +143,97 @@ def test_enumerate_with_jobs_matches_sequential(nocache_config):
     seq = enumerate_classes(2, 2, nocache_config)
     par = enumerate_classes(2, 2, nocache_config, jobs=2)
     assert par.to_json() == seq.to_json()
+
+
+def _candidates(n, k, config):
+    """The words a catalog evaluates, in its order."""
+    if n == 1:
+        return extremal._enumerate_x_words(length_cap(k, 1))
+    alphabet = GapAlphabet(2)
+    return [Word.v_word(core) for core in
+            extremal._collect_core_candidates(k, length_cap(k, 2), alphabet, config)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_threshold_evaluation_agrees_with_exact(n, tmp_path, nocache_config):
+    """Every catalog candidate's cutoff-k answer is the exact query's answer
+    (value and witness bytes) below k, and an exact k with no witness at or
+    above k, with no cache and with a cache that earlier k have warmed."""
+    alphabet = GapAlphabet(n)
+    warm = OracleConfig(cache_dir=tmp_path)
+    exact = {}
+    for k in range(1, 6):
+        words = _candidates(n, k, nocache_config)
+        for word in words:
+            if word not in exact:
+                exact[word] = oracle.self_intersection_number(word, alphabet, nocache_config)
+        for config in (nocache_config, warm, warm):  # the first warm pass searches
+            for word, got in zip(words, extremal._evaluate_words(words, k, alphabet, config, 1)):
+                want = exact[word]
+                if want.value < k:
+                    assert got.to_json() == want.to_json(), (word, k)
+                else:
+                    assert (got.value, got.exact, got.witness) == (k, True, None), (word, k)
+
+
+def _unread(*args):
+    raise AssertionError("a threshold query built a form or parsed a witness")
+
+
+def _no_forms_or_witnesses(monkeypatch):
+    monkeypatch.setattr(oracle._Form, "of", _unread)
+    monkeypatch.setattr(oracle.Drawing, "from_json", _unread)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_catalog_report_same_in_every_cache_state(n, tmp_path, nocache_config, monkeypatch):
+    """No cache, a fresh cache, a warm one, and one in which `selfint` has
+    replaced the `at_least` row of each candidate at or above k by its exact
+    entry all give the same catalog bytes.  An exact entry at or above k
+    answers a threshold query without its witness."""
+    k = 5
+    want = json.dumps(enumerate_classes(n, k, nocache_config).to_json())
+    config = OracleConfig(cache_dir=tmp_path)
+    assert json.dumps(enumerate_classes(n, k, config).to_json()) == want  # fresh
+    assert json.dumps(enumerate_classes(n, k, config).to_json()) == want  # warm
+    keys = {oracle._self_key(n, w.kind, w.letters)[0]: w for w in _candidates(n, k, config)}
+    rows = cache_rows(tmp_path)
+    dropped = [key for key in keys if "at_least" in json.loads(rows[key])]
+    assert dropped
+    for key in dropped:
+        assert oracle.self_intersection_number(keys[key], GapAlphabet(n), config).value >= k
+    rows = cache_rows(tmp_path)
+    for key in dropped:
+        entry = json.loads(rows[key])
+        assert entry["exact"] and entry["value"] >= k
+    assert json.dumps(enumerate_classes(n, k, config).to_json()) == want
+    _no_forms_or_witnesses(monkeypatch)
+    words = [keys[key] for key in dropped]
+    assert all((res.value, res.exact, res.witness) == (k, True, None)
+               for res in extremal._evaluate_words(words, k, GapAlphabet(n), config, 1))
+
+
+def test_warm_threshold_queries_read_only_the_cache(tmp_path, alpha2, monkeypatch):
+    """A threshold query that a cache entry answers at or above its cutoff
+    builds no form and parses no witness: the walk's queries answered by an
+    `at_least` row, and the warm catalog's candidates at or above k."""
+    k = 4
+    config = OracleConfig(cache_dir=tmp_path)
+    enumerate_classes(2, k, config)
+    asked, ask = [], extremal.segment_self_at_least
+    monkeypatch.setattr(extremal, "segment_self_at_least",
+                        lambda letters, *a: asked.append(letters) or ask(letters, *a))
+    words = _candidates(2, k, config)
+    rows = cache_rows(tmp_path)
+    proved = [letters for letters in asked
+              if "at_least" in json.loads(rows[oracle._self_key(2, "seg", letters)[0]])]
+    dropped = [w for w, res in zip(words, extremal._evaluate_words(words, k, alpha2, config, 1))
+               if res.value >= k]
+    assert proved and dropped
+    _no_forms_or_witnesses(monkeypatch)
+    assert all(ask(letters, k, alpha2, config) is True for letters in proved)
+    assert all((res.value, res.exact, res.witness) == (k, True, None)
+               for res in extremal._evaluate_words(dropped, k, alpha2, config, 1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
