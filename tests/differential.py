@@ -161,9 +161,9 @@ def compare(path_a: str, path_b: str) -> None:
     record of some inputs in A with the i-th of the same inputs in B, so a
     side that searches less misaligns nothing.  Print how many records are
     only in A or only in B, how many matched ones differ in each field, in
-    all and per family, which way exact flags and verdicts moved from A to
-    B, and, among searches completed on both sides, how many spent more or
-    fewer units in B."""
+    all and per family, which way exact flags, verdicts and the values of
+    searches stopped on either side moved from A to B, and, among searches
+    completed on both sides, how many spent more or fewer units in B."""
     a, b = _by_inputs(path_a), _by_inputs(path_b)
     counts = Counter()
     for inputs in sorted(a.keys() | b.keys()):
@@ -202,6 +202,10 @@ def _compare_pair(ra: dict, rb: dict, counts: Counter) -> None:
     counts["verdict undecided -> decided"] += va is None and vb is not None
     counts["verdict decided -> undecided"] += va is not None and vb is None
     counts["verdict contradicts"] += None not in (va, vb) and va != vb
+    if not (ra["exact"] and rb["exact"]):
+        # the value of a search stopped on either side is an upper bound
+        counts["inexact value rose"] += rb["value"] > ra["value"]
+        counts["inexact value fell"] += rb["value"] < ra["value"]
     counts["units A"] += ra["units"] or 0
     counts["units B"] += rb["units"] or 0
     if ra["exact"] and rb["exact"]:

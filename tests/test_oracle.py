@@ -11,6 +11,7 @@ import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -621,6 +622,103 @@ def test_cutoff_only_starts_the_bound(instance):
             assert got == (value, witness, True), (instance, cutoff)
         else:
             assert got[2] and got[0] >= cutoff, (instance, cutoff)
+
+
+@st.composite
+def _wide_instances(draw):
+    """An instance of 7 to 14 crossing points, beyond the brute-force
+    reference: n, curves and tally.  A curve of an even number of points
+    may be closed; an open one may end at the basepoint."""
+    n = draw(st.integers(1, 3))
+    tally = draw(st.sampled_from(("self", "inter")))
+    count = 2 if tally == "inter" else draw(st.integers(1, 2))
+    total = draw(st.integers(7, 14))
+    curves = []
+    for size in (total // count + (i < total % count) for i in range(count)):
+        letters = draw(st.lists(st.integers(0, n), min_size=size, max_size=size))
+        closed = size % 2 == 0 and draw(st.booleans())
+        if not closed:
+            letters = [V] * draw(st.booleans()) + letters + [V] * draw(st.booleans())
+        curves.append(CurveSpec(tuple(letters), closed, draw(st.sampled_from((NORTH, SOUTH)))))
+    return n, tuple(curves), tally
+
+
+def _search(n, curves, tally, budget=oracle.DEFAULT_BUDGET, greedy=True):
+    """`minimize_crossings` and the budget units its search spent.  Without
+    `greedy`, the bound starts at the identity order alone."""
+    spent = []
+    run = oracle._Search.run
+
+    def counted(search):
+        try:
+            return run(search)
+        finally:
+            spent.append(search.units)
+
+    with mock.patch.object(oracle._Search, "run", counted):
+        if greedy:
+            got = minimize_crossings(n, curves, tally, budget)
+        else:
+            with mock.patch.object(oracle._Search, "_dive",
+                                   lambda self: (self.value, self.orders)):
+                got = minimize_crossings(n, curves, tally, budget)
+    return got, spent[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_wide_instances())
+def test_greedy_drawing_is_a_drawing(instance):
+    """The greedy descent lists every point of each gap once, its value is
+    the recount of its orders, at least the minimum, and it leaves every
+    point at its block's start, where the search expects it."""
+    n, curves, tally = instance
+    inst = oracle._Instance(n, curves, tally)
+    search = oracle._Search(inst, oracle.DEFAULT_BUDGET, None)
+    value, orders = search._dive()
+    assert orders.keys() == inst.gap_points.keys()
+    for g, order in orders.items():
+        assert sorted(order) == inst.gap_points[g], instance
+    assert inst.evaluate_orders(orders) == value
+    assert value >= minimize_crossings(n, curves, tally)[0]
+    assert search.pos == [inst.base[g] for g in inst.gap_of]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_wide_instances())
+def test_greedy_bound_keeps_the_answer(instance):
+    """Starting the bound one above the greedy drawing changes no completed
+    search's value, witness or exact flag, and never spends more units;
+    a stopped search returns no worse a drawing than without it."""
+    n, curves, tally = instance
+    for budget in (1, 3, 10, 100, oracle.DEFAULT_BUDGET):
+        (value, witness, exact), units = _search(n, curves, tally, budget)
+        plain, plain_units = _search(n, curves, tally, budget, greedy=False)
+        if plain[2]:
+            assert (value, witness, exact) == plain and units <= plain_units, (instance, budget)
+        else:
+            assert value <= plain[0], (instance, budget)
+        assert count_crossings(witness, tally) == value
+
+
+def test_stopped_pair_search_keeps_the_greedy_drawing():
+    """An exact pair search stopped by its budget answers with a drawing no
+    worse than the greedy one, and its witness recounts to its value.  The
+    identity order of some of these pairs is worse than the greedy drawing,
+    so the answer is the greedy drawing there."""
+    rng = random.Random(181)
+    stopped = fell = 0
+    for _ in range(60):
+        curves = tuple(CurveSpec((V,) + tuple(rng.randint(0, 2) for _ in range(6)) + (V,),
+                                 False, rng.choice((NORTH, SOUTH))) for _ in range(2))
+        inst = oracle._Instance(2, curves, "inter")
+        greedy = oracle._Search(inst, 1, None)._dive()[0]
+        identity = inst.evaluate_orders(inst.identity_orders())
+        for budget in (1, 3):
+            value, witness, exact = minimize_crossings(2, curves, "inter", budget)
+            assert value <= greedy and count_crossings(witness, "inter") == value
+            stopped += not exact
+            fell += not exact and value == greedy < identity
+    assert stopped and fell, (stopped, fell)
 
 
 def test_threshold_entry_answers_the_exact_query(tmp_path, monkeypatch, nocache_config, alpha2):
