@@ -242,6 +242,8 @@ def family_bound_snails(k: int) -> int:
 
 # 2**e has floor(e log10 2) + 1 decimal digits: at most 20000 up to e = 66438
 MAX_PRINTED_EXPONENT = 66438
+# the most digits of any other number in a report: the default int-to-str limit
+MAX_REPORT_DIGITS = 4300
 
 
 def double_exp_exponent(n: int, k: int) -> int:
@@ -327,6 +329,12 @@ def analytic_bounds(n: int, k: int) -> BoundsReport:
     """Evaluate every closed-form bound available at the given n and k."""
     if n < 1 or k < 1:
         raise PreconditionError("need n >= 1 and k >= 1")
+    # the largest numbers are (2k)^(2n) and 484 k^2, and x has more than D
+    # digits exactly when log10(x) >= D
+    if max(2 * n * math.log10(2 * k), math.log10(484 * k * k)) >= MAX_REPORT_DIGITS:
+        raise PreconditionError(f"bounds at n={n}, k={k} have over {MAX_REPORT_DIGITS} digits")
+    if n <= 2 * k and n * k >= 3072**2:  # sqrt(nk) / 3 >= 1024
+        raise PreconditionError(f"2^(sqrt(nk)/3) at n={n}, k={k} is past the largest float")
     exponent = double_exp_exponent(n, k)
     sqrt_arg = None
     sqrt_exp = None

@@ -97,8 +97,6 @@ n_option = click.option("--n", "n", type=int, default=2, show_default=True,
                         help="number of punctures")
 k_option = click.option("--k", type=int, required=True, help="crossing budget")
 jobs_option = click.option("--jobs", type=int, default=1, show_default=True)
-length_cap_option = click.option("--length-cap", "cap", type=int, default=None,
-                                 help="raise the provable length cap")
 
 
 def oracle_options(fn):
@@ -305,11 +303,10 @@ def count_expansions(length: int | None, k: int | None, sweep: bool, lmax: int, 
 @oracle_options
 @n_option
 @k_option
-@length_cap_option
 @jobs_option
-def enumerate_cmd(n: int, k: int, cap: int | None, jobs: int, config: OracleConfig) -> None:
+def enumerate_cmd(n: int, k: int, jobs: int, config: OracleConfig) -> None:
     """Catalog of loop classes with self-crossing number below k (JSONL)."""
-    catalog = enumerate_classes(n, k, config, length_cap_override=cap, jobs=jobs)
+    catalog = enumerate_classes(n, k, config, jobs=jobs)
     header = dict(catalog.to_json())
     entries = header.pop("entries")
     _emit(header)
@@ -321,11 +318,10 @@ def enumerate_cmd(n: int, k: int, cap: int | None, jobs: int, config: OracleConf
 @oracle_options
 @n_option
 @k_option
-@length_cap_option
 @jobs_option
-def graph(n: int, k: int, cap: int | None, jobs: int, config: OracleConfig) -> None:
+def graph(n: int, k: int, jobs: int, config: OracleConfig) -> None:
     """Compatibility graph of the class catalog, with clique bounds."""
-    catalog = enumerate_classes(n, k, config, length_cap_override=cap, jobs=jobs)
+    catalog = enumerate_classes(n, k, config, jobs=jobs)
     g = compatibility_graph(catalog, config, jobs=jobs)
     out = g.to_json()
     out["familyBounds"] = family_bounds(g).to_json()

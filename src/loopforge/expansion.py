@@ -14,8 +14,9 @@ an explicit product cap built from a majorizing multiplicity vector.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 
 from .bounds import depth_family_bound
 from .words import PreconditionError, has_adjacent_repeat, maximal_two_letter_words
@@ -141,19 +142,26 @@ def count_vectors_exact(length: int, k: int) -> int:
     """
     if length < 0 or k < 1:
         raise PreconditionError("need length >= 0 and k >= 1")
+    # without entries only the empty vector counts, below every k
+    return sum(_bound_counts(length, k)) if length else 1
 
-    @lru_cache(maxsize=None)
-    def chains(prev: int, cost: int) -> int:
-        total = 1  # stop the chain: all further tails zero
-        t = 1
-        while cost + t * t < k and t <= prev:
-            total += math.comb(prev, t) * chains(t, cost + t * t)
-            t += 1
-        return total
 
-    result = chains(length, 0)
-    chains.cache_clear()
-    return result
+def _bound_counts(length: int, kmax: int):
+    """Yield the number of vectors s in Z_{>=0}^length with
+    expansion_lower_bound(s) = c, for c = 0, ..., kmax - 1.  Row c of the
+    table holds, for each tail p <= top and then p = length, the chains
+    after p that add c: [c == 0] + sum_t C(p, t) (row c - t^2)[t] over
+    1 <= t <= p with t^2 <= c.  A row reads the top^2 rows before it, so
+    only those are kept."""
+    top = min(length, math.isqrt(kmax - 1))  # the largest tail below kmax
+    if kmax * top * top > 10**7:  # about the steps of the table
+        raise PreconditionError(f"counting length {length} below k={kmax} takes over 10^7 steps")
+    rows: deque[list[int]] = deque(maxlen=max(1, top * top))
+    for c in range(kmax):
+        rows.append([(c == 0) + sum(math.comb(p, t) * rows[-t * t][t]
+                                    for t in range(1, min(p, math.isqrt(c)) + 1))
+                     for p in (*range(top + 1), length)])
+        yield rows[-1][-1]
 
 
 def z_vector(length: int, k: int) -> tuple[int, ...]:
@@ -217,14 +225,15 @@ def m_vector_count(length: int, k: int) -> tuple[int, int]:
     if length < 0 or k < 1:
         raise PreconditionError("need length >= 0 and k >= 1")
 
-    @lru_cache(maxsize=None)
-    def count(t: int, prev: int) -> int:
-        if t > k:
-            return 1
-        return sum(count(t + 1, m) for m in range(0, min(prev, tail_cap(k, t)) + 1))
-
-    exact = count(1, length)
-    count.cache_clear()
+    # the tails T_t = m_{>=t} are a partition with T_t <= min(length,
+    # tail_cap(k, t)), and its conjugate U_j = #{t : T_t >= j} one with
+    # U_j <= k // j^2 for j <= J = min(length, isqrt(k)).  row[u] counts the
+    # (U_j, ..., U_J) with U_j <= u, for j from J down to 1; it stays the
+    # same past the row's end.
+    row = [1]
+    for j in range(min(length, math.isqrt(k)), 0, -1):
+        row = list(accumulate(row + row[-1:] * (k // (j * j) + 1 - len(row))))
+    exact = row[-1]
     beta = 1
     while beta**3 < k:
         beta += 1
@@ -239,8 +248,9 @@ def sweep_rows(
     the multinomial column is empty below the feasibility threshold."""
     rows = []
     for length in lengths:
+        exacts = list(accumulate(_bound_counts(length, max(ks, default=1))))
         for k in ks:
-            exact = count_vectors_exact(length, k)
+            exact = exacts[k - 1]
             m_exact, m_cap = m_vector_count(length, k)
             try:
                 mz = multinomial(length, z_vector(length, k))

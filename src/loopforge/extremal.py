@@ -201,26 +201,20 @@ def enumerate_classes(
     n: int,
     k: int,
     config: OracleConfig = OracleConfig(),
-    length_cap_override: int | None = None,
     jobs: int = 1,
 ) -> ClassCatalog:
     """All loop classes with exact oracle self-crossing number below k, up
-    to the length cap: x-classes for n=1, both-polarity v-classes for n=2.
+    to the provable length cap: x-classes for n=1, both-polarity v-classes
+    for n=2.
 
-    `length_cap_override` may raise the provable cap but not lower it, since
-    a lower cap would silently drop classes.  Raises
-    :class:`EnumerationIncompleteError` if any candidate exhausts the oracle
-    budget; a truncated count is never reported.
+    Raises :class:`EnumerationIncompleteError` if any candidate exhausts the
+    oracle budget; a truncated count is never reported.
     """
     if k < 1:
         raise PreconditionError("k must be at least 1")
     if jobs < 1:
         raise PreconditionError("jobs must be at least 1")
     cap = length_cap(k, n)
-    if length_cap_override is not None:
-        if length_cap_override < cap:
-            raise PreconditionError(f"length cap below the provable cap {cap}")
-        cap = length_cap_override
     alphabet = GapAlphabet(n)
     if n == 1:
         words = _enumerate_x_words(cap)

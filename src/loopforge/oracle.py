@@ -36,12 +36,12 @@ Measured on one core without a cache, `graph --n 2 --k 5` takes about 2 s
 in this order and 5-6 s with the largest gap first, and ascending sizes
 make the 11-point ladder `v 2 (0 1)^11 2 v` about 1.5 times slower.
 
-An exact search (no cutoff) first makes one greedy descent through the same
-levels, appending at each step the point whose append charges least.  Its
-drawing starts the bound one above its count, below the identity order's
-count in most pair searches, so the search prunes from the start, yet it
-still keeps the first minimal drawing in its order.  A search stopped by its
-budget returns the better of the greedy drawing and the best one it found.
+Every search first makes one greedy descent through the same levels,
+appending at each step the point whose append charges least.  That drawing
+is the incumbent, and the bound starts one above its count (at it when it
+is the identity order, the first leaf) or at a lower cutoff.  So the search
+prunes from the start, yet a completed one still ends on the first minimal
+drawing in its order, and a stopped one returns the best drawing it found.
 
 Apart from the search, `_grow_segment` draws an open segment one crossing
 longer than a drawing it is given, placing the new crossing at its cheapest
@@ -269,14 +269,7 @@ class _Instance:
                     yield (a1, b1, a2, b2)
 
     def evaluate_orders(self, orders: dict[int, tuple[int, ...]]) -> int:
-        pos = self.positions_for(orders)
-        return sum(
-            1
-            for (a1, b1, a2, b2) in self.countable_pairs()
-            if _cross(pos[a1], pos[b1], pos[a2], pos[b2])
-        )
-
-    def positions_for(self, orders: dict[int, tuple[int, ...]]) -> list[int]:
+        """The crossings of the drawing that orders each gap by `orders`."""
         pos = [0] * len(self.gap_of)
         pos[0] = self.base[V]
         for g in self.gap_points.keys() | orders.keys():
@@ -285,7 +278,8 @@ class _Instance:
                 raise PreconditionError(f"order for gap {g} does not list its crossings")
             for idx, pid in enumerate(order):
                 pos[pid] = self.base[g] + idx
-        return pos
+        return sum(_cross(pos[a1], pos[b1], pos[a2], pos[b2])
+                   for a1, b1, a2, b2 in self.countable_pairs())
 
     def identity_orders(self) -> dict[int, tuple[int, ...]]:
         return {g: tuple(pts) for g, pts in self.gap_points.items()}
@@ -472,15 +466,13 @@ class _Search:
     # -- search ----------------------------------------------------------
 
     def run(self) -> tuple[int, dict[int, tuple[int, ...]], bool]:
-        identity = self.inst.identity_orders()
-        self.value, self.orders = self.inst.evaluate_orders(identity), identity
-        # every prune keeps only drawings strictly below `bound`: the best
-        # value so far, which starts at the cutoff if that is lower, or for
-        # an exact search one above a greedy drawing.  The incumbent stays
-        # the identity, so the search still keeps the first minimal drawing
-        # in its order.
-        greedy = self._dive() if self.cutoff is None else None
-        self.bound = min(self.value, self.cutoff if greedy is None else greedy[0] + 1)
+        # every prune keeps only drawings strictly below `bound`.  It starts
+        # one above the greedy drawing, so the search still ends on the first
+        # minimal drawing in its order, or at the greedy count when that
+        # drawing is the identity order, the first leaf in that order.
+        self.value, self.orders = self._dive()
+        bound = self.value + (self.orders != self.inst.identity_orders())
+        self.bound = bound if self.cutoff is None else min(bound, self.cutoff)
         try:
             self._charge(1)
             self._dfs(0, self.const_cost)
@@ -488,20 +480,17 @@ class _Search:
         except (_Stop, RecursionError):
             # each appended point is one call deeper, so gaps of about a
             # thousand points end the search as the budget does
-            pass
-        if greedy is not None and greedy[0] < self.value:
-            self.value, self.orders = greedy
-        return self.value, self.orders, False
+            return self.value, self.orders, False
 
     def _dive(self) -> tuple[int, dict[int, tuple[int, ...]]]:
-        """A greedy drawing and its crossing count.  It orders the gaps as the
-        search does, each by appending the unplaced point whose append
-        charges least, the lowest on ties, with the charge of `_extend`: the
-        row of w and the decided pairs listed under the point.  Like the table
-        build, it is not charged to the budget.  It repeats that charge
-        rather than share a method with `_extend`, where one more call per
-        appended point made the pair searches of the k=5 graph 7-9% slower
-        (one core, Python 3.11)."""
+        """The greedy drawing every search starts from, and its count.  It
+        orders the gaps as the search does, each by appending the unplaced
+        point whose append charges least, the lowest on ties, with the charge
+        of `_extend`: the row of w and the decided pairs listed under the
+        point.  Like the table build, it is not charged to the budget.  It
+        repeats that charge rather than share a method with `_extend`, where
+        one more call per appended point made the pair searches of the k=5
+        graph 7-9% slower (one core, Python 3.11)."""
         inst, pos, start = self.inst, self.pos, self.pos[:]
         acc, orders = self.const_cost, {}
         for level, g in enumerate(self.gap_order):
@@ -601,11 +590,11 @@ def minimize_crossings(
 ) -> tuple[int, Drawing, bool]:
     """Minimize counted crossings over all drawings of `curves`.
 
-    Returns (value, witness, exact).  Without a `cutoff`, the search's bound
-    starts one above a greedy drawing, and a search stopped by its budget
-    returns the better of that drawing and the best one it found, an upper
-    bound.  A `cutoff` only starts the bound at it instead, so the search
-    keeps just the drawings below it: a completed search returns the exact
+    Returns (value, witness, exact).  The search starts from a greedy
+    drawing with its bound one above it, so a search stopped by its budget
+    returns the best drawing it found, an upper bound.  A `cutoff` below
+    that bound starts the bound at the cutoff instead, so the search keeps
+    just the drawings below it: a completed search returns the exact
     minimum when that is below the cutoff, and otherwise proves
     `min >= cutoff` with a value at or above it.
     """

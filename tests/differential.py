@@ -161,9 +161,11 @@ def compare(path_a: str, path_b: str) -> None:
     record of some inputs in A with the i-th of the same inputs in B, so a
     side that searches less misaligns nothing.  Print how many records are
     only in A or only in B, how many matched ones differ in each field, in
-    all and per family, which way exact flags, verdicts and the values of
-    searches stopped on either side moved from A to B, and, among searches
-    completed on both sides, how many spent more or fewer units in B."""
+    all and per family, how many at the default budget differ in an exact
+    search's value or witness or in a threshold value below its cutoff,
+    which way exact flags, verdicts and the values of searches stopped on
+    either side moved from A to B, and, among searches completed on both
+    sides, how many spent more or fewer units in B."""
     a, b = _by_inputs(path_a), _by_inputs(path_b)
     counts = Counter()
     for inputs in sorted(a.keys() | b.keys()):
@@ -190,10 +192,17 @@ def _compare_pair(ra: dict, rb: dict, counts: Counter) -> None:
         return
     counts["B witness does not recount"] += not rb["recounts"]
     if ra["budget"] == 10**8:
-        # older versions stop a threshold search at the first drawing below
-        # its cutoff, so across checkouts only its verdict has to agree
+        # a threshold value at or above its cutoff only proves min >= cutoff,
+        # and older versions stop a threshold search at the first drawing
+        # below it, so across checkouts its verdict has to agree and, from
+        # versions that search on below the cutoff, its value below it
         kind = "exact search" if ra["cutoff"] is None else "threshold search"
         counts[f"default budget: {kind} value differs"] += ra["value"] != rb["value"]
+        if ra["cutoff"] is None:
+            counts["default budget: exact search witness differs"] += ra["witness"] != rb["witness"]
+        else:
+            counts["default budget: threshold value below cutoff differs"] += (
+                ra["value"] != rb["value"] and min(ra["value"], rb["value"]) < ra["cutoff"])
         counts["default budget: exact differs"] += ra["exact"] != rb["exact"]
         counts["default budget: verdict differs"] += ra["verdict"] != rb["verdict"]
     counts["exact True -> False"] += ra["exact"] and not rb["exact"]

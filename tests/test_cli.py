@@ -245,6 +245,25 @@ def test_bounds_command(runner):
     result = _invoke(runner, ["bounds", "--n", "2", "--k", "1"])
     data = json.loads(result.output)
     assert data["fUpperDoubleExp"]["value"] == str(2**16)
+    # one below the largest nk whose 2^(sqrt(nk)/3) is a float
+    result = _invoke(runner, ["bounds", "--n", "1", "--k", str(3072**2 - 1)])
+    assert json.loads(result.output)["fLowerSqrtExp"]["approx"] == "1.79763e+308"
+
+
+@pytest.mark.parametrize("n, k, reason", [
+    (40000, 20000, "digits"),  # 2^(sqrt(nk)/3) is past the largest float as well
+    (100000, 3, "digits"),  # (2k)^(2n) has 155,630 digits
+    (2200, 1100, "digits"),  # (2k)^(2n) has 14,709 digits
+    (1, 4 * 10**2149, "digits"),  # (2k)^2 has 4,300 digits, 484 k^2 4,302
+    (1, 3072**2, "largest float"),  # sqrt(nk) / 3 = 1024
+])
+def test_bounds_too_large_to_print(runner, n, k, reason):
+    """Bounds whose numbers do not fit a report are rejected before any
+    large power is computed, with an error object and exit 2."""
+    result = _invoke(runner, ["bounds", "--n", str(n), "--k", str(k)])
+    assert result.exit_code == 2
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "PreconditionError" and reason in error["message"]
 
 
 def test_windings_command(runner):
@@ -286,6 +305,26 @@ def test_count_expansions_sweep_csv(runner):
     lines = result.output.strip().splitlines()
     assert lines[0] == "length,k,exactCount,mVectorCount,mVectorCap,multinomialZ"
     assert len(lines) == 7
+
+
+def test_count_expansions_large_k(runner):
+    """Both counting tables fill one level at a time, so a k far past the
+    interpreter's recursion limit still counts."""
+    result = _invoke(runner, ["count-expansions", "--l", "3", "--k", "3000"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["count"] == "753002833"
+    result = _invoke(runner, ["count-expansions", "--sweep", "--lmax", "1", "--kmax", "2000",
+                              "--format", "csv"])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert len(lines) == 1 + 2 * 2000
+    # one entry below k takes any value up to k - 1; its profile is 0 or 1
+    # entries at or above each threshold t <= k
+    assert lines[-1] == "1,2000,2000,2001," + str(2000**13 * 2**13) + ","
+    # a count whose table would take more than 10^7 steps is refused
+    result = _invoke(runner, ["count-expansions", "--l", "100", "--k", "100000"])
+    assert result.exit_code == 2
+    assert json.loads(result.output)["error"]["type"] == "PreconditionError"
 
 
 @pytest.mark.parametrize("args, message", [
@@ -364,13 +403,11 @@ def test_growth_command(runner, tmp_path):
 def test_run_config_validation(runner):
     result = _invoke(runner, ["selfint", "--n", "2", "--budget", "0", "v 2 v"])
     assert result.exit_code == 2
-    result = _invoke(runner, ["enumerate", "--n", "2", "--k", "1", "--length-cap", "1"])
-    assert result.exit_code == 2
-    # caps below the provable one used to truncate the catalog silently
-    result = _invoke(runner, ["enumerate", "--n", "2", "--k", "3", "--length-cap", "4"])
-    assert result.exit_code == 2
-    result = _invoke(runner, ["graph", "--n", "2", "--k", "3", "--length-cap", "3"])
-    assert result.exit_code == 2
+    # the provable length cap is the only one; there is no option to set it
+    for command in ("enumerate", "graph"):
+        result = _invoke(runner, [command, "--n", "2", "--k", "3", "--length-cap", "80"])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"]["type"] == "UsageError"
     result = _invoke(runner, ["enumerate", "--n", "2", "--k", "1", "--jobs", "0"])
     assert result.exit_code == 2
 

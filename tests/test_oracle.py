@@ -11,7 +11,6 @@ import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -589,18 +588,21 @@ def test_segment_threshold_agrees_with_exact(config, nocache_config, alpha2, tmp
 
 
 def test_segment_threshold_outcomes(tmp_path):
-    # the segment's minimum is 5; two budget units decide neither threshold.
-    # Below the cutoff the search finds the minimum, and stores the entry an
-    # exact query stores.
+    # the segment's minimum is 5, and so is its greedy drawing's count.  Two
+    # budget units leave the threshold at 5 undecided, while the greedy
+    # drawing alone answers the one at 6; a stopped search caches nothing.
+    # Below the cutoff a completed search finds the minimum, and stores the
+    # entry an exact query stores.
     letters = (V, 2, 0, 1, 0, 1, 0, 1, 2)
     segment_self_intersections(letters, GapAlphabet(2), OracleConfig(cache_dir=tmp_path / "exact"))
     [exact] = [json.loads(text) for text in cache_rows(tmp_path / "exact").values()]
     del exact["key"], exact["version"]
-    for k, decided, stored in ((5, True, {"at_least": 5}), (6, False, exact)):
+    for k, stopped, decided, stored in ((5, None, True, {"at_least": 5}),
+                                        (6, False, False, exact)):
         cache = tmp_path / f"k{k}"
         config = OracleConfig(budget=2, cache_dir=cache)
-        assert segment_self_at_least(letters, k, GapAlphabet(2), config) is None
-        assert not cache.exists()  # an undecided search caches nothing
+        assert segment_self_at_least(letters, k, GapAlphabet(2), config) is stopped
+        assert not cache.exists()
         config = OracleConfig(budget=50, cache_dir=cache)
         assert segment_self_at_least(letters, k, GapAlphabet(2), config) is decided
         [entry] = [json.loads(text) for text in cache_rows(cache).values()]
@@ -643,28 +645,6 @@ def _wide_instances(draw):
     return n, tuple(curves), tally
 
 
-def _search(n, curves, tally, budget=oracle.DEFAULT_BUDGET, greedy=True):
-    """`minimize_crossings` and the budget units its search spent.  Without
-    `greedy`, the bound starts at the identity order alone."""
-    spent = []
-    run = oracle._Search.run
-
-    def counted(search):
-        try:
-            return run(search)
-        finally:
-            spent.append(search.units)
-
-    with mock.patch.object(oracle._Search, "run", counted):
-        if greedy:
-            got = minimize_crossings(n, curves, tally, budget)
-        else:
-            with mock.patch.object(oracle._Search, "_dive",
-                                   lambda self: (self.value, self.orders)):
-                got = minimize_crossings(n, curves, tally, budget)
-    return got, spent[0]
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_wide_instances())
 def test_greedy_drawing_is_a_drawing(instance):
@@ -683,21 +663,29 @@ def test_greedy_drawing_is_a_drawing(instance):
     assert search.pos == [inst.base[g] for g in inst.gap_of]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_wide_instances())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_instances())
 def test_greedy_bound_keeps_the_answer(instance):
-    """Starting the bound one above the greedy drawing changes no completed
-    search's value, witness or exact flag, and never spends more units;
-    a stopped search returns no worse a drawing than without it."""
+    """Whatever greedy drawing a search starts from, a completed one ends on
+    the first minimal drawing of its order, found here by brute force: the
+    gaps in `gap_order`, the first varying slowest, and each gap's orders in
+    lexicographic order.  That holds below the cutoff; at or above it, the
+    value is at least the cutoff."""
     n, curves, tally = instance
-    for budget in (1, 3, 10, 100, oracle.DEFAULT_BUDGET):
-        (value, witness, exact), units = _search(n, curves, tally, budget)
-        plain, plain_units = _search(n, curves, tally, budget, greedy=False)
-        if plain[2]:
-            assert (value, witness, exact) == plain and units <= plain_units, (instance, budget)
+    inst = oracle._Instance(n, curves, tally)
+    gaps = oracle._Search(inst, 1, None).gap_order
+    drawings = [dict(zip(gaps, orders)) for orders in itertools.product(
+        *(itertools.permutations(inst.gap_points[g]) for g in gaps))]
+    values = [inst.evaluate_orders(orders) for orders in drawings]
+    low = min(values)
+    first = inst.drawing_for(drawings[values.index(low)])
+    for cutoff in (None, *range(low + 2)):
+        value, witness, exact = minimize_crossings(n, curves, tally, cutoff=cutoff)
+        assert exact, (instance, cutoff)
+        if cutoff is None or low < cutoff:
+            assert (value, witness) == (low, first), (instance, cutoff)
         else:
-            assert value <= plain[0], (instance, budget)
-        assert count_crossings(witness, tally) == value
+            assert value >= cutoff, (instance, cutoff)
 
 
 def test_stopped_pair_search_keeps_the_greedy_drawing():
