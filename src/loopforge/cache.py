@@ -1,15 +1,21 @@
 """Persistent oracle cache: one SQLite table per cache directory.
 
 Each directory holds one database file, `entries.sqlite`, whose table maps a
-canonical key to the JSON text of its entry.  Every `put` is one
-autocommitted `INSERT OR REPLACE` under the WAL journal, so concurrent
+canonical key to the JSON text of its entry.  A `put` is one `INSERT OR
+REPLACE` under the WAL journal, in a transaction of its own, so concurrent
 writers (`--jobs` workers, other processes) only ever replace a whole entry.
-Keys embed the model version; bumping :data:`MODEL_VERSION` invalidates old
-entries.
+Inside :func:`batched_writes` the process that opened the batch keeps its
+rows in memory instead, reads them back from there, and writes them in one
+transaction per :data:`BATCH_ROWS` rows and when the batch ends, also by an
+exception or an interrupt.  It holds no lock between those writes, so a
+process killed in a batch loses at most its unwritten rows, never part of an
+entry.  Keys embed the model version; bumping :data:`MODEL_VERSION`
+invalidates old entries.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -17,16 +23,52 @@ from .words import PreconditionError
 
 MODEL_VERSION = "2"
 DATABASE = "entries.sqlite"
+BATCH_ROWS = 500  # rows a batch keeps before it writes them
 
 sqlite3 = None  # imported on first cache use, so a run without a cache never loads it
 # pid -> (database path, connection): one connection per process, closed when
 # the process moves to another database.  A forked worker opens its own, and
 # neither uses nor closes one inherited across `fork`.
 _connections: dict = {}
+# pid -> {(directory, key): entry text}: the unwritten rows of the process's
+# open batch.  A forked worker has another pid, so it writes at once.
+_batches: dict = {}
 
 
 def default_cache_dir() -> str:
     return os.environ.get("LOOPFORGE_CACHE") or os.path.join(os.getcwd(), ".loopforge-cache")
+
+
+@contextlib.contextmanager
+def batched_writes():
+    """Keep this process's cache writes in memory until BATCH_ROWS of them
+    are kept or the block ends, however it ends; then write them in one
+    transaction per database.  A nested block joins the open batch."""
+    pid = os.getpid()
+    if pid in _batches:
+        yield
+        return
+    _batches[pid] = {}
+    try:
+        yield
+    finally:
+        try:
+            flush_batch()
+        finally:
+            del _batches[pid]
+
+
+def flush_batch() -> None:
+    """Write the rows this process's open batch keeps, if any."""
+    rows = _batches.get(os.getpid())
+    if not rows:
+        return
+    by_directory: dict[str, list[tuple[str, str]]] = {}
+    for (directory, key), text in rows.items():
+        by_directory.setdefault(directory, []).append((key, text))
+    rows.clear()  # a write that fails is not retried
+    for directory, items in by_directory.items():
+        CacheStore(directory)._write(items)
 
 
 def _open(path: str):
@@ -80,12 +122,16 @@ class CacheStore:
         """The entry of `key`, or None when there is no database or no row, or
         the row is not UTF-8 JSON, is not a JSON object, or was written for
         another key or version.  Never creates the directory or the database."""
-        conn = self._connection(write=False)
-        if conn is None:
-            return None
+        rows = _batches.get(os.getpid())
+        text = rows.get((self.directory, key)) if rows else None
         try:
-            row = conn.execute("SELECT entry FROM entries WHERE key = ?", (key,)).fetchone()
-            entry = json.loads(row[0]) if row is not None else None
+            if text is None:
+                conn = self._connection(write=False)
+                if conn is None:
+                    return None
+                row = conn.execute("SELECT entry FROM entries WHERE key = ?", (key,)).fetchone()
+                text = row[0] if row is not None else None
+            entry = json.loads(text) if text is not None else None
         except (sqlite3.Error, TypeError, ValueError):  # not UTF-8 JSON text
             return None
         if not isinstance(entry, dict):
@@ -95,9 +141,22 @@ class CacheStore:
         return entry
 
     def put(self, key: str, fields: dict) -> None:
+        """Store the entry of `key`, or keep it in this process's open batch."""
         text = json.dumps({**fields, "key": key, "version": MODEL_VERSION}, sort_keys=True)
+        rows = _batches.get(os.getpid())
+        if rows is None:
+            self._write([(key, text)])
+            return
+        rows[self.directory, key] = text
+        if len(rows) >= BATCH_ROWS:
+            flush_batch()
+
+    def _write(self, rows: list[tuple[str, str]]) -> None:
+        """Store (key, entry text) rows in one transaction."""
         try:
             conn = self._connection(write=True)
-            conn.execute("INSERT OR REPLACE INTO entries (key, entry) VALUES (?, ?)", (key, text))
+            with conn:  # commits, or rolls back on any exception
+                conn.execute("BEGIN")
+                conn.executemany("INSERT OR REPLACE INTO entries (key, entry) VALUES (?, ?)", rows)
         except (OSError, sqlite3.Error) as exc:
             raise PreconditionError(f"cannot write the oracle cache {self.path}: {exc}") from exc

@@ -20,7 +20,7 @@ import sys
 import click
 from click.core import ParameterSource
 
-from .bounds import analytic_bounds, find_windings, winding_self_lower_bound
+from .bounds import MAX_REPORT_DIGITS, analytic_bounds, find_windings, winding_self_lower_bound
 from .canon import canon_v, canon_x
 from .expansion import count_vectors_exact, decompose, sweep_rows
 from .extremal import (
@@ -296,6 +296,8 @@ def count_expansions(length: int | None, k: int | None, sweep: bool, lmax: int, 
     if length is None or k is None:
         raise click.UsageError("--l and --k are required without --sweep")
     value = count_vectors_exact(length, k)
+    if value >= 10**MAX_REPORT_DIGITS:  # more digits than a report prints
+        raise PreconditionError(f"the count at k={k} has over {MAX_REPORT_DIGITS} digits")
     _emit({"count": str(value), "length": length, "k": k, "exact": True})
 
 

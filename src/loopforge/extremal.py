@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import best_obstacle_bound, double_exp_exponent, obstacle_spans
+from .cache import batched_writes, flush_batch
 from .canon import LoopClass, VLoopClass, XLoopClass
 from .expansion import tail_cap
 from .oracle import (
@@ -136,9 +137,11 @@ def prefix_winding_lb(prefix: tuple[int, ...], alphabet: GapAlphabet) -> int:
 
 def _map(fn, calls: list[tuple], jobs: int) -> list:
     """`[fn(*args) for args in calls]`, run in a pool of `jobs` processes
-    when there is more than one job and more than one call."""
+    when there is more than one job and more than one call.  The rows of an
+    open cache batch are written first, so the workers read them."""
     if jobs <= 1 or len(calls) <= 1:
         return [fn(*args) for args in calls]
+    flush_batch()
     from concurrent.futures import ProcessPoolExecutor  # loaded only by a run that forks
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -216,13 +219,16 @@ def enumerate_classes(
         raise PreconditionError("jobs must be at least 1")
     cap = length_cap(k, n)
     alphabet = GapAlphabet(n)
-    if n == 1:
-        words = _enumerate_x_words(cap)
-        kept = []
-    else:
-        words = [Word.v_word(core) for core in _collect_core_candidates(k, cap, alphabet, config)]
-        kept = [(Word.v_word(()), 0, None)]
-    for word, res in zip(words, _evaluate_words(words, k, alphabet, config, jobs)):
+    with batched_writes():
+        if n == 1:
+            words = _enumerate_x_words(cap)
+            kept = []
+        else:
+            words = [Word.v_word(core)
+                     for core in _collect_core_candidates(k, cap, alphabet, config)]
+            kept = [(Word.v_word(()), 0, None)]
+        results = _evaluate_words(words, k, alphabet, config, jobs)
+    for word, res in zip(words, results):
         if not res.exact:
             name = word if n == 1 else f"core {word.inner()}"
             raise EnumerationIncompleteError(f"budget exhausted on {name}")
@@ -310,7 +316,8 @@ def compatibility_graph(
     for pair, key in zip(pairs, keys):
         first.setdefault(key, pair)
     calls = [(classes[i], classes[j], alphabet, config, catalog.k) for i, j in first.values()]
-    edges = dict(zip(first, _map(_edge, calls, jobs)))
+    with batched_writes():
+        edges = dict(zip(first, _map(_edge, calls, jobs)))
     return CompatibilityGraph(catalog, {pair: edges[key] for pair, key in zip(pairs, keys)})
 
 

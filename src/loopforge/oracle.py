@@ -535,7 +535,12 @@ class _Search:
             return
         w = self._gap_weights(level)
         m = len(w)
-        rest = sum(min(w[i][j], w[j][i]) for i in range(m) for j in range(i + 1, m))
+        rest = 0
+        for i in range(m):
+            wi = w[i]
+            for j in range(i + 1, m):
+                c_ij, c_ji = wi[j], w[j][i]
+                rest += c_ij if c_ij < c_ji else c_ji
         if acc + self._future_bound(level + 1, rest) >= self.bound:
             return
         self._extend(level, acc, rest, (), list(range(m)), w)
@@ -552,7 +557,9 @@ class _Search:
         pos = self.pos
         at = self.inst.base[g] + len(order)
         for i in left:
-            self._charge(1)
+            self.units += 1  # `_charge(1)`, inline: this runs once per appended point
+            if self.units > self.budget:
+                raise _Stop
             p = pts[i]
             pos[p] = at
             others = [j for j in left if j != i]
@@ -778,21 +785,23 @@ def _class_pair_key(c1: LoopClass, c2: LoopClass, n: int) -> tuple[str, Callable
 
 
 def _solve(n: int, key: str, form: Callable[[], _Form], tally: str, config: OracleConfig,
-           cutoff: int | None = None) -> CrossingCount:
+           cutoff: int | None = None, drawn: bool = True) -> CrossingCount:
     """Answer a query from the cache entry of `key` if the entry decides it,
     or else search each curve tuple of `form()`, keep the least value and
     write what the searches proved: the exact minimum with its witness, or
     with a `cutoff` at or below the minimum, `at_least` the cutoff.  The
     result reads as `minimize_crossings` with that cutoff, its witness drawn
     on the query's curves, but a proof of `min >= cutoff`, searched or read,
-    is the cutoff with no witness, and `form` is built only when it is read."""
+    is the cutoff with no witness, and `form` is built only when it is read.
+    Unless `drawn`, no witness is drawn, so an entry answers without one."""
     store = config.store()
     entry = (store.get(key) if store is not None else None) or {}
     known = entry["value"] if entry.get("exact") else entry.get("at_least", 0)
     if cutoff is not None and known >= cutoff:
         return CrossingCount(cutoff, True, None)
     if entry.get("exact"):
-        return CrossingCount(known, True, form().back(Drawing.from_json(entry["witness"])))
+        return CrossingCount(known, True, form().back(Drawing.from_json(entry["witness"]))
+                             if drawn else None)
     form = form()
     results = [minimize_crossings(n, curves, tally, config.budget, cutoff)
                for curves, _ in form.searches]
@@ -803,18 +812,20 @@ def _solve(n: int, key: str, form: Callable[[], _Form], tally: str, config: Orac
         # the entry did not decide the query, so these facts replace it
         store.put(key, {"value": value, "exact": True, "witness": witness.to_json()}
                   if below else {"at_least": cutoff})
-    return (CrossingCount(value, exact, form.back(witness)) if below
+    return (CrossingCount(value, exact, form.back(witness) if drawn else None) if below
             else CrossingCount(cutoff if exact else value, exact, None))
 
 
 def _self_query(kind: str, letters: tuple[int, ...], alphabet: GapAlphabet,
-                config: OracleConfig, cutoff: int | None = None) -> CrossingCount:
+                config: OracleConfig, cutoff: int | None = None,
+                drawn: bool = True) -> CrossingCount:
     """The self query of the `kind` ("x", "v" or "seg") curve of `letters`,
-    first arc north; with a `cutoff`, the threshold query at it."""
+    first arc north; with a `cutoff`, the threshold query at it; unless
+    `drawn`, without a witness."""
     key, shift, rev = _self_key(alphabet.n, kind, letters)
     return _solve(alphabet.n, key, lambda: _Form.of(
         [(CurveSpec(letters, kind == "x", NORTH),)], ((0, shift, rev),), [(NORTH,)]),
-        "self", config, cutoff)
+        "self", config, cutoff, drawn)
 
 
 # -- public word/class oracles ------------------------------------------------
@@ -873,8 +884,9 @@ def segment_self_at_least(
     """True if every drawing of the segment has >= k self-crossings, False if
     some drawing has fewer, None if the budget ran out undecided.  Below k
     the search finds the exact minimum, which the cache keeps for
-    `segment_self_intersections`."""
-    res = _self_query("seg", tuple(letters), alphabet, config, k)
+    `segment_self_intersections`.  No witness is drawn, from a search or
+    from the cache."""
+    res = _self_query("seg", tuple(letters), alphabet, config, k, drawn=False)
     return False if res.value < k else (res.exact or None)
 
 

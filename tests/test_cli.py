@@ -134,6 +134,12 @@ def test_unusable_cache_is_a_precondition_error(runner, tmp_path):
     error = json.loads(result.output)["error"]
     assert error["type"] == "PreconditionError" and str(database) in error["message"]
     assert database.read_bytes() == b"not a database" * 100
+    # a catalog keeps its writes in a batch, and writing the batch exits 2
+    args = ["enumerate", "--n", "2", "--k", "3", "--cache-dir", str(blocker)]
+    result = _invoke(runner, args)
+    assert result.exit_code == 2
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "PreconditionError" and str(blocker) in error["message"]
 
 
 def test_selfint_budget_exit_code(runner, tmp_path):
@@ -325,6 +331,21 @@ def test_count_expansions_large_k(runner):
     result = _invoke(runner, ["count-expansions", "--l", "100", "--k", "100000"])
     assert result.exit_code == 2
     assert json.loads(result.output)["error"]["type"] == "PreconditionError"
+
+
+def test_count_expansions_refuses_counts_past_the_digit_limit(runner):
+    """A count of more than 4300 digits, past the interpreter's int-to-str
+    limit, is refused with exit 2; a count of 4300 digits still prints."""
+    result = _invoke(runner, ["count-expansions", "--l", "1" + "0" * 250, "--k", "480"])
+    assert result.exit_code == 2
+    error = json.loads(result.output)["error"]
+    assert error == {"type": "PreconditionError",
+                     "message": "the count at k=480 has over 4300 digits"}
+    result = _invoke(runner, ["count-expansions", "--l", "23" + "0" * 204, "--k", "480"])
+    assert result.exit_code == 2
+    result = _invoke(runner, ["count-expansions", "--l", "21" + "0" * 204, "--k", "480"])
+    assert result.exit_code == 0
+    assert len(json.loads(result.output)["count"]) == 4300
 
 
 @pytest.mark.parametrize("args, message", [

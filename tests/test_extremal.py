@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -209,7 +210,9 @@ def test_catalog_report_same_in_every_cache_state(n, tmp_path, nocache_config, m
 def test_warm_threshold_queries_read_only_the_cache(tmp_path, alpha2, monkeypatch):
     """A threshold query that a cache entry answers at or above its cutoff
     builds no form and parses no witness: the walk's queries answered by an
-    `at_least` row, and the warm catalog's candidates at or above k."""
+    `at_least` row, and the warm catalog's candidates at or above k.  Nor
+    does a warm walk, whose verdicts never read a witness, also where an
+    exact entry below k answers."""
     k = 4
     config = OracleConfig(cache_dir=tmp_path)
     enumerate_classes(2, k, config)
@@ -227,6 +230,11 @@ def test_warm_threshold_queries_read_only_the_cache(tmp_path, alpha2, monkeypatc
     assert all(ask(letters, k, alpha2, config) is True for letters in proved)
     assert all((res.value, res.exact, res.witness) == (k, True, None)
                for res in extremal._evaluate_words(dropped, k, alpha2, config, 1))
+    below = [letters for letters in asked
+             if "exact" in json.loads(rows[oracle._self_key(2, "seg", letters)[0]])]
+    assert below
+    monkeypatch.setattr(oracle._Form, "back", _unread)
+    assert _candidates(2, k, config) == words
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -316,6 +324,31 @@ def test_cached_jobs_match_sequential(tmp_path):
         runs[jobs] = catalog.to_json(), graph.to_json(), cache_rows(config.cache_dir)
     assert runs[2] == runs[1]
     assert len(runs[1][2]) > 100
+
+
+def test_batched_rows_match_rows_written_one_by_one(tmp_path, monkeypatch):
+    """A catalog and its graph keep their cache writes in a batch.  Written
+    one by one outside a batch, in one batch per stage, or flushed every
+    seven rows, the same queries run the same searches and store the same
+    rows: a read inside the batch sees the rows it has not written yet."""
+    from loopforge import cache
+
+    search = oracle.minimize_crossings
+    runs = []
+    for batched, rows in ((False, cache.BATCH_ROWS), (True, cache.BATCH_ROWS), (True, 7)):
+        monkeypatch.setattr(cache, "BATCH_ROWS", rows)
+        if not batched:
+            monkeypatch.setattr(extremal, "batched_writes", contextlib.nullcontext)
+        calls = []
+        monkeypatch.setattr(oracle, "minimize_crossings",
+                            lambda *a: calls.append(a) or search(*a))
+        config = OracleConfig(cache_dir=tmp_path / str(len(runs)))
+        catalog = enumerate_classes(2, 4, config)
+        graph = compatibility_graph(catalog, config)
+        runs.append((catalog.to_json(), graph.to_json(), len(calls), cache_rows(config.cache_dir)))
+        monkeypatch.undo()
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert len(runs[0][3]) > 300
 
 
 def test_graph_searches_each_key_once(nocache_config, monkeypatch):

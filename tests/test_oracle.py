@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import io
 import itertools
@@ -903,6 +904,56 @@ def test_cache_keeps_one_connection_per_process(tmp_path):
     assert open_files[-1] - open_files[0] < 3, open_files
     assert cache._connections[os.getpid()][0] == store.path
     assert cache.CacheStore(tmp_path / "0").get("some-key")["value"] == 0
+
+
+def test_batch_reads_its_unwritten_rows(tmp_path):
+    from loopforge.cache import CacheStore, batched_writes
+
+    store = CacheStore(tmp_path)
+    with batched_writes():
+        store.put("some-key", {"value": 3})
+        with batched_writes():  # a nested block joins the open batch
+            store.put("other-key", {"value": 4})
+        assert not (tmp_path / "entries.sqlite").exists()
+        assert store.get("some-key")["value"] == 3
+        assert store.get("other-key")["value"] == 4
+        assert CacheStore(tmp_path / "elsewhere").get("some-key") is None
+    assert {key: json.loads(text)["value"] for key, text in cache_rows(tmp_path).items()} == {
+        "some-key": 3, "other-key": 4}
+
+
+@pytest.mark.parametrize("interrupt", [RuntimeError, KeyboardInterrupt])
+def test_batch_is_written_when_its_block_raises(tmp_path, interrupt):
+    from loopforge.cache import CacheStore, batched_writes
+
+    with pytest.raises(interrupt):
+        with batched_writes():
+            CacheStore(tmp_path).put("some-key", {"value": 3})
+            raise interrupt
+    assert json.loads(cache_rows(tmp_path)["some-key"])["value"] == 3
+    # the batch is closed: the next write goes through at once
+    CacheStore(tmp_path).put("other-key", {"value": 4})
+    assert set(cache_rows(tmp_path)) == {"some-key", "other-key"}
+
+
+def test_batch_holds_no_lock_between_writes(tmp_path, monkeypatch):
+    """Each BATCH_ROWS rows are written in one transaction, and between
+    those writes another process can write at once (`timeout=0` fails
+    instead of waiting for a lock)."""
+    import sqlite3
+
+    from loopforge import cache
+
+    monkeypatch.setattr(cache, "BATCH_ROWS", 2)
+    store = cache.CacheStore(tmp_path)
+    with cache.batched_writes():
+        for i in range(3):
+            store.put(f"key-{i}", {"value": i})
+        assert set(cache_rows(tmp_path)) == {"key-0", "key-1"}  # key-2 is kept
+        with contextlib.closing(sqlite3.connect(tmp_path / cache.DATABASE, timeout=0,
+                                                isolation_level=None)) as other:
+            other.execute("INSERT INTO entries (key, entry) VALUES ('foreign', '{}')")
+    assert set(cache_rows(tmp_path)) == {"key-0", "key-1", "key-2", "foreign"}
 
 
 def _reads_through(directory, connection_id: int) -> bool:
