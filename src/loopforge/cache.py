@@ -7,10 +7,11 @@ writers (`--jobs` workers, other processes) only ever replace a whole entry.
 Inside :func:`batched_writes` the process that opened the batch keeps its
 rows in memory instead, reads them back from there, and writes them in one
 transaction per :data:`BATCH_ROWS` rows and when the batch ends, also by an
-exception or an interrupt.  It holds no lock between those writes, so a
-process killed in a batch loses at most its unwritten rows, never part of an
-entry.  Keys embed the model version; bumping :data:`MODEL_VERSION`
-invalidates old entries.
+exception or an interrupt.  The first row it keeps after each write opens the
+connection, so an unusable location fails at that row.  It holds no lock
+between those writes, so a process killed in a batch loses at most its
+unwritten rows, never part of an entry.  Keys embed the model version;
+bumping :data:`MODEL_VERSION` invalidates old entries.
 """
 
 from __future__ import annotations
@@ -147,6 +148,10 @@ class CacheStore:
         if rows is None:
             self._write([(key, text)])
             return
+        if not rows:
+            # an empty write opens the connection, so an unusable location
+            # fails at the batch's first row and not when the batch is written
+            self._write([])
         rows[self.directory, key] = text
         if len(rows) >= BATCH_ROWS:
             flush_batch()

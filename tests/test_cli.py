@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from cache_rows import cache_rows, write_row
-from loopforge import Drawing, count_crossings
+from loopforge import Drawing, count_crossings, oracle
 from loopforge.cache import DATABASE
 from loopforge.cli import main
 from loopforge.words import format_letters
@@ -140,6 +140,27 @@ def test_unusable_cache_is_a_precondition_error(runner, tmp_path):
     assert result.exit_code == 2
     error = json.loads(result.output)["error"]
     assert error["type"] == "PreconditionError" and str(blocker) in error["message"]
+
+
+def test_unusable_cache_fails_at_the_first_kept_row(runner, tmp_path, monkeypatch):
+    """A batch opens its connection when it keeps its first row, so a catalog
+    on an unusable cache location exits 2 after the one search whose answer
+    that row is, and not once BATCH_ROWS of them are kept."""
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    built = []
+    init = oracle._Search.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(oracle._Search, "__init__", counted)
+    result = _invoke(runner, ["enumerate", "--n", "2", "--k", "6", "--cache-dir", str(blocker)])
+    assert result.exit_code == 2
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "PreconditionError" and str(blocker) in error["message"]
+    assert len(built) == 1
 
 
 def test_selfint_budget_exit_code(runner, tmp_path):

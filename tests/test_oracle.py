@@ -664,14 +664,11 @@ def test_greedy_drawing_is_a_drawing(instance):
     assert search.pos == [inst.base[g] for g in inst.gap_of]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_instances())
-def test_greedy_bound_keeps_the_answer(instance):
-    """Whatever greedy drawing a search starts from, a completed one ends on
-    the first minimal drawing of its order, found here by brute force: the
-    gaps in `gap_order`, the first varying slowest, and each gap's orders in
-    lexicographic order.  That holds below the cutoff; at or above it, the
-    value is at least the cutoff."""
+def _assert_first_minimal_drawing(instance):
+    """A completed search ends on the first minimal drawing of its order,
+    found here by brute force: the gaps in `gap_order`, the first varying
+    slowest, and each gap's orders in lexicographic order.  That holds below
+    the cutoff; at or above it, the value is at least the cutoff."""
     n, curves, tally = instance
     inst = oracle._Instance(n, curves, tally)
     gaps = oracle._Search(inst, 1, None).gap_order
@@ -687,6 +684,72 @@ def test_greedy_bound_keeps_the_answer(instance):
             assert (value, witness) == (low, first), (instance, cutoff)
         else:
             assert value >= cutoff, (instance, cutoff)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_instances())
+def test_greedy_bound_keeps_the_answer(instance):
+    """Whatever greedy drawing a search starts from, a completed one ends on
+    the first minimal drawing of its order."""
+    _assert_first_minimal_drawing(instance)
+
+
+@st.composite
+def _twin_instances(draw):
+    """An inter instance of at most seven crossing points in which one curve
+    puts three or more points in one gap: two points of one curve meet in no
+    counted chord pair, so they are tied twins wherever they are adjacent."""
+    n = draw(st.integers(1, 3))
+    g = draw(st.integers(0, n))
+    run = draw(st.permutations([g] * 3 + draw(st.lists(st.integers(0, n), max_size=2))))
+    other = draw(st.lists(st.integers(0, n), min_size=1, max_size=7 - len(run)))
+    curves = []
+    for letters in (run, other):
+        closed = len(letters) % 2 == 0 and draw(st.booleans())
+        if not closed:
+            letters = [V] * draw(st.booleans()) + letters + [V] * draw(st.booleans())
+        curves.append(CurveSpec(tuple(letters), closed, draw(st.sampled_from((NORTH, SOUTH)))))
+    return n, tuple(curves[::-1] if draw(st.booleans()) else curves), "inter"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_twin_instances())
+# every minimal drawing puts the second curve's point first in gap 1, before
+# the first curve's, lower-numbered points: a descending pair that its
+# weights tell apart
+@example((3, (CurveSpec((V, 1, 2, 1, 1, 1), False, SOUTH), CurveSpec((V, 1, V), False, NORTH)),
+          "inter"))
+def test_tied_twins_keep_the_first_minimal_drawing(instance):
+    """A search that appends tied twins only in ascending order still ends on
+    the first minimal drawing of its order, with and without a cutoff."""
+    _assert_first_minimal_drawing(instance)
+
+
+def test_tied_twins_are_tried_in_one_order(monkeypatch):
+    """On a pair whose curves each put two points in every gap, appending
+    tied twins in one order only spends fewer units than a search that
+    counts no pair as tied, for the same value and witness."""
+    curves = (CurveSpec((V, 2, 0, 1, 0, 1, 2, V), False, NORTH),
+              CurveSpec((V, 2, 0, 1, 0, 1, 2, V), False, SOUTH))
+    units = []
+    run, init = oracle._Search.run, oracle._Search.__init__
+
+    def counted(self):
+        try:
+            return run(self)
+        finally:
+            units.append(self.units)
+
+    def all_apart(self, *args):
+        init(self, *args)
+        self.apart = [[set(range(len(row))) for _ in row] for row in self.apart]
+
+    monkeypatch.setattr(oracle._Search, "run", counted)
+    got = minimize_crossings(2, curves, "inter")
+    monkeypatch.setattr(oracle._Search, "__init__", all_apart)
+    assert minimize_crossings(2, curves, "inter") == got
+    assert got[0] == 10 and got[2]
+    assert units[0] < units[1], units
 
 
 def test_stopped_pair_search_keeps_the_greedy_drawing():
@@ -914,7 +977,7 @@ def test_batch_reads_its_unwritten_rows(tmp_path):
         store.put("some-key", {"value": 3})
         with batched_writes():  # a nested block joins the open batch
             store.put("other-key", {"value": 4})
-        assert not (tmp_path / "entries.sqlite").exists()
+        assert cache_rows(tmp_path) == {}  # the first row opened the database, empty
         assert store.get("some-key")["value"] == 3
         assert store.get("other-key")["value"] == 4
         assert CacheStore(tmp_path / "elsewhere").get("some-key") is None
