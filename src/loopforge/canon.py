@@ -49,11 +49,6 @@ class VLoopClass:
     def word(self) -> Word:
         return Word.v_word(self.core)
 
-    @property
-    def end_hemisphere(self) -> str:
-        # the core spans len(core)+1 arcs; hemispheres alternate
-        return hemisphere_after(self.start_hemisphere, len(self.core))
-
     def to_json(self) -> dict:
         return {
             "kind": "v",

@@ -32,9 +32,9 @@ from .oracle import (
     OracleConfig,
     _class_text,
     _grow_segment,
-    _pair_text,
+    _pair_form,
     _self_query,
-    pair_intersection_number,
+    _solve,
     segment_self_at_least,
 )
 from .words import (
@@ -294,30 +294,28 @@ class CompatibilityGraph:
         }
 
 
-def _edge(
-    c1: LoopClass, c2: LoopClass, alphabet: GapAlphabet, config: OracleConfig, k: int
-) -> GraphEdge:
-    res = pair_intersection_number(c1, c2, alphabet, config)
-    return GraphEdge(res.value, res.exact, res.value < k or not res.exact)
-
-
 def compatibility_graph(
     catalog: ClassCatalog,
     config: OracleConfig = OracleConfig(),
     jobs: int = 1,
 ) -> CompatibilityGraph:
-    alphabet = GapAlphabet(catalog.n)
-    classes = [e.loop_class for e in catalog.entries]
-    pairs = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))]
-    # pairs of one cache key share one answer, so only the first is sent
-    texts = [_class_text(c, catalog.n) for c in classes]
-    keys = [_pair_text(catalog.n, texts[i], texts[j])[0] for i, j in pairs]
-    first: dict[str, tuple[int, int]] = {}
-    for pair, key in zip(pairs, keys):
-        first.setdefault(key, pair)
-    calls = [(classes[i], classes[j], alphabet, config, catalog.k) for i, j in first.values()]
+    if jobs < 1:
+        raise PreconditionError("jobs must be at least 1")
+    n, count = catalog.n, catalog.count
+    texts = [_class_text(e.loop_class, n) for e in catalog.entries]
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    # pairs of one cache key share one answer, so only the first form of
+    # each key is searched or read, and no witness is drawn
+    keys, forms = [], {}
+    for i, j in pairs:
+        key, form = _pair_form(n, texts[i], texts[j])
+        keys.append(key)
+        forms.setdefault(key, form)
+    calls = [(n, key, form, "inter", config, None, False) for key, form in forms.items()]
     with batched_writes():
-        edges = dict(zip(first, _map(_edge, calls, jobs)))
+        results = _map(_solve, calls, jobs)
+    edges = {key: GraphEdge(res.value, res.exact, res.value < catalog.k or not res.exact)
+             for key, res in zip(forms, results)}
     return CompatibilityGraph(catalog, {pair: edges[key] for pair, key in zip(pairs, keys)})
 
 

@@ -31,10 +31,10 @@ costs still open at that level.  The unplaced points of the gap being
 ordered share the position after its placed ones, so the same table serves
 every partial order of that gap, and its own unplaced pairs add a running
 total.  Gaps go largest first, except that the largest gap holding no
-chord is left last, where every far end of its chord pairs is placed.
-Measured on one core without a cache, `graph --n 2 --k 5` takes about 2 s
-in this order and 5-6 s with the largest gap first, and ascending sizes
-make the 11-point ladder `v 2 (0 1)^11 2 v` about 1.5 times slower.
+chord is left last, where every far end of its chord pairs is placed: each
+pair of its points then costs a fixed weight in either order, so the bound
+is tight there.  The largest gap first throughout and ascending sizes
+both measured slower.
 
 Every search first makes one greedy descent through the same levels,
 appending at each step the point whose append charges least.  That drawing
@@ -64,6 +64,13 @@ position in its gap.  The catalog walk grows its prefixes this way, and a
 grown drawing below k settles a prefix without a search.  Other prefixes
 and the catalog's candidates are threshold queries at k (`_self_query`
 with a cutoff): the exact minimum and witness below k, else only k.
+
+A query is answered through the cache key of one canonical form of its
+curves: reversed, rotated, swapped or mirrored curves share a key, and the
+witness of the form is drawn back onto the query's curves.  `_pair_form`
+builds the key of every pair query, and of every pair of the compatibility
+graph, from the texts of its two curves, with a thunk of its form, so a
+query that the cache answers builds no form.
 """
 
 from __future__ import annotations
@@ -761,64 +768,47 @@ def _self_key(n: int, kind: str, letters: tuple[int, ...]) -> tuple[str, int, bo
     return (f"n{n}|seg|{text}" if kind == "seg" else f"n{n}|self|{kind}|{text}"), shift, rev
 
 
-def _open_text(letters: tuple[int, ...], hemi: int) -> tuple:
-    """An open curve's forward and reversed letter strings, each with its first arc's hemisphere."""
-    return ((_letters_key(letters), hemi, False),
-            (_letters_key(letters[::-1]), hemi ^ (len(letters) % 2), True))
+def _open_text(kind: str, letters: tuple[int, ...],
+               hemisphere: str) -> tuple[str, tuple, CurveSpec]:
+    """The text of an open curve of `kind`: its forward and reversed letter
+    strings, each with its first arc's hemisphere, and the curve."""
+    curve = CurveSpec(letters, False, hemisphere)
+    hemi = _HEMI_INT[hemisphere]
+    return kind, ((_letters_key(letters), hemi, False),
+                  (_letters_key(letters[::-1]), hemi ^ (len(letters) % 2), True)), curve
 
 
-def _class_text(c: LoopClass, n: int) -> tuple[str, tuple]:
-    """The kind and text of a class's curve, from which `_pair_text` builds keys."""
+def _class_text(c: LoopClass, n: int) -> tuple[str, tuple, CurveSpec]:
+    """The text of a class's curve, an x-curve's first arc north."""
     if isinstance(c, VLoopClass):
-        return "v", _open_text(c.word().letters, _HEMI_INT[c.start_hemisphere])
-    return "x", _self_key(n, "x", c.reduced)
+        return _open_text("v", c.word().letters, c.start_hemisphere)
+    return "x", _self_key(n, "x", c.reduced), CurveSpec(c.reduced, True, NORTH)
 
 
-def _pair_text(n: int, t1: tuple[str, tuple], t2: tuple[str, tuple]) -> tuple[str, tuple]:
-    """The key of two curves of one kind, from their texts, and its form: the
-    order of closed curves, or the (text, hemi, curve, reversed) of open ones."""
-    (kind, a), (other, b) = t1, t2
+def _pair_form(n: int, t1: tuple, t2: tuple) -> tuple[str, Callable[[], _Form]]:
+    """The key of a pair query on two curves of one kind, from their texts,
+    and a thunk that builds the form it names."""
+    (kind, a, c1), (other, b, c2) = t1, t2
     if kind != other:
         raise PreconditionError("cannot pair classes of different kinds")
     if kind == "x":
         order = (0, 1) if a[0] <= b[0] else (1, 0)
-        return f"n{n}|pairx|" + "~".join((a, b)[i][0] for i in order), order
+        # a searched closed curve starts one arc later than its query curve
+        # per odd shift, so each odd shift flips the relative hemisphere once
+        flip = (a[1] + b[1]) % 2
+        queries = [(c1, CurveSpec(c2.letters, True, _HEMIS[h ^ flip])) for h in (0, 1)]
+        return f"n{n}|pairx|" + "~".join((a, b)[i][0] for i in order), functools.partial(
+            _Form.of, queries, tuple((i,) + (a, b)[i][1:] for i in order),
+            [(NORTH, h) for h in _HEMIS])
     # value-preserving transforms: swap curves, reverse either traversal,
     # mirror both hemispheres.  Of two mirrored strings the one whose first
     # curve starts at hemisphere 0 is smaller, so only that one is built.
     xs, ys = ([(t, h, i, r) for t, h, r in part] for i, part in enumerate((a, b)))
-    text, first, second = min((f"{p[0]}@0~{q[0]}@{p[1] ^ q[1]}", p, q)
-                              for x in xs for y in ys for p, q in ((x, y), (y, x)))
-    return f"n{n}|pair|{kind}|{text}", (first, second)
-
-
-def _open_form(order: tuple, query: tuple[CurveSpec, ...]) -> _Form:
-    """The form of two open query curves, from the order `_pair_text` gave."""
-    (_, hf, i, ri), (_, hs, j, rj) = order
-    return _Form.of([query], ((i, 0, ri), (j, 0, rj)), [(NORTH, _HEMIS[hf ^ hs])])
-
-
-def _pair_key(n: int, kind: str, specs) -> tuple[str, Callable[[], _Form]]:
-    """The key of two open curves given as (letters, hemisphere bit), and its form."""
-    key, order = _pair_text(n, *((kind, _open_text(letters, hemi)) for letters, hemi in specs))
-    return key, functools.partial(_open_form, order, tuple(
-        CurveSpec(tuple(letters), False, _HEMIS[h]) for letters, h in specs))
-
-
-def _class_pair_key(c1: LoopClass, c2: LoopClass, n: int) -> tuple[str, Callable[[], _Form]]:
-    """The key of a pair query on two classes, and the form it names."""
-    (kind, a), (_, b) = texts = _class_text(c1, n), _class_text(c2, n)
-    key, order = _pair_text(n, *texts)
-    if kind == "v":
-        return key, functools.partial(_open_form, order, tuple(
-            _curve_for_word(c.word(), c.start_hemisphere) for c in (c1, c2)))
-    # a searched closed curve starts one arc later than its query curve per
-    # odd shift, so each odd shift flips the relative hemisphere once
-    flip = (a[1] + b[1]) % 2
-    queries = [(_curve_for_word(c1.word(), NORTH), _curve_for_word(c2.word(), _HEMIS[h ^ flip]))
-               for h in (0, 1)]
-    return key, functools.partial(_Form.of, queries, tuple((i,) + (a, b)[i][1:] for i in order),
-                                  [(NORTH, h) for h in _HEMIS])
+    text, (_, hf, i, ri), (_, hs, j, rj) = min(
+        (f"{p[0]}@0~{q[0]}@{p[1] ^ q[1]}", p, q)
+        for x in xs for y in ys for p, q in ((x, y), (y, x)))
+    return f"n{n}|pair|{kind}|{text}", functools.partial(
+        _Form.of, [(c1, c2)], ((i, 0, ri), (j, 0, rj)), [(NORTH, _HEMIS[hf ^ hs])])
 
 
 def _solve(n: int, key: str, form: Callable[[], _Form], tally: str, config: OracleConfig,
@@ -830,16 +820,25 @@ def _solve(n: int, key: str, form: Callable[[], _Form], tally: str, config: Orac
     result reads as `minimize_crossings` with that cutoff, its witness drawn
     on the query's curves, but a proof of `min >= cutoff`, searched or read,
     is the cutoff with no witness, and `form` is built only when it is read.
-    Unless `drawn`, no witness is drawn, so an entry answers without one."""
+    Unless `drawn`, no witness is drawn, so an entry answers without one.
+    An entry whose value is not an int, or whose witness does not draw back
+    when it is read, is a miss."""
     store = config.store()
     entry = (store.get(key) if store is not None else None) or {}
-    known = entry["value"] if entry.get("exact") else entry.get("at_least", 0)
+    exact = entry.get("exact") and type(entry.get("value")) is int
+    known = entry["value"] if exact else entry.get("at_least")
+    if type(known) is not int:
+        known = 0
     if cutoff is not None and known >= cutoff:
         return CrossingCount(cutoff, True, None)
-    if entry.get("exact"):
-        return CrossingCount(known, True, form().back(Drawing.from_json(entry["witness"]))
-                             if drawn else None)
+    if exact and not drawn:
+        return CrossingCount(known, True, None)
     form = form()
+    if exact:
+        try:
+            return CrossingCount(known, True, form.back(Drawing.from_json(entry["witness"])))
+        except (LookupError, TypeError, ValueError, AttributeError):
+            pass  # a miss: search, and replace the entry
     results = [minimize_crossings(n, curves, tally, config.budget, cutoff)
                for curves, _ in form.searches]
     value, witness, _ = min(results, key=lambda r: r[0])
@@ -868,10 +867,6 @@ def _self_query(kind: str, letters: tuple[int, ...], alphabet: GapAlphabet,
 # -- public word/class oracles ------------------------------------------------
 
 
-def _curve_for_word(word: Word, hemisphere: str) -> CurveSpec:
-    return CurveSpec(word.letters, word.kind == "x", hemisphere)
-
-
 def self_intersection_number(
     word: Word, alphabet: GapAlphabet, config: OracleConfig = OracleConfig()
 ) -> CrossingCount:
@@ -897,7 +892,8 @@ def pair_intersection_number(
     minimum is additionally taken over the relative hemisphere choice.
     Basepoint coincidence is never an intersection.
     """
-    return _solve(alphabet.n, *_class_pair_key(c1, c2, alphabet.n), "inter", config)
+    n = alphabet.n
+    return _solve(n, *_pair_form(n, _class_text(c1, n), _class_text(c2, n)), "inter", config)
 
 
 # -- segment oracles -----------------------------------------------------------
@@ -936,5 +932,6 @@ def segment_pair_intersections(
     config: OracleConfig = OracleConfig(),
 ) -> CrossingCount:
     """Minimal crossings between two open segments of the given polarities."""
-    specs = ((tuple(letters_a), _HEMI_INT[polarity_a]), (tuple(letters_b), _HEMI_INT[polarity_b]))
-    return _solve(alphabet.n, *_pair_key(alphabet.n, "seg", specs), "inter", config)
+    texts = (_open_text("seg", tuple(letters_a), polarity_a),
+             _open_text("seg", tuple(letters_b), polarity_b))
+    return _solve(alphabet.n, *_pair_form(alphabet.n, *texts), "inter", config)

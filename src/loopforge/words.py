@@ -232,9 +232,6 @@ class Span:
         """Number of full two-letter repetitions past the first: (ab)^s a or (ab)^(s+1)."""
         return (self.length - 1) // 2
 
-    def letters_of(self, letters: tuple[int, ...]) -> tuple[int, ...]:
-        return letters[self.start : self.end + 1]
-
 
 def maximal_two_letter_words(letters: tuple[int, ...], a: int, b: int) -> list[Span]:
     """Maximal contiguous subwords over {a, b} with at least two letters."""

@@ -46,11 +46,6 @@ def test_canon_v_examples(alpha2):
     assert c == VLoopClass((), SOUTH)
 
 
-def test_canon_v_end_hemisphere_parity():
-    assert VLoopClass((2,), NORTH).end_hemisphere == SOUTH
-    assert VLoopClass((2, 0, 1, 2), NORTH).end_hemisphere == NORTH
-
-
 def test_equivalent(alpha2):
     # words name the same class exactly when their descriptors are equal
     assert canon_x(Word.x_word((0, 1, 1, 0))) == canon_x(Word.x_word(()))

@@ -114,6 +114,18 @@ def test_selfint_ignores_foreign_cache_entry(runner, tmp_path, corrupt):
     _rerun_over(runner, tmp_path, corrupt)
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda entry: {**entry, "witness": {"n": 2}},
+    lambda entry: {**entry, "witness": {**entry["witness"], "curves": []}},
+    lambda entry: {**entry, "value": "2"},
+    lambda entry: {**entry, "value": None},
+], ids=["unparsed-witness", "witness-of-other-curves", "str-value", "null-value"])
+def test_selfint_ignores_malformed_cache_entry(runner, tmp_path, corrupt):
+    # an entry whose value is not an int, or whose witness does not parse
+    # and draw back onto the query, is a cache miss
+    _rerun_over(runner, tmp_path, lambda entry: json.dumps(corrupt(entry), sort_keys=True))
+
+
 def test_unusable_cache_is_a_precondition_error(runner, tmp_path):
     # a cache directory that is a regular file: reads miss, the write exits 2
     blocker = tmp_path / "file"

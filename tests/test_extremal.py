@@ -117,8 +117,10 @@ def test_enumerate_rejects_bad_args(config):
         enumerate_classes(3, 1, config)
     with pytest.raises(PreconditionError):
         enumerate_classes(2, 0, config)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="jobs must be at least 1"):
         enumerate_classes(2, 1, config, jobs=0)
+    with pytest.raises(PreconditionError, match="jobs must be at least 1"):
+        compatibility_graph(enumerate_classes(2, 1, config), config, jobs=0)
 
 
 @pytest.mark.parametrize("n, message", [
@@ -171,7 +173,7 @@ def test_threshold_evaluation_agrees_with_exact(n, tmp_path, nocache_config):
 
 
 def _unread(*args):
-    raise AssertionError("a threshold query built a form or parsed a witness")
+    raise AssertionError("a query built a form or read a witness")
 
 
 def _no_forms_or_witnesses(monkeypatch):
@@ -305,8 +307,10 @@ def test_graph_trivial_pair_edge(config, alpha2):
     assert graph.complete
 
 
-def test_graph_jobs_match(nocache_config):
-    catalog = enumerate_classes(2, 2, nocache_config)
+@pytest.mark.parametrize("n", [1, 2])
+def test_graph_jobs_match(nocache_config, n):
+    # the workers get each distinct key's form, x-pair forms at n=1
+    catalog = enumerate_classes(n, 2, nocache_config)
     g1 = compatibility_graph(catalog, nocache_config)
     g2 = compatibility_graph(catalog, nocache_config, jobs=2)
     assert g2.to_json() == g1.to_json()
@@ -364,17 +368,27 @@ def test_graph_searches_each_key_once(nocache_config, monkeypatch):
 
 
 @pytest.mark.parametrize("n, k", [(2, 4), (1, 4)])
-def test_graph_keys_are_pair_keys(config, monkeypatch, n, k):
-    # the graph composes every pair's key from texts built once per class:
-    # each must be the key that the pair's own query reads
+def test_graph_keys_are_pair_keys(config, nocache_config, n, k):
+    # the graph asks one query per key, built from texts made once per
+    # class: every edge is the answer of its own pair's query
     catalog = enumerate_classes(n, k, config)
-    compose, composed = extremal._pair_text, []
-    monkeypatch.setattr(extremal, "_pair_text",
-                        lambda *a: composed.append(compose(*a)[0]) or compose(*a))
-    compatibility_graph(catalog, config)
+    graph = compatibility_graph(catalog, config)
+    alphabet = GapAlphabet(n)
     classes = [e.loop_class for e in catalog.entries]
-    pairs = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))]
-    assert composed == [oracle._class_pair_key(classes[i], classes[j], n)[0] for i, j in pairs]
+    for (i, j), edge in graph.edges.items():
+        res = oracle.pair_intersection_number(classes[i], classes[j], alphabet, nocache_config)
+        assert (edge.value, edge.exact) == (res.value, res.exact), (classes[i], classes[j])
+
+
+def test_warm_graph_reads_only_the_cache(tmp_path, monkeypatch):
+    """A graph on a warm cache builds no form, and neither parses nor draws
+    a witness."""
+    config = OracleConfig(cache_dir=tmp_path)
+    catalog = enumerate_classes(2, 4, config)
+    want = compatibility_graph(catalog, config).to_json()
+    _no_forms_or_witnesses(monkeypatch)
+    monkeypatch.setattr(oracle._Form, "back", _unread)
+    assert compatibility_graph(catalog, config).to_json() == want
 
 
 def test_graph_rejects_mixed_kinds(config):

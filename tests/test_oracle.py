@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import naive_reference as naive
-from cache_rows import cache_rows
+from cache_rows import cache_rows, write_row
 from reference_walk import circle_drawing, reference_core_candidates
 from loopforge import (
     CrossingCount,
@@ -45,7 +45,7 @@ from loopforge import (
     self_intersection_number,
 )
 from loopforge import oracle
-from loopforge.oracle import _cross, _pair_key
+from loopforge.oracle import _cross, _open_text, _pair_form
 from loopforge.words import NORTH, SOUTH, V, format_letter
 
 
@@ -926,6 +926,21 @@ def test_cache_versioning(tmp_path, monkeypatch):
     assert entry["at_least"] == 3
 
 
+@pytest.mark.parametrize("fields", [
+    {"at_least": "5"}, {"at_least": None}, {"exact": True, "value": "9", "witness": None},
+], ids=["str-bound", "null-bound", "str-value"])
+def test_threshold_query_misses_a_malformed_entry(tmp_path, fields):
+    # a bound or value that is not an int is a miss: the query searches and
+    # writes its entry anew
+    letters, config = (V, 2, 0, 1, 0, 1, 0, 1, 2), OracleConfig(cache_dir=tmp_path)
+    assert segment_self_at_least(letters, 5, GapAlphabet(2), config) is True
+    [(key, text)] = cache_rows(tmp_path).items()
+    version = json.loads(text)["version"]
+    write_row(tmp_path, key, json.dumps({**fields, "key": key, "version": version}))
+    assert segment_self_at_least(letters, 5, GapAlphabet(2), config) is True
+    assert cache_rows(tmp_path) == {key: text}
+
+
 def test_cache_put_makes_its_directory(tmp_path):
     from loopforge.cache import DATABASE, MODEL_VERSION, CacheStore
 
@@ -1101,21 +1116,22 @@ def test_pair_key_transforms():
         # arc j lies in hemisphere hemi + j; the reversal starts on the last arc
         return letters[::-1], (hemi + len(letters)) % 2
 
+    def key_of(specs):
+        return _pair_form(12, *(_open_text("seg", ls, (NORTH, SOUTH)[h]) for ls, h in specs))[0]
+
     for v_start, v_end, odd, hemi in itertools.product((False, True), repeat=4):
         for _ in range(8):
             letters = tuple(rng.choice(labels) for _ in range(2 * rng.randint(1, 4) + odd))
             letters = (V,) * v_start + letters[v_start:len(letters) - v_end] + (V,) * v_end
             other = tuple(rng.choice(labels) for _ in range(rng.randint(1, 8)))
             specs = ((letters, int(hemi)), (other, rng.randint(0, 1)))
-            key = _pair_key(12, "seg", specs)[0]
+            key = key_of(specs)
             assert key == _reference_pair_key(12, "seg", specs)
-            # the texts of the curves, built once, compose the key either way round
-            texts = [("seg", oracle._open_text(letters, hemi)) for letters, hemi in specs]
-            assert oracle._pair_text(12, *texts)[0] == key
-            assert oracle._pair_text(12, *texts[::-1])[0] == key
+            # the texts of the curves compose the key either way round
+            assert key_of(specs[::-1]) == key
             for swap, rev1, rev2, mirror in itertools.product((False, True), repeat=4):
                 first, second = specs[::-1] if swap else specs
                 first = reverse(*first) if rev1 else first
                 second = reverse(*second) if rev2 else second
                 moved = tuple((ls, h ^ mirror) for ls, h in (first, second))
-                assert _pair_key(12, "seg", moved)[0] == key, (specs, moved)
+                assert key_of(moved) == key, (specs, moved)

@@ -206,7 +206,7 @@ def test_orientation_rejects_repeats(alpha2):
 def test_maximal_spans_example():
     letters = (2, 0, 1, 0, 2, 1, 2)
     spans = all_maximal_spans(letters)
-    texts = ["".join(str(x) for x in s.letters_of(letters)) for s in spans]
+    texts = ["".join(str(x) for x in letters[s.start:s.end + 1]) for s in spans]
     assert texts == ["20", "010", "02", "212"]
 
 
