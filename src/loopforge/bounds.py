@@ -28,24 +28,23 @@ from .words import (
 )
 
 
+def block_obstacles(a: int, b: int, n: int) -> tuple[int, ...]:
+    """The obstacles a two-letter block over gaps a < b circles.  Obstacle 0
+    is the point at infinity, between gaps n and 0; obstacle i >= 1 is the
+    i-th puncture (1 = the basepoint), between gaps i - 1 and i, so for
+    n = 1 the pair {0, 1} borders both."""
+    return (0,) * ((a, b) == (0, n)) + (b,) * (b == a + 1 <= n)
+
+
 def obstacle_spans(
     letters: tuple[int, ...], alphabet: GapAlphabet
 ) -> list[tuple[int, Span]]:
     """(obstacle, span) for each maximal two-letter span of depth at least 1
-    around an obstacle, by obstacle and then by start.  Obstacle 0 is the
-    point at infinity, between gaps n and 0; obstacle i >= 1 is the i-th
-    puncture (1 = the basepoint), between gaps i - 1 and i, so for n = 1 the
-    pair {0, 1} borders both.  Only the letter pairs the word uses are
-    scanned, so the work follows the word and not n."""
-    n = alphabet.n
-    out = []
-    for span in all_maximal_spans(letters):
-        if span.depth < 1:
-            continue
-        if (span.a, span.b) == (0, n):
-            out.append((0, span))
-        if span.b == span.a + 1 <= n:
-            out.append((span.b, span))
+    around an obstacle (:func:`block_obstacles`), by obstacle and then by
+    start.  Only the letter pairs the word uses are scanned, so the work
+    follows the word and not n."""
+    out = [(o, span) for span in all_maximal_spans(letters) if span.depth >= 1
+           for o in block_obstacles(span.a, span.b, alphabet.n)]
     return sorted(out, key=lambda item: (item[0], item[1].start))
 
 

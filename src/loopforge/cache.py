@@ -19,12 +19,14 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import time
 
 from .words import PreconditionError
 
 MODEL_VERSION = "2"
 DATABASE = "entries.sqlite"
 BATCH_ROWS = 500  # rows a batch keeps before it writes them
+BUSY_SECONDS = 5.0  # how long a connection waits for another's lock
 
 sqlite3 = None  # imported on first cache use, so a run without a cache never loads it
 # pid -> (database path, connection): one connection per process, closed when
@@ -74,9 +76,21 @@ def flush_batch() -> None:
 
 def _open(path: str):
     # autocommit; SQLite serializes threads, so every thread may use it
-    conn = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+    conn = sqlite3.connect(path, timeout=BUSY_SECONDS, isolation_level=None,
+                           check_same_thread=False)
     try:
-        conn.executescript("PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; "
+        # the file keeps its journal mode.  Of two processes setting it on a
+        # new file at once (`--jobs` workers), SQLite fails one at once
+        # instead of letting it wait, so that one tries again
+        deadline = time.monotonic() + BUSY_SECONDS
+        while conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                if str(exc) != "database is locked" or time.monotonic() > deadline:
+                    raise
+        conn.executescript("PRAGMA synchronous=NORMAL; "
                            "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, entry TEXT)")
     except sqlite3.Error:
         conn.close()

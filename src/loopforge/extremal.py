@@ -19,10 +19,11 @@ the found clique is not claimed to be realizable as a joint drawing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .bounds import best_obstacle_bound, double_exp_exponent, obstacle_spans
+from .bounds import block_obstacles, depth_family_bound, double_exp_exponent
 from .cache import batched_writes, flush_batch
 from .canon import LoopClass, VLoopClass, XLoopClass
 from .expansion import tail_cap
@@ -30,9 +31,11 @@ from .oracle import (
     CrossingCount,
     Drawing,
     OracleConfig,
+    _Form,
     _class_text,
     _grow_segment,
     _pair_form,
+    _segment_start,
     _self_query,
     _solve,
     segment_self_at_least,
@@ -123,8 +126,9 @@ class ClassCatalog:
         }
 
 
-def prefix_winding_lb(prefix: tuple[int, ...], alphabet: GapAlphabet) -> int:
-    """Winding lower bound every completed core word of `prefix` inherits.
+def prefix_winding_lb(wind: tuple) -> int:
+    """Winding lower bound every completed core word of a prefix inherits,
+    from the prefix's winding state `wind` (:func:`_wound`).
 
     Core words start and end in a letter outside {0, 1}, so every maximal
     two-letter block of the prefix ends up bordered validly in any
@@ -132,7 +136,38 @@ def prefix_winding_lb(prefix: tuple[int, ...], alphabet: GapAlphabet) -> int:
     :func:`loopforge.bounds.winding_self_lower_bound`, obstacles do not
     combine additively; the bound is the best single obstacle's.
     """
-    return best_obstacle_bound((o, span.depth) for o, span in obstacle_spans(prefix, alphabet))
+    closed, best, opened, length = wind
+    depth = (length - 1) // 2
+    for o in opened if depth else ():
+        best = max(best, depth_family_bound(closed[o] + (depth,)))
+    return best
+
+
+def _winding_start(n: int) -> tuple:
+    """The winding state of a one-letter prefix: no block yet."""
+    return ((),) * (n + 1), 0, (), 1
+
+
+def _wound(wind: tuple, prefix: tuple[int, ...], letter: int, n: int) -> tuple:
+    """The winding state of the reduced word `prefix + (letter,)`, from the
+    state `wind` of `prefix`: per obstacle the depths of its closed maximal
+    two-letter blocks, the best bound of one obstacle's closed depths, and
+    the obstacles and length of the open block, over the last two letters.
+    The last two letters end every other block, so a letter either extends
+    the open block or closes it and opens the block of the last letter and
+    itself."""
+    closed, best, opened, length = wind
+    if prefix[-2:-1] == (letter,):
+        return closed, best, opened, length + 1
+    depth = (length - 1) // 2
+    if depth and opened:
+        closed = list(closed)
+        for o in opened:
+            closed[o] += (depth,)
+            best = max(best, depth_family_bound(closed[o]))
+        closed = tuple(closed)
+    last = prefix[-1]
+    return closed, best, block_obstacles(min(last, letter), max(last, letter), n), 2
 
 
 def _map(fn, calls: list[tuple], jobs: int) -> list:
@@ -172,13 +207,15 @@ def _collect_core_candidates(
     drawing by one point.  A drawing with fewer than k crossings shows that
     the prefix is below k, so the oracle is asked only about prefixes whose
     grown drawing has k or more; growing only adds crossings, so below such
-    a prefix no more drawings are grown."""
+    a prefix no more drawings are grown.  Each prefix hands its children its
+    winding state and its drawing, so neither is rebuilt from the letters."""
     candidates: list[tuple[int, ...]] = []
+    n = alphabet.n
 
-    def walk(prefix: tuple[int, ...], drawn: tuple[tuple[int, ...], int] | None) -> None:
-        # drawn: a drawing of the anchored parent prefix and its crossings
-        # while they are below k, else None
-        if prefix_winding_lb(prefix, alphabet) >= k:
+    def walk(prefix: tuple[int, ...], wind: tuple, drawn: tuple | None) -> None:
+        # drawn: a drawing of the anchored parent prefix (`_grow_segment`)
+        # while its crossings are below k, else None
+        if prefix_winding_lb(wind) >= k:
             return
         anchored = (V,) + prefix
         if drawn is not None:
@@ -194,9 +231,9 @@ def _collect_core_candidates(
             return
         for letter in (0, 1, 2):
             if letter != prefix[-1]:
-                walk(prefix + (letter,), drawn)
+                walk(prefix + (letter,), _wound(wind, prefix, letter, n), drawn)
 
-    walk((2,), ((0,), 0))  # the basepoint alone
+    walk((2,), _winding_start(n), _segment_start(n))
     return candidates
 
 
@@ -311,7 +348,8 @@ def compatibility_graph(
         key, form = _pair_form(n, texts[i], texts[j])
         keys.append(key)
         forms.setdefault(key, form)
-    calls = [(n, key, form, "inter", config, None, False) for key, form in forms.items()]
+    calls = [(n, key, functools.partial(_Form.of, *form), "inter", config, None, False)
+             for key, form in forms.items()]
     with batched_writes():
         results = _map(_solve, calls, jobs)
     edges = {key: GraphEdge(res.value, res.exact, res.value < catalog.k or not res.exact)

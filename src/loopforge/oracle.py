@@ -69,8 +69,9 @@ A query is answered through the cache key of one canonical form of its
 curves: reversed, rotated, swapped or mirrored curves share a key, and the
 witness of the form is drawn back onto the query's curves.  `_pair_form`
 builds the key of every pair query, and of every pair of the compatibility
-graph, from the texts of its two curves, with a thunk of its form, so a
-query that the cache answers builds no form.
+graph, by joining pieces of the texts of its two curves, made once per
+curve, and gives the arguments of its form, which is built only when the
+cache does not answer the query.
 """
 
 from __future__ import annotations
@@ -655,39 +656,54 @@ def minimize_crossings(
     return value, inst.drawing_for(orders), exact
 
 
-def _grow_segment(drawn: tuple[tuple[int, ...], int],
-                  letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """A drawing of the open segment `letters`, first chord in the north
-    disk, grown from `drawn`, a drawing of `letters[:-1]` and its
-    self-crossing count, by its last crossing.
+def _segment_start(n: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """The drawing of a lone basepoint letter, which `_grow_segment` grows."""
+    return (0,), 0, (0, 1) + (0,) * n
 
-    A drawing here is `circle`, the letter positions of the crossings and of
-    a basepoint letter in equator order (0, v, 1, ..., n).  The last
-    crossing, a gap letter, goes to the cheapest position in its gap, the
-    lowest one on ties.  Placing it keeps every earlier crossing, so the
-    count rises by the crossings of the one new chord with the earlier
-    chords of its disk; those are every second chord before it."""
-    circle, count = drawn
+
+def _grow_segment(drawn: tuple[tuple[int, ...], int, tuple[int, ...]],
+                  letters: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """A drawing of the open segment `letters`, first chord in the north
+    disk, grown from `drawn`, a drawing of `letters[:-1]`, by its last
+    crossing.
+
+    A drawing here is (circle, count, sizes): `circle` lists the letter
+    positions of the crossings and of a basepoint letter in equator order
+    (0, v, 1, ..., n), `count` is their self-crossings, and `sizes[r]` is
+    how many of them lie at place r of that order.  The last crossing, a
+    gap letter, goes to the cheapest position in its gap, the lowest one on
+    ties.  Placing it keeps every earlier crossing, so the count rises by
+    the crossings of the one new chord with the earlier chords of its disk;
+    those are every second chord before it."""
+    circle, count, sizes = drawn
     m = len(letters) - 1
+    # the slots of the new crossing's gap run from its block's start to its end
+    rank = equator_position(letters[m])
+    start = sum(sizes[:rank])
     pos = [0] * m
     for i, p in enumerate(circle):
         pos[p] = 2 * i  # doubled, so a slot between i - 1 and i sits at 2i - 1
-    # the slots of the new crossing's gap run from its block's start to its
-    # end in equator order
-    ranks = [equator_position(letters[p]) for p in circle]
-    rank = equator_position(letters[m])
-    start = sum(r < rank for r in ranks)
-    stop = start + ranks.count(rank)
-    ends = [(pos[j], pos[j + 1]) for j in range(m - 3, -1, -2)]
-    near = pos[m - 1]
-    best_cost, best = len(ends) + 1, start
-    for slot in range(start, stop + 1):
-        x = 2 * slot - 1
-        lo, hi = (near, x) if near < x else (x, near)
-        cost = sum((lo < a < hi) != (lo < b < hi) for a, b in ends)
-        if cost < best_cost:
-            best_cost, best = cost, slot
-    return circle[:best] + (m,) + circle[best:], count + best_cost
+    near, x = pos[m - 1], 2 * start - 1
+    lo, hi = (near, x) if near < x else (x, near)
+    # across[j]: whether the chord (j, j + 1), every second one before the
+    # new chord, crosses the new chord to the first slot
+    chord_at, across = [None] * m, [False] * m
+    for j in range(m - 3, -1, -2):
+        chord_at[j] = chord_at[j + 1] = j
+        across[j] = (lo < pos[j] < hi) != (lo < pos[j + 1] < hi)
+    cost = best_cost = sum(across)
+    best = start
+    for slot in range(start, start + sizes[rank]):
+        # the next slot passes one point, which then lies on the other side
+        # of the new chord, so only the chord at that point changes
+        j = chord_at[circle[slot]]
+        if j is not None:
+            cost += -1 if across[j] else 1
+            across[j] = not across[j]
+            if cost < best_cost:
+                best_cost, best = cost, slot + 1
+    return (circle[:best] + (m,) + circle[best:], count + best_cost,
+            sizes[:rank] + (sizes[rank] + 1,) + sizes[rank + 1:])
 
 
 def count_crossings(drawing: Drawing, tally: str = "auto") -> int:
@@ -770,12 +786,15 @@ def _self_key(n: int, kind: str, letters: tuple[int, ...]) -> tuple[str, int, bo
 
 def _open_text(kind: str, letters: tuple[int, ...],
                hemisphere: str) -> tuple[str, tuple, CurveSpec]:
-    """The text of an open curve of `kind`: its forward and reversed letter
-    strings, each with its first arc's hemisphere, and the curve."""
-    curve = CurveSpec(letters, False, hemisphere)
+    """The text of an open curve of `kind`, and the curve.  The text gives,
+    for the forward and the reversed traversal, the pieces `_pair_form`
+    joins (the letter string as a key's first curve, and as its second
+    after a first of hemisphere 0 or 1), the hemisphere and the reversal."""
     hemi = _HEMI_INT[hemisphere]
-    return kind, ((_letters_key(letters), hemi, False),
-                  (_letters_key(letters[::-1]), hemi ^ (len(letters) % 2), True)), curve
+    parts = ((_letters_key(letters), hemi, False),
+             (_letters_key(letters[::-1]), hemi ^ (len(letters) % 2), True))
+    pieces = tuple((t + "@0~", (f"{t}@{h}", f"{t}@{h ^ 1}"), h, r) for t, h, r in parts)
+    return kind, pieces, CurveSpec(letters, False, hemisphere)
 
 
 def _class_text(c: LoopClass, n: int) -> tuple[str, tuple, CurveSpec]:
@@ -785,9 +804,9 @@ def _class_text(c: LoopClass, n: int) -> tuple[str, tuple, CurveSpec]:
     return "x", _self_key(n, "x", c.reduced), CurveSpec(c.reduced, True, NORTH)
 
 
-def _pair_form(n: int, t1: tuple, t2: tuple) -> tuple[str, Callable[[], _Form]]:
+def _pair_form(n: int, t1: tuple, t2: tuple) -> tuple[str, tuple]:
     """The key of a pair query on two curves of one kind, from their texts,
-    and a thunk that builds the form it names."""
+    and the arguments of `_Form.of` that build the form it names."""
     (kind, a, c1), (other, b, c2) = t1, t2
     if kind != other:
         raise PreconditionError("cannot pair classes of different kinds")
@@ -797,18 +816,28 @@ def _pair_form(n: int, t1: tuple, t2: tuple) -> tuple[str, Callable[[], _Form]]:
         # per odd shift, so each odd shift flips the relative hemisphere once
         flip = (a[1] + b[1]) % 2
         queries = [(c1, CurveSpec(c2.letters, True, _HEMIS[h ^ flip])) for h in (0, 1)]
-        return f"n{n}|pairx|" + "~".join((a, b)[i][0] for i in order), functools.partial(
-            _Form.of, queries, tuple((i,) + (a, b)[i][1:] for i in order),
-            [(NORTH, h) for h in _HEMIS])
+        return f"n{n}|pairx|" + "~".join((a, b)[i][0] for i in order), (
+            queries, tuple((i,) + (a, b)[i][1:] for i in order), [(NORTH, h) for h in _HEMIS])
     # value-preserving transforms: swap curves, reverse either traversal,
-    # mirror both hemispheres.  Of two mirrored strings the one whose first
-    # curve starts at hemisphere 0 is smaller, so only that one is built.
-    xs, ys = ([(t, h, i, r) for t, h, r in part] for i, part in enumerate((a, b)))
-    text, (_, hf, i, ri), (_, hs, j, rj) = min(
-        (f"{p[0]}@0~{q[0]}@{p[1] ^ q[1]}", p, q)
-        for x in xs for y in ys for p, q in ((x, y), (y, x)))
-    return f"n{n}|pair|{kind}|{text}", functools.partial(
-        _Form.of, [(c1, c2)], ((i, 0, ri), (j, 0, rj)), [(NORTH, _HEMIS[hf ^ hs])])
+    # mirror both hemispheres.  The key is the least string "p@0~q@d" over a
+    # traversal p of one curve, then one q of the other, and their relative
+    # hemisphere d; the mirror image, p@1, is never less.  A letter string
+    # holds no "@", so of two different "p@0~" pieces neither begins the
+    # other: the greater one starts only greater keys, and equal keys have
+    # equal pieces.  Those are told apart as (p, q) tuples are, by the
+    # hemisphere, curve and reversal of p, then of q.
+    key = None
+    for i, (ps, qs) in enumerate(((a, b), (b, a))):
+        for first, _, h, r in ps:
+            if key is not None and first > key:
+                continue
+            for _, seconds, hq, rq in qs:
+                text = first + seconds[h]
+                if key is None or text < key or text == key and (h, i, r, hq, 1 - i, rq) < pick:
+                    key, pick = text, (h, i, r, hq, 1 - i, rq)
+    hf, i, ri, hs, j, rj = pick
+    return f"n{n}|pair|{kind}|{key}", (
+        [(c1, c2)], ((i, 0, ri), (j, 0, rj)), [(NORTH, _HEMIS[hf ^ hs])])
 
 
 def _solve(n: int, key: str, form: Callable[[], _Form], tally: str, config: OracleConfig,
@@ -893,7 +922,8 @@ def pair_intersection_number(
     Basepoint coincidence is never an intersection.
     """
     n = alphabet.n
-    return _solve(n, *_pair_form(n, _class_text(c1, n), _class_text(c2, n)), "inter", config)
+    key, form = _pair_form(n, _class_text(c1, n), _class_text(c2, n))
+    return _solve(n, key, functools.partial(_Form.of, *form), "inter", config)
 
 
 # -- segment oracles -----------------------------------------------------------
@@ -932,6 +962,6 @@ def segment_pair_intersections(
     config: OracleConfig = OracleConfig(),
 ) -> CrossingCount:
     """Minimal crossings between two open segments of the given polarities."""
-    texts = (_open_text("seg", tuple(letters_a), polarity_a),
-             _open_text("seg", tuple(letters_b), polarity_b))
-    return _solve(alphabet.n, *_pair_form(alphabet.n, *texts), "inter", config)
+    key, form = _pair_form(alphabet.n, _open_text("seg", tuple(letters_a), polarity_a),
+                           _open_text("seg", tuple(letters_b), polarity_b))
+    return _solve(alphabet.n, key, functools.partial(_Form.of, *form), "inter", config)

@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cache_rows import cache_rows
 from loopforge import (
@@ -27,8 +29,13 @@ from loopforge.extremal import (
     max_clique,
     prefix_winding_lb,
 )
-from loopforge.words import NORTH, SOUTH
-from reference_walk import circle_drawing, reference_core_candidates
+from loopforge.words import NORTH, SOUTH, V, equator_position
+from reference_walk import (
+    circle_drawing,
+    reference_core_candidates,
+    reference_grow_segment,
+    reference_winding_lb,
+)
 
 
 def test_length_cap_values():
@@ -44,11 +51,41 @@ def test_length_cap_values():
         length_cap(1, 3)
 
 
+def _carried_windings(word: tuple[int, ...], n: int) -> list[tuple]:
+    """The winding state of each prefix of `word`, carried as the walk does."""
+    winds = [extremal._winding_start(n)]
+    for i in range(1, len(word)):
+        winds.append(extremal._wound(winds[-1], word[:i], word[i], n))
+    return winds
+
+
 def test_prefix_winding_lb_counts_pending_blocks(alpha2):
     # an open alternating block will wind in every completed core word
-    assert prefix_winding_lb((2, 0, 2, 0), alpha2) == 1
-    assert prefix_winding_lb((2, 0, 1, 0), alpha2) == 1
-    assert prefix_winding_lb((2, 0, 1, 2), alpha2) == 0
+    for prefix, bound in (((2, 0, 2, 0), 1), ((2, 0, 1, 0), 1), ((2, 0, 1, 2), 0)):
+        assert reference_winding_lb(prefix, alpha2) == bound
+        assert prefix_winding_lb(_carried_windings(prefix, 2)[-1]) == bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((1, 2)), max_size=30))
+def test_walk_state_matches_reference(steps):
+    """At every prefix of a reduced word over {0, 1, 2} that starts with 2,
+    the carried winding bound is the one found from the prefix's letters,
+    and the carried drawing is the one grown from the letters alone."""
+    alphabet = GapAlphabet(2)
+    word = [2]
+    for step in steps:
+        word.append((word[-1] + step) % 3)
+    word = tuple(word)
+    drawn, reference = oracle._segment_start(2), ((0,), 0)
+    for i, wind in enumerate(_carried_windings(word, 2), 1):
+        prefix, anchored = word[:i], (V,) + word[:i]
+        assert prefix_winding_lb(wind) == reference_winding_lb(prefix, alphabet), prefix
+        drawn = oracle._grow_segment(drawn, anchored)
+        reference = reference_grow_segment(reference, anchored)
+        assert drawn[:2] == reference, prefix
+        places = [equator_position(anchored[p]) for p in drawn[0]]
+        assert drawn[2] == tuple(places.count(r) for r in range(4)), prefix
 
 
 def test_enumerate_single_puncture(config):
@@ -258,7 +295,7 @@ def test_walk_settles_prefixes_by_their_drawings(k, alpha2, nocache_config, monk
     monkeypatch.setattr(extremal, "segment_self_at_least", recorded_ask)
     extremal._collect_core_candidates(k, length_cap(k, 2), alpha2, nocache_config)
     assert grown
-    for letters, (circle, count) in grown.items():
+    for letters, (circle, count, _) in grown.items():
         assert oracle.count_crossings(circle_drawing(2, letters, circle), "self") == count
     assert all(letters not in grown or grown[letters][1] >= k for letters in asked)
 
@@ -328,6 +365,18 @@ def test_cached_jobs_match_sequential(tmp_path):
         runs[jobs] = catalog.to_json(), graph.to_json(), cache_rows(config.cache_dir)
     assert runs[2] == runs[1]
     assert len(runs[1][2]) > 100
+
+
+def test_jobs_workers_open_a_new_cache_together(tmp_path, alpha2):
+    """The workers of a `--jobs` pool that open a cache no process has opened
+    yet each set its journal mode, at about the same time: none fails with
+    "database is locked", as about one pool in ten did."""
+    words = [(V, 0, V), (V, 1, V)]
+    for attempt in range(50):
+        config = OracleConfig(cache_dir=tmp_path / str(attempt))
+        results = extremal._map(oracle._self_query, [("v", w, alpha2, config) for w in words], 2)
+        assert [r.value for r in results] == [0, 0]
+        assert len(cache_rows(config.cache_dir)) == 2
 
 
 def test_batched_rows_match_rows_written_one_by_one(tmp_path, monkeypatch):

@@ -94,7 +94,7 @@ def test_grown_segments_recount():
     for _ in range(60):
         n = rng.choice((1, 2, 3))
         blocks = [0, V, *range(1, n + 1)]  # the equator order
-        letters, drawn = (V,), ((0,), 0)
+        letters, drawn = (V,), oracle._segment_start(n)
         for _ in range(rng.randint(1, 12)):
             g = rng.randint(0, n)
             letters += (g,)
@@ -1135,3 +1135,38 @@ def test_pair_key_transforms():
                 second = reverse(*second) if rev2 else second
                 moved = tuple((ls, h ^ mirror) for ls, h in (first, second))
                 assert key_of(moved) == key, (specs, moved)
+
+
+def _eight_string_pair_form(n, kind, curves):
+    """The key and `_Form.of` arguments of a pair query on two open curves
+    as first composed: format the eight strings "p@0~q@d" of a traversal p
+    of one curve, one q of the other and their relative hemisphere d, and
+    take the least (string, p, q), p and q as (text, hemisphere, curve,
+    reversed)."""
+    parts = []
+    for i, c in enumerate(curves):
+        hemi = (NORTH, SOUTH).index(c.hemisphere)
+        parts.append([(".".join(map(format_letter, c.letters)), hemi, i, False),
+                      (".".join(map(format_letter, c.letters[::-1])),
+                       hemi ^ (len(c.letters) % 2), i, True)])
+    text, (_, hf, i, ri), (_, hs, j, rj) = min(
+        (f"{p[0]}@0~{q[0]}@{p[1] ^ q[1]}", p, q)
+        for x in parts[0] for y in parts[1] for p, q in ((x, y), (y, x)))
+    return f"n{n}|pair|{kind}|{text}", (
+        [tuple(curves)], ((i, 0, ri), (j, 0, rj)), [(NORTH, (NORTH, SOUTH)[hf ^ hs])])
+
+
+def test_pair_form_matches_eight_string_formula(config):
+    """The key and form of every pair of the k=5 graph, and of pairs whose
+    strings tie (a curve with itself, palindromes, equal letters in other
+    hemispheres), are those of the eight-string formula, whose ties decide
+    the order of the form's curves."""
+    texts = [oracle._class_text(e.loop_class, 2) for e in enumerate_classes(2, 5, config).entries]
+    pairs = [(t1, t2) for i, t1 in enumerate(texts) for t2 in texts[i:]]
+    words = [(V, 2, V), (V, 2, 0, 2, V), (V, 2, 0, 1, 0, 2, V), (2, 0, 2), (2, 0, 0, 2),
+             (V, 1, 0, 1), (1, 0, 1, V), (0, 1), (1, 0), (V, V)]
+    seg = [_open_text("seg", letters, hemi) for letters in words for hemi in (NORTH, SOUTH)]
+    pairs += [(t1, t2) for t1 in seg for t2 in seg]
+    assert len(pairs) > 3160
+    for t1, t2 in pairs:
+        assert _pair_form(2, t1, t2) == _eight_string_pair_form(2, t1[0], (t1[2], t2[2]))
