@@ -19,7 +19,6 @@ the found clique is not claimed to be realizable as a joint drawing.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,12 +30,11 @@ from .oracle import (
     CrossingCount,
     Drawing,
     OracleConfig,
-    _Form,
     _class_text,
     _grow_segment,
     _pair_form,
     _segment_start,
-    _self_query,
+    _self_form,
     _solve,
     segment_self_at_least,
 )
@@ -187,7 +185,8 @@ def _evaluate_words(
     words: list[Word], k: int, alphabet: GapAlphabet, config: OracleConfig, jobs: int
 ) -> list[CrossingCount]:
     """Each word's threshold query at k: its exact minimum below k."""
-    return _map(_self_query, [(w.kind, w.letters, alphabet, config, k) for w in words], jobs)
+    n = alphabet.n
+    return _map(_solve, [(n, *_self_form(n, w.kind, w.letters), config, k) for w in words], jobs)
 
 
 def _enumerate_x_words(cap: int) -> list[Word]:
@@ -348,8 +347,7 @@ def compatibility_graph(
         key, form = _pair_form(n, texts[i], texts[j])
         keys.append(key)
         forms.setdefault(key, form)
-    calls = [(n, key, functools.partial(_Form.of, *form), "inter", config, None, False)
-             for key, form in forms.items()]
+    calls = [(n, key, form, config, None, False) for key, form in forms.items()]
     with batched_writes():
         results = _map(_solve, calls, jobs)
     edges = {key: GraphEdge(res.value, res.exact, res.value < catalog.k or not res.exact)
@@ -439,10 +437,7 @@ def family_bounds(graph: CompatibilityGraph) -> FamilyBounds:
     family induces a clique); `clique_found` is not claimed to bound it
     from below, since joint realizability of the drawings is not checked.
     """
-    neigh = graph.neighbors()
-    if not neigh:
-        return FamilyBounds(0, 0, True)
-    clique, exact = max_clique(neigh)
+    clique, exact = max_clique(graph.neighbors())
     return FamilyBounds(len(clique), len(clique) if exact else None, exact)
 
 

@@ -62,22 +62,22 @@ Apart from the search, `_grow_segment` draws an open segment one crossing
 longer than a drawing it is given, placing the new crossing at its cheapest
 position in its gap.  The catalog walk grows its prefixes this way, and a
 grown drawing below k settles a prefix without a search.  Other prefixes
-and the catalog's candidates are threshold queries at k (`_self_query`
-with a cutoff): the exact minimum and witness below k, else only k.
+and the catalog's candidates are threshold queries at k (`_solve` with a
+cutoff): the exact minimum and witness below k, else only k.
 
 A query is answered through the cache key of one canonical form of its
 curves: reversed, rotated, swapped or mirrored curves share a key, and the
-witness of the form is drawn back onto the query's curves.  `_pair_form`
-builds the key of every pair query, and of every pair of the compatibility
-graph, by joining pieces of the texts of its two curves, made once per
-curve, and gives the arguments of its form, which is built only when the
-cache does not answer the query.
+witness of the form is drawn back onto the query's curves.  Every query is
+its key and its form as plain data, which `_solve` answers.  `_self_form`
+builds them for a self query, and `_pair_form` for every pair query and
+every pair of the compatibility graph, by joining pieces of the texts of
+its two curves, made once per curve.  `_solve` builds the searched curves
+only when it searches or draws a witness.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -756,7 +756,9 @@ class _Form:
 
     @staticmethod
     def of(queries, moves, hemispheres) -> "_Form":
-        """Search each query moved by `moves`, starting in its hemispheres."""
+        """Search each query, a tuple of curves (letters, closed,
+        hemisphere), moved by `moves`, starting in its hemispheres."""
+        queries = [tuple(CurveSpec(*c) for c in q) for q in queries]
         return _Form(tuple(
             (tuple(CurveSpec(_moved(q[qi].letters, s, r), q[qi].closed, h)
                    for (qi, s, r), h in zip(moves, hs)), q)
@@ -784,24 +786,33 @@ def _self_key(n: int, kind: str, letters: tuple[int, ...]) -> tuple[str, int, bo
     return (f"n{n}|seg|{text}" if kind == "seg" else f"n{n}|self|{kind}|{text}"), shift, rev
 
 
-def _open_text(kind: str, letters: tuple[int, ...],
-               hemisphere: str) -> tuple[str, tuple, CurveSpec]:
-    """The text of an open curve of `kind`, and the curve.  The text gives,
-    for the forward and the reversed traversal, the pieces `_pair_form`
-    joins (the letter string as a key's first curve, and as its second
-    after a first of hemisphere 0 or 1), the hemisphere and the reversal."""
+def _self_form(n: int, kind: str, letters: tuple[int, ...]) -> tuple[str, tuple]:
+    """The key of a self query on the `kind` curve of `letters`, first arc
+    north, and the arguments of `_Form.of` that build the form it names."""
+    key, shift, rev = _self_key(n, kind, letters)
+    return key, ([((letters, kind == "x", NORTH),)], ((0, shift, rev),), [(NORTH,)])
+
+
+def _open_text(kind: str, letters: tuple[int, ...], hemisphere: str) -> tuple[str, tuple, tuple]:
+    """The text of an open curve of `kind`, and the curve as (letters,
+    closed, hemisphere).  The text gives, for the forward and the reversed
+    traversal, the pieces `_pair_form` joins (the letter string as a key's
+    first curve, and as its second after a first of hemisphere 0 or 1), the
+    hemisphere and the reversal."""
+    if hemisphere not in _HEMI_INT:
+        raise PreconditionError(f"bad hemisphere {hemisphere!r}")
     hemi = _HEMI_INT[hemisphere]
     parts = ((_letters_key(letters), hemi, False),
              (_letters_key(letters[::-1]), hemi ^ (len(letters) % 2), True))
     pieces = tuple((t + "@0~", (f"{t}@{h}", f"{t}@{h ^ 1}"), h, r) for t, h, r in parts)
-    return kind, pieces, CurveSpec(letters, False, hemisphere)
+    return kind, pieces, (letters, False, hemisphere)
 
 
-def _class_text(c: LoopClass, n: int) -> tuple[str, tuple, CurveSpec]:
+def _class_text(c: LoopClass, n: int) -> tuple[str, tuple, tuple]:
     """The text of a class's curve, an x-curve's first arc north."""
     if isinstance(c, VLoopClass):
         return _open_text("v", c.word().letters, c.start_hemisphere)
-    return "x", _self_key(n, "x", c.reduced), CurveSpec(c.reduced, True, NORTH)
+    return "x", _self_key(n, "x", c.reduced), (c.reduced, True, NORTH)
 
 
 def _pair_form(n: int, t1: tuple, t2: tuple) -> tuple[str, tuple]:
@@ -815,7 +826,7 @@ def _pair_form(n: int, t1: tuple, t2: tuple) -> tuple[str, tuple]:
         # a searched closed curve starts one arc later than its query curve
         # per odd shift, so each odd shift flips the relative hemisphere once
         flip = (a[1] + b[1]) % 2
-        queries = [(c1, CurveSpec(c2.letters, True, _HEMIS[h ^ flip])) for h in (0, 1)]
+        queries = [(c1, (c2[0], True, _HEMIS[h ^ flip])) for h in (0, 1)]
         return f"n{n}|pairx|" + "~".join((a, b)[i][0] for i in order), (
             queries, tuple((i,) + (a, b)[i][1:] for i in order), [(NORTH, h) for h in _HEMIS])
     # value-preserving transforms: swap curves, reverse either traversal,
@@ -840,15 +851,16 @@ def _pair_form(n: int, t1: tuple, t2: tuple) -> tuple[str, tuple]:
         [(c1, c2)], ((i, 0, ri), (j, 0, rj)), [(NORTH, _HEMIS[hf ^ hs])])
 
 
-def _solve(n: int, key: str, form: Callable[[], _Form], tally: str, config: OracleConfig,
+def _solve(n: int, key: str, form: tuple, config: OracleConfig,
            cutoff: int | None = None, drawn: bool = True) -> CrossingCount:
     """Answer a query from the cache entry of `key` if the entry decides it,
-    or else search each curve tuple of `form()`, keep the least value and
-    write what the searches proved: the exact minimum with its witness, or
-    with a `cutoff` at or below the minimum, `at_least` the cutoff.  The
-    result reads as `minimize_crossings` with that cutoff, its witness drawn
-    on the query's curves, but a proof of `min >= cutoff`, searched or read,
-    is the cutoff with no witness, and `form` is built only when it is read.
+    or else search each curve tuple of `_Form.of(*form)`, one curve for a
+    self tally and two for an inter tally, keep the least value and write
+    what the searches proved: the exact minimum with its witness, or with a
+    `cutoff` at or below the minimum, `at_least` the cutoff.  The result
+    reads as `minimize_crossings` with that cutoff, its witness drawn on the
+    query's curves, but a proof of `min >= cutoff`, searched or read, is the
+    cutoff with no witness, and the form is built only when it is read.
     Unless `drawn`, no witness is drawn, so an entry answers without one.
     An entry whose value is not an int, or whose witness does not draw back
     when it is read, is a miss."""
@@ -862,14 +874,14 @@ def _solve(n: int, key: str, form: Callable[[], _Form], tally: str, config: Orac
         return CrossingCount(cutoff, True, None)
     if exact and not drawn:
         return CrossingCount(known, True, None)
-    form = form()
+    form = _Form.of(*form)
     if exact:
         try:
             return CrossingCount(known, True, form.back(Drawing.from_json(entry["witness"])))
         except (LookupError, TypeError, ValueError, AttributeError):
             pass  # a miss: search, and replace the entry
-    results = [minimize_crossings(n, curves, tally, config.budget, cutoff)
-               for curves, _ in form.searches]
+    results = [minimize_crossings(n, curves, "self" if len(curves) == 1 else "inter",
+                                  config.budget, cutoff) for curves, _ in form.searches]
     value, witness, _ = min(results, key=lambda r: r[0])
     exact = all(r[2] for r in results)
     below = cutoff is None or value < cutoff
@@ -879,18 +891,6 @@ def _solve(n: int, key: str, form: Callable[[], _Form], tally: str, config: Orac
                   if below else {"at_least": cutoff})
     return (CrossingCount(value, exact, form.back(witness) if drawn else None) if below
             else CrossingCount(cutoff if exact else value, exact, None))
-
-
-def _self_query(kind: str, letters: tuple[int, ...], alphabet: GapAlphabet,
-                config: OracleConfig, cutoff: int | None = None,
-                drawn: bool = True) -> CrossingCount:
-    """The self query of the `kind` ("x", "v" or "seg") curve of `letters`,
-    first arc north; with a `cutoff`, the threshold query at it; unless
-    `drawn`, without a witness."""
-    key, shift, rev = _self_key(alphabet.n, kind, letters)
-    return _solve(alphabet.n, key, lambda: _Form.of(
-        [(CurveSpec(letters, kind == "x", NORTH),)], ((0, shift, rev),), [(NORTH,)]),
-        "self", config, cutoff, drawn)
 
 
 # -- public word/class oracles ------------------------------------------------
@@ -906,7 +906,7 @@ def self_intersection_number(
     """
     for a in word.letters:
         alphabet.validate_letter(a)
-    return _self_query(word.kind, word.letters, alphabet, config)
+    return _solve(alphabet.n, *_self_form(alphabet.n, word.kind, word.letters), config)
 
 
 def pair_intersection_number(
@@ -922,8 +922,7 @@ def pair_intersection_number(
     Basepoint coincidence is never an intersection.
     """
     n = alphabet.n
-    key, form = _pair_form(n, _class_text(c1, n), _class_text(c2, n))
-    return _solve(n, key, functools.partial(_Form.of, *form), "inter", config)
+    return _solve(n, *_pair_form(n, _class_text(c1, n), _class_text(c2, n)), config)
 
 
 # -- segment oracles -----------------------------------------------------------
@@ -935,7 +934,7 @@ def segment_self_intersections(
     config: OracleConfig = OracleConfig(),
 ) -> CrossingCount:
     """Minimal self-crossings of one open segment (polarity-independent)."""
-    return _self_query("seg", tuple(letters), alphabet, config)
+    return _solve(alphabet.n, *_self_form(alphabet.n, "seg", tuple(letters)), config)
 
 
 def segment_self_at_least(
@@ -949,7 +948,8 @@ def segment_self_at_least(
     the search finds the exact minimum, which the cache keeps for
     `segment_self_intersections`.  No witness is drawn, from a search or
     from the cache."""
-    res = _self_query("seg", tuple(letters), alphabet, config, k, drawn=False)
+    res = _solve(alphabet.n, *_self_form(alphabet.n, "seg", tuple(letters)), config, k,
+                 drawn=False)
     return False if res.value < k else (res.exact or None)
 
 
@@ -962,6 +962,6 @@ def segment_pair_intersections(
     config: OracleConfig = OracleConfig(),
 ) -> CrossingCount:
     """Minimal crossings between two open segments of the given polarities."""
-    key, form = _pair_form(alphabet.n, _open_text("seg", tuple(letters_a), polarity_a),
-                           _open_text("seg", tuple(letters_b), polarity_b))
-    return _solve(alphabet.n, key, functools.partial(_Form.of, *form), "inter", config)
+    n = alphabet.n
+    return _solve(n, *_pair_form(n, _open_text("seg", tuple(letters_a), polarity_a),
+                                 _open_text("seg", tuple(letters_b), polarity_b)), config)

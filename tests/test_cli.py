@@ -346,6 +346,26 @@ def test_count_expansions_sweep_csv(runner):
     assert len(lines) == 7
 
 
+def _csv_matches_json(csv_text, rows, columns):
+    """The CSV report has `columns` as its header and one line per JSON row,
+    with the row's values in that order, a string as it is and any other
+    value as JSON text."""
+    lines = csv_text.strip().splitlines()
+    assert lines[0] == ",".join(columns)
+    assert lines[1:] == [",".join(v if isinstance(v, str) else json.dumps(v)
+                                  for v in (row[c] for c in columns)) for row in rows]
+    assert all(sorted(row) == sorted(columns) for row in rows)
+
+
+def test_count_expansions_sweep_json_matches_csv(runner):
+    args = ["count-expansions", "--sweep", "--lmax", "3", "--kmax", "4"]
+    data = json.loads(_invoke(runner, args + ["--format", "json"]).output)
+    assert data["exact"] is True and len(data["rows"]) == 16
+    _csv_matches_json(_invoke(runner, args + ["--format", "csv"]).output, data["rows"],
+                      ["length", "k", "exactCount", "mVectorCount", "mVectorCap",
+                       "multinomialZ"])
+
+
 def test_count_expansions_large_k(runner):
     """Both counting tables fill one level at a time, so a k far past the
     interpreter's recursion limit still counts."""
@@ -452,6 +472,15 @@ def test_growth_command(runner, tmp_path):
     lines = result.output.strip().splitlines()
     assert lines[0].startswith("k,classCountN2")
     assert len(lines) == 3
+
+
+def test_growth_json_matches_csv(runner, tmp_path):
+    args = ["growth", "--kmax", "3", "--cache-dir", str(tmp_path)]
+    data = json.loads(_invoke(runner, args + ["--format", "json"]).output)
+    assert data["exact"] is True and [row["k"] for row in data["rows"]] == [1, 2, 3]
+    _csv_matches_json(_invoke(runner, args + ["--format", "csv"]).output, data["rows"],
+                      ["k", "classCountN2", "countUncertainty", "classCountN1",
+                       "lnCountOverSqrtK", "fUpperDoubleExpExponent", "exact"])
 
 
 def test_run_config_validation(runner):

@@ -1,6 +1,8 @@
 import contextlib
+import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -367,14 +369,15 @@ def test_cached_jobs_match_sequential(tmp_path):
     assert len(runs[1][2]) > 100
 
 
-def test_jobs_workers_open_a_new_cache_together(tmp_path, alpha2):
+def test_jobs_workers_open_a_new_cache_together(tmp_path):
     """The workers of a `--jobs` pool that open a cache no process has opened
     yet each set its journal mode, at about the same time: none fails with
     "database is locked", as about one pool in ten did."""
     words = [(V, 0, V), (V, 1, V)]
     for attempt in range(50):
         config = OracleConfig(cache_dir=tmp_path / str(attempt))
-        results = extremal._map(oracle._self_query, [("v", w, alpha2, config) for w in words], 2)
+        calls = [(2, *oracle._self_form(2, "v", w), config) for w in words]
+        results = extremal._map(oracle._solve, calls, 2)
         assert [r.value for r in results] == [0, 0]
         assert len(cache_rows(config.cache_dir)) == 2
 
@@ -472,6 +475,53 @@ def test_max_clique_structured():
         neigh[b].add(a)
     clique, exact = max_clique(neigh)
     assert exact and len(clique) == 3
+
+
+def _neighbors(size, edges):
+    neigh = {i: set() for i in range(size)}
+    for a, b in edges:
+        neigh[a].add(b)
+        neigh[b].add(a)
+    return neigh
+
+
+def test_max_clique_beats_greedy():
+    """The greedy clique takes vertex 2, of highest degree, then 0, and can
+    add no third vertex; the search must find the larger clique {1, 2, 4}."""
+    neigh = _neighbors(5, [(0, 2), (0, 3), (1, 2), (1, 4), (2, 4)])
+    assert sorted(extremal._greedy_clique(neigh)) == [0, 2]
+    clique, exact = max_clique(neigh)
+    assert exact and sorted(clique) == [1, 2, 4]
+
+
+def test_max_clique_matches_brute_force():
+    """On small random graphs the search finds a clique as large as the
+    largest vertex subset whose vertices are all adjacent, on some of them
+    larger than the greedy clique."""
+    rng = random.Random(97)
+    beaten = 0
+    for _ in range(300):
+        size = rng.randint(0, 9)
+        density = rng.random()
+        neigh = _neighbors(size, [(i, j) for i, j in itertools.combinations(range(size), 2)
+                                  if rng.random() < density])
+
+        def is_clique(vertices):
+            return all(b in neigh[a] for a, b in itertools.combinations(vertices, 2))
+
+        largest = max(r for r in range(size + 1)
+                      if any(map(is_clique, itertools.combinations(range(size), r))))
+        clique, exact = max_clique(neigh)
+        assert exact and is_clique(clique) and len(set(clique)) == len(clique) == largest
+        beaten += largest > len(extremal._greedy_clique(neigh))
+    assert beaten > 0
+
+
+def test_family_bounds_on_empty_graph(config):
+    catalog = extremal.ClassCatalog(2, 1, 1, (), 0)
+    graph = compatibility_graph(catalog, config)
+    assert graph.edges == {} and graph.complete
+    assert family_bounds(graph) == FamilyBounds(0, 0, True)
 
 
 def test_family_bounds_on_catalog(config):

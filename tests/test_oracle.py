@@ -45,6 +45,7 @@ from loopforge import (
     self_intersection_number,
 )
 from loopforge import oracle
+from loopforge.cache import default_cache_dir
 from loopforge.oracle import _cross, _open_text, _pair_form
 from loopforge.words import NORTH, SOUTH, V, format_letter
 
@@ -814,6 +815,19 @@ def test_curve_spec_validation():
         CurveSpec((0, 1), False, "X")
 
 
+def test_bad_segment_pair_queries_are_precondition_errors(tmp_path, alpha2):
+    """A bad polarity of either segment, or a basepoint letter inside a
+    segment, is a `PreconditionError`, and the query writes no cache row."""
+    config = OracleConfig(cache_dir=tmp_path)
+    segment_pair_intersections((0, 1), (V, 2), NORTH, NORTH, alpha2, config)
+    rows = cache_rows(tmp_path)
+    for a, b, pa, pb in (((0, 1), (1, 0), "X", NORTH), ((0, 1), (1, 0), NORTH, "X"),
+                         ((0, V, 1), (1, 0), NORTH, SOUTH)):
+        with pytest.raises(PreconditionError):
+            segment_pair_intersections(a, b, pa, pb, alpha2, config)
+    assert cache_rows(tmp_path) == rows
+
+
 def test_drawing_json_round_trip(config, alpha2):
     res = _selfint_v((2, 0, 1, 2), config)
     reloaded = Drawing.from_json(res.witness.to_json())
@@ -822,6 +836,25 @@ def test_drawing_json_round_trip(config, alpha2):
 
 
 # -- budget and cache -------------------------------------------------------------
+
+
+def test_default_cache_dir(tmp_path, monkeypatch):
+    """Without a cache directory the oracle uses `$LOOPFORGE_CACHE` when it
+    is set and not empty, else `.loopforge-cache` in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    here, elsewhere = tmp_path / ".loopforge-cache", tmp_path / "elsewhere"
+    for value, directory in ((None, here), ("", here), (str(elsewhere), elsewhere)):
+        if value is None:
+            monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
+        else:
+            monkeypatch.setenv("LOOPFORGE_CACHE", value)
+        assert default_cache_dir() == str(directory)
+    _selfint_v((2, 0, 2), OracleConfig())
+    assert [json.loads(e)["value"] for e in cache_rows(elsewhere).values()] == [1]
+    assert not here.exists()
+    monkeypatch.delenv("LOOPFORGE_CACHE")
+    _selfint_v((2, 1, 2), OracleConfig())
+    assert [json.loads(e)["value"] for e in cache_rows(here).values()] == [1]
 
 
 def test_budget_exhaustion_flags_inexact():
@@ -1142,13 +1175,13 @@ def _eight_string_pair_form(n, kind, curves):
     as first composed: format the eight strings "p@0~q@d" of a traversal p
     of one curve, one q of the other and their relative hemisphere d, and
     take the least (string, p, q), p and q as (text, hemisphere, curve,
-    reversed)."""
+    reversed).  Each curve is (letters, closed, hemisphere)."""
     parts = []
-    for i, c in enumerate(curves):
-        hemi = (NORTH, SOUTH).index(c.hemisphere)
-        parts.append([(".".join(map(format_letter, c.letters)), hemi, i, False),
-                      (".".join(map(format_letter, c.letters[::-1])),
-                       hemi ^ (len(c.letters) % 2), i, True)])
+    for i, (letters, _, hemisphere) in enumerate(curves):
+        hemi = (NORTH, SOUTH).index(hemisphere)
+        parts.append([(".".join(map(format_letter, letters)), hemi, i, False),
+                      (".".join(map(format_letter, letters[::-1])),
+                       hemi ^ (len(letters) % 2), i, True)])
     text, (_, hf, i, ri), (_, hs, j, rj) = min(
         (f"{p[0]}@0~{q[0]}@{p[1] ^ q[1]}", p, q)
         for x in parts[0] for y in parts[1] for p, q in ((x, y), (y, x)))
