@@ -10,8 +10,10 @@ transaction per :data:`BATCH_ROWS` rows and when the batch ends, also by an
 exception or an interrupt.  The first row it keeps after each write opens the
 connection, so an unusable location fails at that row.  It holds no lock
 between those writes, so a process killed in a batch loses at most its
-unwritten rows, never part of an entry.  Keys embed the model version;
-bumping :data:`MODEL_VERSION` invalidates old entries.
+unwritten rows, never part of an entry.  A key, such as
+`n2|self|v|v.2.0.1.2.v`, does not carry the model version: each entry holds
+it in its `"version"` field, which :meth:`CacheStore.get` checks, so bumping
+:data:`MODEL_VERSION` makes old entries misses.
 """
 
 from __future__ import annotations
@@ -39,7 +41,11 @@ _batches: dict = {}
 
 
 def default_cache_dir() -> str:
-    return os.environ.get("LOOPFORGE_CACHE") or os.path.join(os.getcwd(), ".loopforge-cache")
+    try:
+        return os.environ.get("LOOPFORGE_CACHE") or os.path.join(os.getcwd(), ".loopforge-cache")
+    except OSError as exc:  # the working directory was deleted
+        raise PreconditionError(f"no working directory for the default oracle cache "
+                                f"(set --cache-dir or $LOOPFORGE_CACHE): {exc}") from exc
 
 
 @contextlib.contextmanager

@@ -30,9 +30,6 @@ class ExpansionDecomposition:
     core: tuple[int, ...]
     vectors: dict[tuple[int, int], tuple[int, ...]]
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.vectors)
-
 
 def _pairs_present(letters: tuple[int, ...]) -> list[tuple[int, int]]:
     present = sorted(set(letters))
@@ -100,14 +97,6 @@ def apply_expansion(
     return tuple(out)
 
 
-def reassemble(dec: ExpansionDecomposition) -> tuple[int, ...]:
-    """Apply every pair expansion of a decomposition to its core."""
-    word = dec.core
-    for pair in dec.pairs():
-        word = apply_expansion(word, pair, dec.vectors[pair])
-    return word
-
-
 def expansion_lower_bound(repeats: tuple[int, ...]) -> int:
     """Forced self-crossings of an expansion vector:
     sum_i s_i + 2 sum_{i<j} min(s_i, s_j), equal to the sum over thresholds
@@ -121,11 +110,6 @@ def tail_cap(k: int, t: int) -> int:
     """floor(sqrt(k/t)): the most entries at or above t in a vector below k,
     since m such entries alone force m^2 t crossings."""
     return math.isqrt(k // t)
-
-
-def tail_multiplicities(repeats: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """(m_{>=1}, ..., m_{>=k}): how many entries reach each threshold."""
-    return tuple(sum(1 for s in repeats if s >= t) for t in range(1, k + 1))
 
 
 def multiplicity_profile(repeats: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ the found clique is not claimed to be realizable as a joint drawing.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from .bounds import block_obstacles, depth_family_bound, double_exp_exponent
@@ -169,15 +170,17 @@ def _wound(wind: tuple, prefix: tuple[int, ...], letter: int, n: int) -> tuple:
 
 
 def _map(fn, calls: list[tuple], jobs: int) -> list:
-    """`[fn(*args) for args in calls]`, run in a pool of `jobs` processes
-    when there is more than one job and more than one call.  The rows of an
-    open cache batch are written first, so the workers read them."""
+    """`[fn(*args) for args in calls]`, run in a pool of processes when there
+    is more than one job and more than one call.  The pool starts all its
+    processes at the first call, so it has no more than there are jobs,
+    calls or CPUs.  The rows of an open cache batch are written first, so
+    the workers read them."""
     if jobs <= 1 or len(calls) <= 1:
         return [fn(*args) for args in calls]
     flush_batch()
     from concurrent.futures import ProcessPoolExecutor  # loaded only by a run that forks
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(calls), os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, *zip(*calls)))
 
 

@@ -208,24 +208,6 @@ class CrossingCount:
         }
 
 
-def _chords_of(spec: CurveSpec, curve_idx: int):
-    """Yield (endA, endB, disk) with ends as (curve, pos) or None for v."""
-    m = len(spec.letters)
-    if m < 2:
-        return
-    steps = [(j, j + 1) for j in range(m - 1)]
-    if spec.closed:
-        steps.append((m - 1, 0))
-    h0 = _HEMI_INT[spec.hemisphere]
-    for k, (a, b) in enumerate(steps):
-        ga, gb = spec.letters[a], spec.letters[b]
-        if ga == V and gb == V:
-            continue  # a loop staying at the basepoint draws nothing
-        end_a = None if ga == V else (curve_idx, a)
-        end_b = None if gb == V else (curve_idx, b)
-        yield end_a, end_b, (h0 + k) % 2
-
-
 def _cross(a: int, b: int, c: int, d: int) -> bool:
     if a > b:
         a, b = b, a
@@ -249,17 +231,28 @@ class _Instance:
         # only gaps that hold points get an entry, so memory follows the
         # word and not n
         gap_points: dict[int, list[int]] = {}
+        # the chords of each disk as (idA, idB, curve, v_incident); a chord
+        # joins consecutive letters, and a closed curve's last to its first
+        self.disks: tuple[list[tuple[int, int, int, bool]], ...] = ([], [])
+        self.within_gap: set[int] = set()
         for ci, spec in enumerate(curves):
+            disk = _HEMI_INT[spec.hemisphere]
             for j, g in enumerate(spec.letters):
-                if g == V:
-                    continue
-                if not (0 <= g <= n):
-                    raise PreconditionError(f"letter {g} outside gap range 0..{n}")
-                pid = len(self.gap_of)
-                self.point_id[(ci, j)] = pid
-                self.points.append((ci, j))
-                self.gap_of.append(g)
-                gap_points.setdefault(g, []).append(pid)
+                pid = 0
+                if g != V:
+                    if not (0 <= g <= n):
+                        raise PreconditionError(f"letter {g} outside gap range 0..{n}")
+                    pid = len(self.gap_of)
+                    self.point_id[(ci, j)] = pid
+                    self.points.append((ci, j))
+                    self.gap_of.append(g)
+                    gap_points.setdefault(g, []).append(pid)
+                if j:
+                    self._chord(prev, pid, ci, disk)
+                    disk ^= 1
+                prev = pid
+            if spec.closed and len(spec.letters) > 1:
+                self._chord(prev, self.point_id[(ci, 0)], ci, disk)
         self.gap_points = gap_points
 
         # block bases in equator order; an empty gap takes no room, and the
@@ -270,26 +263,25 @@ class _Instance:
             self.base[g] = off
             off += len(gap_points[g]) if g != V else 1
 
-        # chords as (idA, idB, disk, curve, v_incident); basepoint id is 0,
-        # whose gap V is no gap, so a chord at v lies within no gap
-        self.chords: list[tuple[int, int, int, int, bool]] = []
-        self.within_gap: set[int] = set()
-        for ci, spec in enumerate(curves):
-            for end_a, end_b, disk in _chords_of(spec, ci):
-                ia = 0 if end_a is None else self.point_id[end_a]
-                ib = 0 if end_b is None else self.point_id[end_b]
-                self.chords.append((ia, ib, disk, ci, ia == 0 or ib == 0))
-                if self.gap_of[ia] == self.gap_of[ib]:
-                    self.within_gap.add(self.gap_of[ia])
+    def _chord(self, a: int, b: int, curve: int, disk: int) -> None:
+        """List the chord of point ids a and b, unless both are the
+        basepoint: a loop staying there draws nothing.  The basepoint's gap
+        V is no gap, so a chord at v lies within no gap."""
+        if a or b:
+            self.disks[disk].append((a, b, curve, not (a and b)))
+            if self.gap_of[a] == self.gap_of[b]:
+                self.within_gap.add(self.gap_of[a])
 
     def countable_pairs(self):
         """All chord pairs that can contribute a crossing: in one disk, not
         both at the basepoint, and of one curve for a self tally or of two
         curves for an inter tally."""
-        for i, (a1, b1, d1, c1, v1) in enumerate(self.chords):
-            for a2, b2, d2, c2, v2 in self.chords[i + 1:]:
-                if d1 == d2 and not (v1 and v2) and (c1 == c2) == (self.tally == "self"):
-                    yield (a1, b1, a2, b2)
+        same = self.tally == "self"
+        for chords in self.disks:
+            for i, (a1, b1, c1, v1) in enumerate(chords):
+                for a2, b2, c2, v2 in chords[i + 1:]:
+                    if not (v1 and v2) and (c1 == c2) == same:
+                        yield (a1, b1, a2, b2)
 
     def evaluate_orders(self, orders: dict[int, tuple[int, ...]]) -> int:
         """The crossings of the drawing that orders each gap by `orders`."""

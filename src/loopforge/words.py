@@ -50,10 +50,6 @@ class GapAlphabet:
         if self.n < 1:
             raise PreconditionError(f"need at least one puncture, got n={self.n}")
 
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(range(self.n + 1))
-
     def is_gap(self, letter: int) -> bool:
         return 0 <= letter <= self.n
 
@@ -114,13 +110,14 @@ class Word:
 
 
 def parse_letters(text: str, alphabet: GapAlphabet) -> tuple[int, ...]:
-    """Tokenize a word; tokens are whitespace- or dot-separated, 'v' or a decimal label."""
+    """Tokenize a word; tokens are whitespace- or dot-separated, 'v' or an
+    ASCII decimal label."""
     tokens = text.replace(".", " ").split()
     letters = []
     for tok in tokens:
         if tok == "v":
             letters.append(V)
-        elif tok.isdigit():
+        elif tok.isascii() and tok.isdigit():  # not '²' or '٣'
             letters.append(int(tok))
         else:
             raise PreconditionError(f"unknown token {tok!r}")

@@ -28,12 +28,9 @@ from loopforge import (
     z_majorizes,
     z_vector,
 )
+from expansion_reference import reassemble, tail_multiplicities
 from loopforge.cli import main as cli_main
-from loopforge.expansion import (
-    profile_feasible,
-    reassemble,
-    tail_multiplicities,
-)
+from loopforge.expansion import profile_feasible
 from loopforge.words import NORTH, PreconditionError, V, maximal_two_letter_words
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import time
 import tracemalloc
 
@@ -44,6 +45,33 @@ def test_reduce_rejects_bad_word(runner):
         result = _invoke(runner, args)
         assert result.exit_code == 2, args
         assert json.loads(result.output)["error"]["type"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("args", [
+    ["reduce", "--n", "2", "²"],  # a digit to `str.isdigit`, which `int` refuses
+    ["selfint", "--n", "2", "v 2 ² v"],
+    ["reduce", "--n", "3", "v 2 ٣ v"],  # an Arabic-Indic 3, which `int` reads as 3
+], ids=["superscript", "superscript-selfint", "arabic-indic"])
+def test_non_ascii_digits_are_precondition_errors(runner, args):
+    result = _invoke(runner, args)
+    assert result.exit_code == 2
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "PreconditionError" and "unknown token" in error["message"]
+
+
+def test_deleted_working_directory_is_a_precondition_error(runner, monkeypatch):
+    """Without --cache-dir or $LOOPFORGE_CACHE the cache lives in the working
+    directory; when that was deleted, `os.getcwd` raises and the command
+    exits 2 with an error object."""
+    def deleted():
+        raise FileNotFoundError(2, "No such file or directory")
+
+    monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
+    monkeypatch.setattr(os, "getcwd", deleted)
+    result = _invoke(runner, ["selfint", "--n", "2", "v 2 v"])
+    assert result.exit_code == 2
+    error = json.loads(result.output)["error"]
+    assert error["type"] == "PreconditionError" and "--cache-dir" in error["message"]
 
 
 def test_canon_command(runner):

@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import random
 
 import pytest
@@ -380,6 +381,38 @@ def test_jobs_workers_open_a_new_cache_together(tmp_path):
         results = extremal._map(oracle._solve, calls, 2)
         assert [r.value for r in results] == [0, 0]
         assert len(cache_rows(config.cache_dir)) == 2
+
+
+def test_jobs_pool_has_no_more_workers_than_calls_or_cpus(monkeypatch, nocache_config):
+    """A process pool starts all its workers at its first call, so `_map`
+    sizes it at the fewest of the jobs, the calls and the CPUs.  A stand-in
+    pool records its size and maps in this process, so no worker starts."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    for cpus, jobs, calls, size in ((8, 64, 3, 3), (8, 2, 5, 2), (4, 64, 100, 4), (None, 9, 9, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert extremal._map(pow, [(2, i) for i in range(calls)], jobs) == [2**i for i in range(calls)]
+        assert sizes.pop() == size
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seq = enumerate_classes(2, 3, nocache_config)
+    assert enumerate_classes(2, 3, nocache_config, jobs=1000).to_json() == seq.to_json()
+    assert sizes == [2]
 
 
 def test_batched_rows_match_rows_written_one_by_one(tmp_path, monkeypatch):

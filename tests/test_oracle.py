@@ -332,6 +332,70 @@ def test_key_symmetries_keep_value(instance, rotation):
         assert naive.minimize(_plain(moved), n, tally) == want, (curves, moved)
 
 
+@st.composite
+def _curve_shapes(draw):
+    """n, a tally and one to three curves of every shape: open (maybe with a
+    basepoint first), closed and v-ended, down to one letter, (v, v) and two
+    closed letters."""
+    n = draw(st.integers(1, 3))
+    curves = []
+    for _ in range(draw(st.integers(1, 3))):
+        letters = draw(st.lists(st.integers(0, n), max_size=6))
+        shape = draw(st.sampled_from(("open", "closed", "v")))
+        if shape == "closed":
+            letters = letters[:len(letters) // 2 * 2]
+        elif shape == "v":
+            letters = [V, *letters, V]
+        else:
+            letters = [V] * draw(st.booleans()) + letters
+        curves.append(CurveSpec(tuple(letters), shape == "closed",
+                                draw(st.sampled_from((NORTH, SOUTH)))))
+    return n, tuple(curves), draw(st.sampled_from(("self", "inter")))
+
+
+def _reference_chords(curves):
+    """Each chord as (disk, curve, end, end) from the letters alone: chord j
+    joins letters j and j + 1 (a closed curve's last chord its last letter
+    and its first) in disk hemisphere + j, an end being (curve, position),
+    or None at the basepoint; a chord with both ends there is no chord."""
+    chords = []
+    for ci, c in enumerate(curves):
+        m = len(c.letters)
+        steps = [(j, j + 1) for j in range(m - 1)] + [(m - 1, 0)] * (c.closed and m > 1)
+        for j, step in enumerate(steps):
+            ends = [None if c.letters[e] == V else (ci, e) for e in step]
+            if ends != [None, None]:
+                chords.append(((j + (c.hemisphere == SOUTH)) % 2, ci, *ends))
+    return chords
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_curve_shapes())
+@example((2, (CurveSpec((V, 2, 0, 0, 1, 2, V), False, NORTH),), "self"))  # chord inside gap 0
+@example((2, (CurveSpec((0, 1, 1, 2, 2, 0), True, SOUTH),), "self"))  # closing chord inside gap 0
+@example((2, (CurveSpec((V, V), False, NORTH), CurveSpec((2,), False, SOUTH),
+              CurveSpec((0, 1), True, NORTH), CurveSpec((V, 1, V), False, SOUTH)), "inter"))
+def test_instance_chords_match_reference(instance):
+    """An instance numbers the crossings of each curve in turn, and its
+    countable pairs and gaps holding a chord are those of chords made from
+    the letters: pairs in one disk, not both at the basepoint, of one curve
+    for a self tally and of two for an inter tally."""
+    n, curves, tally = instance
+    inst = oracle._Instance(n, curves, tally)
+    points = [(ci, j) for ci, c in enumerate(curves) for j, g in enumerate(c.letters) if g != V]
+    assert inst.points == points
+    pid = {p: i for i, p in enumerate([None, *points])}
+    chords = _reference_chords(curves)
+    want = [(pid[a1], pid[b1], pid[a2], pid[b2])
+            for (d1, c1, a1, b1), (d2, c2, a2, b2) in itertools.combinations(chords, 2)
+            if d1 == d2 and not (None in (a1, b1) and None in (a2, b2))
+            and (c1 == c2) == (tally == "self")]
+    assert sorted(inst.countable_pairs()) == sorted(want)
+    letter = {p: curves[p[0]].letters[p[1]] for p in points}
+    assert inst.within_gap == {letter[a] for _, _, a, b in chords
+                               if a and b and letter[a] == letter[b]}
+
+
 def test_gap_orders_not_materialized():
     """A gap's order is built one appended point at a time, and its orders
     are never collected: the ladder's first gap has 7! of them, and the
@@ -1143,7 +1207,7 @@ def test_pair_key_transforms():
     is the key of the reference formula.  Gap labels up to 12 order
     differently as strings ("10" < "2") than as numbers."""
     rng = random.Random(151)
-    labels = GapAlphabet(12).labels
+    labels = range(13)
 
     def reverse(letters, hemi):
         # arc j lies in hemisphere hemi + j; the reversal starts on the last arc

@@ -35,6 +35,8 @@ COMMANDS: list[list[str]] = (
     + [["selfint", "--n", "2", LADDER.format(" ".join(["0 1"] * m))] for m in range(6, 13)]
     + [["pairint", "--n", "2", "--hemi2", "S", "v 2 0 1 2 v", "v 2 1 0 1 2 v"],
        ["pairint", "--n", "2", "0 1 2 1", "0 2 0 1 2 1"]]
+    # a chord inside a gap: of an open word, and the closing chord of a closed one
+    + [["selfint", "--n", "2", "v 2 0 0 1 2 v"], ["selfint", "--n", "2", "0 1 1 2 2 0"]]
     + [["graph", "--n", n, "--k", "4", "--jobs", "2"] for n in ("1", "2")]
 )
 STATES = ("no-cache", "fresh", "warm")
