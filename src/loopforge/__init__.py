@@ -14,21 +14,15 @@ from .words import (
     all_maximal_spans,
     has_adjacent_repeat,
     maximal_two_letter_words,
-    orientation,
     parse_letters,
     parse_word,
     reduce_word,
 )
 from .canon import (
-    GeneratorString,
     VLoopClass,
     XLoopClass,
     canon_v,
     canon_x,
-    format_generators,
-    from_free_group,
-    multiply,
-    to_free_group,
 )
 from .oracle import (
     CrossingCount,
@@ -38,33 +32,23 @@ from .oracle import (
     count_crossings,
     minimize_crossings,
     pair_intersection_number,
-    segment_pair_intersections,
     segment_self_at_least,
-    segment_self_intersections,
     self_intersection_number,
 )
 from .bounds import (
     BoundsReport,
-    Snail,
     Winding,
     analytic_bounds,
     family_bound_snails,
-    find_snails,
     find_windings,
-    forced_arc_intersection,
-    snail_pair_lower_bound,
     winding_self_lower_bound,
 )
 from .expansion import (
     ExpansionDecomposition,
-    apply_expansion,
     count_vectors_exact,
     decompose,
-    expansion_lower_bound,
     m_vector_count,
     multinomial,
-    multiplicity_profile,
-    z_majorizes,
     z_vector,
 )
 from .extremal import (

@@ -83,14 +83,19 @@ class _Group(click.Group):
             _emit({"error": {"type": "UsageError" if usage else type(exc).__name__,
                              "message": exc.format_message() if usage else str(exc)}})
             sys.exit(EXIT_PRECONDITION)
-        except (EnumerationIncompleteError, MemoryError) as exc:
-            kind = "MemoryError" if isinstance(exc, MemoryError) else "EnumerationIncomplete"
-            _emit({"error": {"type": kind, "message": str(exc) or "out of memory"},
+        except EnumerationIncompleteError as exc:
+            _emit({"error": {"type": "EnumerationIncomplete", "message": str(exc)},
                    "exact": False})
             sys.exit(EXIT_BUDGET)
         except KeyboardInterrupt:
             _emit({"error": {"type": "Interrupted", "message": "interrupted"}, "exact": False})
             sys.exit(EXIT_INTERRUPTED)
+        except MemoryError as exc:
+            message = str(exc) or "out of memory"
+        # reported after the except block, whose traceback holds the frames
+        # that filled memory: leaving the block frees them for the report
+        _emit({"error": {"type": "MemoryError", "message": message}, "exact": False})
+        sys.exit(EXIT_BUDGET)
 
 
 n_option = click.option("--n", "n", type=int, default=2, show_default=True,

@@ -6,9 +6,11 @@ pattern of maximal subwords.  A word is therefore the image of its fully
 shrunk core under one expansion per letter pair, described by a vector of
 nonnegative repeat counts, one per maximal subword of that pair.
 
-The expansion vectors with a bounded forced-crossing count are counted two
-ways: exactly, by dynamic programming over tail multiplicities, and through
-an explicit product cap built from a majorizing multiplicity vector.
+The forced-crossing count of a vector is `bounds.depth_family_bound`, as
+for windings of those depths around one obstacle.  The vectors with a
+bounded forced-crossing count are counted two ways: exactly, by dynamic
+programming over tail multiplicities, and through an explicit product cap
+built from a majorizing multiplicity vector.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .bounds import depth_family_bound
 from .words import PreconditionError, has_adjacent_repeat, maximal_two_letter_words
 
 
@@ -73,52 +74,15 @@ def decompose(letters: tuple[int, ...]) -> ExpansionDecomposition:
     return ExpansionDecomposition(core, vectors)
 
 
-def apply_expansion(
-    core: tuple[int, ...], pair: tuple[int, int], repeats: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Expand each maximal {a, b}-subword of `core` by its repeat count:
-    the leading two letters xy become (xy)^(s+1)."""
-    a, b = pair
-    spans = maximal_two_letter_words(tuple(core), a, b)
-    if len(spans) != len(repeats):
-        raise PreconditionError(
-            f"{len(repeats)} repeat counts for {len(spans)} maximal subwords"
-        )
-    if any(s < 0 for s in repeats):
-        raise PreconditionError("repeat counts must be nonnegative")
-    insert_at = {span.start: (span, s) for span, s in zip(spans, repeats)}
-    out: list[int] = []
-    for pos, letter in enumerate(core):
-        if pos in insert_at:
-            span, s = insert_at[pos]
-            x, y = core[span.start], core[span.start + 1]
-            out.extend([x, y] * s)
-        out.append(letter)
-    return tuple(out)
-
-
-def expansion_lower_bound(repeats: tuple[int, ...]) -> int:
-    """Forced self-crossings of an expansion vector:
-    sum_i s_i + 2 sum_{i<j} min(s_i, s_j), equal to the sum over thresholds
-    t >= 1 of (number of entries >= t) squared."""
-    if any(s < 0 for s in repeats):
-        raise PreconditionError("repeat counts must be nonnegative")
-    return depth_family_bound(repeats)
-
-
 def tail_cap(k: int, t: int) -> int:
     """floor(sqrt(k/t)): the most entries at or above t in a vector below k,
     since m such entries alone force m^2 t crossings."""
     return math.isqrt(k // t)
 
 
-def multiplicity_profile(repeats: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """(m_0, ..., m_k): multiplicity of each value in the vector."""
-    return tuple(sum(1 for s in repeats if s == i) for i in range(k + 1))
-
-
 def count_vectors_exact(length: int, k: int) -> int:
-    """Number of vectors s in Z_{>=0}^length with expansion_lower_bound(s) < k.
+    """Number of vectors s in Z_{>=0}^length whose forced-crossing count is
+    below k.
 
     Counts by the non-increasing chain of tail multiplicities T_t (entries
     >= t): the bound equals sum_t T_t^2, and a chain is placed into
@@ -131,8 +95,8 @@ def count_vectors_exact(length: int, k: int) -> int:
 
 
 def _bound_counts(length: int, kmax: int):
-    """Yield the number of vectors s in Z_{>=0}^length with
-    expansion_lower_bound(s) = c, for c = 0, ..., kmax - 1.  Row c of the
+    """Yield the number of vectors s in Z_{>=0}^length with forced-crossing
+    count c, for c = 0, ..., kmax - 1.  Row c of the
     table holds, for each tail p <= top and then p = length, the chains
     after p that add c: [c == 0] + sum_t C(p, t) (row c - t^2)[t] over
     1 <= t <= p with t^2 <= c.  A row reads the top^2 rows before it, so
@@ -180,28 +144,6 @@ def multinomial(length: int, parts: tuple[int, ...]) -> int:
     return result
 
 
-def profile_feasible(profile: tuple[int, ...], length: int, k: int) -> bool:
-    """Whether a multiplicity vector (m_0..m_k) sums to `length` with every
-    tail m_{>=t} at most sqrt(k/t)."""
-    if len(profile) != k + 1 or any(m < 0 for m in profile) or sum(profile) != length:
-        return False
-    tail = 0
-    for t in range(k, 0, -1):
-        tail += profile[t]
-        if tail > tail_cap(k, t):
-            return False
-    return True
-
-
-def z_majorizes(profile: tuple[int, ...], length: int, k: int) -> bool:
-    """Whether the multinomial of a feasible profile is at most the
-    multinomial of the majorizing vector (expected to always hold)."""
-    if not profile_feasible(profile, length, k):
-        raise PreconditionError("profile violates the feasibility constraints")
-    z = z_vector(length, k)
-    return multinomial(length, profile) <= multinomial(length, z)
-
-
 def m_vector_count(length: int, k: int) -> tuple[int, int]:
     """(exact, cap): the number of feasible multiplicity vectors
     (m_0..m_k), and the explicit product cap k^beta * (length+1)^beta with
@@ -225,11 +167,18 @@ def m_vector_count(length: int, k: int) -> tuple[int, int]:
     return exact, cap
 
 
+MAX_SWEEP_ROWS = 10**4  # at most about a second and 32 MB
+
+
 def sweep_rows(
     lengths: range | list[int], ks: range | list[int]
 ) -> list[dict[str, object]]:
     """Rows (length, k, exactCount, mVectorCap, multinomialZ) for reporting;
-    the multinomial column is empty below the feasibility threshold."""
+    the multinomial column is empty below the feasibility threshold.  A sweep
+    of more than MAX_SWEEP_ROWS rows is refused before any row is built."""
+    if len(lengths) * len(ks) > MAX_SWEEP_ROWS:
+        raise PreconditionError(f"a sweep of {len(lengths) * len(ks)} rows is over "
+                                f"{MAX_SWEEP_ROWS}")
     rows = []
     for length in lengths:
         exacts = list(accumulate(_bound_counts(length, max(ks, default=1))))

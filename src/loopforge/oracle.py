@@ -917,16 +917,7 @@ def pair_intersection_number(
     return _solve(n, *_pair_form(n, _class_text(c1, n), _class_text(c2, n)), config)
 
 
-# -- segment oracles -----------------------------------------------------------
-
-
-def segment_self_intersections(
-    letters: tuple[int, ...],
-    alphabet: GapAlphabet,
-    config: OracleConfig = OracleConfig(),
-) -> CrossingCount:
-    """Minimal self-crossings of one open segment (polarity-independent)."""
-    return _solve(alphabet.n, *_self_form(alphabet.n, "seg", tuple(letters)), config)
+# -- segment threshold oracle --------------------------------------------------
 
 
 def segment_self_at_least(
@@ -937,23 +928,8 @@ def segment_self_at_least(
 ) -> bool | None:
     """True if every drawing of the segment has >= k self-crossings, False if
     some drawing has fewer, None if the budget ran out undecided.  Below k
-    the search finds the exact minimum, which the cache keeps for
-    `segment_self_intersections`.  No witness is drawn, from a search or
-    from the cache."""
+    the search finds the exact minimum, which the cache keeps as an exact
+    query would.  No witness is drawn, from a search or from the cache."""
     res = _solve(alphabet.n, *_self_form(alphabet.n, "seg", tuple(letters)), config, k,
                  drawn=False)
     return False if res.value < k else (res.exact or None)
-
-
-def segment_pair_intersections(
-    letters_a: tuple[int, ...],
-    letters_b: tuple[int, ...],
-    polarity_a: str,
-    polarity_b: str,
-    alphabet: GapAlphabet,
-    config: OracleConfig = OracleConfig(),
-) -> CrossingCount:
-    """Minimal crossings between two open segments of the given polarities."""
-    n = alphabet.n
-    return _solve(n, *_pair_form(n, _open_text("seg", tuple(letters_a), polarity_a),
-                                 _open_text("seg", tuple(letters_b), polarity_b)), config)

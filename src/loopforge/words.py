@@ -200,17 +200,6 @@ def equator_position(letter: int) -> int:
     return 1 if letter == V else letter + (letter > 0)
 
 
-def orientation(a: int, b: int, c: int, alphabet: GapAlphabet) -> int:
-    """+1 if circling the equator from gap `a` meets `b` before `c`, else -1."""
-    if len({a, b, c}) != 3:
-        raise PreconditionError("orientation needs three distinct gap points")
-    for letter in (a, b, c):
-        alphabet.validate_letter(letter)
-    ring = alphabet.n + 2
-    pa, pb, pc = map(equator_position, (a, b, c))
-    return 1 if (pb - pa) % ring < (pc - pa) % ring else -1
-
-
 @dataclass(frozen=True)
 class Span:
     """A maximal contiguous subword over two letters, inclusive indices."""

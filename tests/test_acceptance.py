@@ -16,21 +16,19 @@ from loopforge import (
     count_vectors_exact,
     decompose,
     enumerate_classes,
-    expansion_lower_bound,
-    forced_arc_intersection,
     growth_report,
     length_cap,
     m_vector_count,
     multinomial,
-    segment_pair_intersections,
     self_intersection_number,
     winding_self_lower_bound,
-    z_majorizes,
     z_vector,
 )
-from expansion_reference import reassemble, tail_multiplicities
+from expansion_reference import profile_feasible, reassemble, tail_multiplicities, z_majorizes
+from segment_queries import segment_pair
+from snail_reference import forced_arc_intersection
+from loopforge.bounds import depth_family_bound
 from loopforge.cli import main as cli_main
-from loopforge.expansion import profile_feasible
 from loopforge.words import NORTH, PreconditionError, V, maximal_two_letter_words
 
 
@@ -97,7 +95,7 @@ def test_criterion_3_forced_arc_sound(config, alpha2):
                     if not forced_arc_intersection(wa, wb, alpha2):
                         skipped += 1
                         continue
-                    res = segment_pair_intersections(wa, wb, NORTH, NORTH, alpha2, config)
+                    res = segment_pair(wa, wb, NORTH, NORTH, alpha2, config)
                     assert res.exact
                     assert res.value >= 1, (wa, wb)
                     fired += 1
@@ -122,14 +120,14 @@ def test_criterion_4_snail_bounds(config, alpha2):
         for t in (-1, -2, -3):
             for wa in _snail_segments(s, (2, V)):
                 for wb in _snail_segments(t, (2, V)):
-                    res = segment_pair_intersections(wa, wb, NORTH, NORTH, alpha2, config)
+                    res = segment_pair(wa, wb, NORTH, NORTH, alpha2, config)
                     assert res.exact
                     assert res.value >= min(abs(s), abs(t)), (s, t, wa, wb, res.value)
                     checked += 1
     for s, t in [(3, 1), (1, 3), (-3, -1), (-1, -3)]:
         for wa in _snail_segments(s, (2,)):
             for wb in _snail_segments(t, (2,)):
-                res = segment_pair_intersections(wa, wb, NORTH, NORTH, alpha2, config)
+                res = segment_pair(wa, wb, NORTH, NORTH, alpha2, config)
                 assert res.exact
                 assert res.value >= abs(s - t) - 1, (s, t, wa, wb, res.value)
                 checked += 1
@@ -158,7 +156,7 @@ def test_criterion_6_counting_chain():
         for k in range(1, 11):
             brute = 0
             for vec in itertools.product(range(k), repeat=length):
-                if expansion_lower_bound(vec) < k:
+                if depth_family_bound(vec) < k:
                     brute += 1
             if length == 0:
                 brute = 1
@@ -170,7 +168,7 @@ def test_criterion_6_counting_chain():
         vec = tuple(rng.randint(0, 10) for _ in range(rng.randint(0, 10)))
         top = max(vec, default=0)
         tails = tail_multiplicities(vec, top)
-        assert expansion_lower_bound(vec) == sum(x * x for x in tails)
+        assert depth_family_bound(vec) == sum(x * x for x in tails)
 
     # chain: exact count <= profile count * majorizing multinomial; the
     # majorizing inequality holds for every feasible profile

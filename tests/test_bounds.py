@@ -7,17 +7,14 @@ import pytest
 from loopforge import (
     GapAlphabet,
     PreconditionError,
-    Snail,
     Word,
     analytic_bounds,
     family_bound_snails,
-    find_snails,
     find_windings,
-    forced_arc_intersection,
     parse_word,
-    snail_pair_lower_bound,
     winding_self_lower_bound,
 )
+from snail_reference import Snail, find_snails, forced_arc_intersection, snail_pair_lower_bound
 from loopforge.bounds import MAX_PRINTED_EXPONENT, _power_of_two_text, double_exp_exponent
 from loopforge.words import NORTH, SOUTH, V
 

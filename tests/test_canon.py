@@ -11,13 +11,10 @@ from loopforge import (
     XLoopClass,
     canon_v,
     canon_x,
-    format_generators,
-    from_free_group,
-    multiply,
     parse_word,
     reduce_word,
-    to_free_group,
 )
+from free_group_reference import format_generators, from_free_group, multiply, to_free_group
 from loopforge.words import NORTH, SOUTH
 
 

@@ -1,13 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from cache_rows import cache_rows, write_row
-from loopforge import Drawing, count_crossings, oracle
+from loopforge import Drawing, cli, count_crossings, oracle
 from loopforge.cache import DATABASE
 from loopforge.cli import main
 from loopforge.words import format_letters
@@ -276,6 +279,47 @@ def test_memory_error_object(runner, monkeypatch, command, call):
     }
 
 
+# A child process that limits its own address space to about 100 MB above
+# its size after the imports, runs `setup`, then the CLI on its arguments.
+_LIMITED_CLI = """
+import resource, sys
+from loopforge import cli
+size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = size + 100 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (soft if hard == resource.RLIM_INFINITY
+                                        else min(soft, hard), hard))
+{setup}
+cli.main(sys.argv[1:], prog_name="loopforge")
+"""
+
+
+def _limited_cli(args, setup=""):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", _LIMITED_CLI.format(setup=setup), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+def test_memory_error_object_when_memory_runs_out():
+    """A command that fills memory with small objects exits 3 with the error
+    object, not a traceback and exit 1: the report is made once the frames
+    that filled memory are freed.  Before that, 2 of 5 runs exited 1."""
+    fill = ("def fill(*args, **kwargs):\n"
+            "    hold = None\n"
+            "    while True:\n"
+            "        hold = (hold, [0] * 16)\n"
+            "cli.self_intersection_number = fill")
+    for _ in range(5):
+        done = _limited_cli(["selfint", "--n", "2", "--no-cache", "v 2 0 1 0 2 v"], fill)
+        assert done.returncode == 3, done.stderr[-2000:]
+        assert json.loads(done.stdout) == {
+            "error": {"type": "MemoryError", "message": "out of memory"},
+            "exact": False,
+        }
+
+
 @pytest.mark.parametrize("command, call", [
     (["selfint", "--n", "2", "v 2 0 1 0 2 v"], "self_intersection_number"),
     (["graph", "--n", "2", "--k", "2"], "enumerate_classes"),
@@ -412,6 +456,20 @@ def test_count_expansions_large_k(runner):
     result = _invoke(runner, ["count-expansions", "--l", "100", "--k", "100000"])
     assert result.exit_code == 2
     assert json.loads(result.output)["error"]["type"] == "PreconditionError"
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+@pytest.mark.parametrize("lmax, kmax", [("0", "1000000"), ("1", "20000000"), ("0", "10001")])
+def test_count_expansions_refuses_an_oversized_sweep(lmax, kmax):
+    """A sweep of more than 10^4 rows is refused with exit 2 before it builds
+    a row.  The length-0 rows had no size check, so these sweeps filled
+    memory; the child's own address-space limit keeps such a failure from
+    the test runner."""
+    done = _limited_cli(["count-expansions", "--sweep", "--lmax", lmax, "--kmax", kmax])
+    assert done.returncode == 2, done.stderr[-2000:]
+    rows = (int(lmax) + 1) * int(kmax)
+    assert json.loads(done.stdout) == {"error": {
+        "type": "PreconditionError", "message": f"a sweep of {rows} rows is over 10000"}}
 
 
 def test_count_expansions_refuses_counts_past_the_digit_limit(runner):

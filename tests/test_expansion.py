@@ -8,18 +8,22 @@ import pytest
 
 from loopforge import (
     PreconditionError,
-    apply_expansion,
     count_vectors_exact,
     decompose,
-    expansion_lower_bound,
     m_vector_count,
     multinomial,
-    multiplicity_profile,
-    z_majorizes,
     z_vector,
 )
-from expansion_reference import reassemble, tail_multiplicities
-from loopforge.expansion import profile_feasible, shrink_core, sweep_rows, tail_cap
+from expansion_reference import (
+    apply_expansion,
+    multiplicity_profile,
+    profile_feasible,
+    reassemble,
+    tail_multiplicities,
+    z_majorizes,
+)
+from loopforge.bounds import depth_family_bound
+from loopforge.expansion import shrink_core, sweep_rows, tail_cap
 from loopforge.extremal import expansion_letter_budget, length_cap
 
 
@@ -109,16 +113,16 @@ def test_expansion_order_independent():
 
 
 def test_expansion_lower_bound_examples():
-    assert expansion_lower_bound((1, 1)) == 4
-    assert expansion_lower_bound((2, 1)) == 5
-    assert expansion_lower_bound((0, 0, 0)) == 0
-    assert expansion_lower_bound(()) == 0
+    assert depth_family_bound((1, 1)) == 4
+    assert depth_family_bound((2, 1)) == 5
+    assert depth_family_bound((0, 0, 0)) == 0
+    assert depth_family_bound(()) == 0
     # random vectors against the O(m^2) definition
     rng = random.Random(31)
     for _ in range(500):
         vec = tuple(rng.randint(0, 12) for _ in range(rng.randint(0, 12)))
         pairs = sum(min(a, b) for a, b in itertools.combinations(vec, 2))
-        assert expansion_lower_bound(vec) == sum(vec) + 2 * pairs
+        assert depth_family_bound(vec) == sum(vec) + 2 * pairs
 
 
 def test_expansion_lower_bound_tail_identity():
@@ -128,7 +132,7 @@ def test_expansion_lower_bound_tail_identity():
         vec = tuple(rng.randint(0, 10) for _ in range(length))
         top = max(vec, default=0)
         tails = tail_multiplicities(vec, top)
-        assert expansion_lower_bound(vec) == sum(t * t for t in tails)
+        assert depth_family_bound(vec) == sum(t * t for t in tails)
 
 
 def test_multiplicity_profile():
@@ -144,7 +148,7 @@ def _count_brute(length, k):
         return 1
     total = 0
     for vec in itertools.product(range(k), repeat=length):
-        if expansion_lower_bound(vec) < k:
+        if depth_family_bound(vec) < k:
             total += 1
     return total
 

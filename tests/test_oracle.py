@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import naive_reference as naive
 from cache_rows import cache_rows, write_row
 from reference_walk import circle_drawing, reference_core_candidates
+from segment_queries import segment_pair, segment_self
 from loopforge import (
     CrossingCount,
     CurveSpec,
@@ -39,9 +40,7 @@ from loopforge import (
     pair_intersection_number,
     parse_word,
     reduce_word,
-    segment_pair_intersections,
     segment_self_at_least,
-    segment_self_intersections,
     self_intersection_number,
 )
 from loopforge import oracle
@@ -187,7 +186,7 @@ def test_pair_kind_mismatch(config, alpha2):
 
 def test_segment_pair_example(config, alpha2):
     # the two-letter segments 01 and v2 always cross
-    res = segment_pair_intersections((0, 1), (V, 2), NORTH, NORTH, alpha2, config)
+    res = segment_pair((0, 1), (V, 2), NORTH, NORTH, alpha2, config)
     assert res.exact
     assert res.value == 1
 
@@ -220,7 +219,7 @@ def test_matches_reference_segments(nocache_config, alpha2):
     rng = random.Random(107)
     for _ in range(40):
         letters = tuple(rng.choice((0, 1, 2)) for _ in range(rng.randint(2, 6)))
-        got = segment_self_intersections(letters, alpha2, nocache_config)
+        got = segment_self(letters, alpha2, nocache_config)
         assert got.exact
         assert got.value == naive.self_segment(letters), letters
 
@@ -646,7 +645,7 @@ def test_segment_threshold_agrees_with_exact(config, nocache_config, alpha2, tmp
     rng = random.Random(139)
     for _ in range(40):
         letters = tuple(rng.choice((0, 1, 2)) for _ in range(rng.randint(2, 6)))
-        exact = segment_self_intersections(letters, alpha2, config).value
+        exact = segment_self(letters, alpha2, config).value
         for k in range(exact + 2):
             for cfg in (nocache_config, thresholds, config):
                 verdict = segment_self_at_least(letters, k, alpha2, cfg)
@@ -660,7 +659,7 @@ def test_segment_threshold_outcomes(tmp_path):
     # Below the cutoff a completed search finds the minimum, and stores the
     # entry an exact query stores.
     letters = (V, 2, 0, 1, 0, 1, 0, 1, 2)
-    segment_self_intersections(letters, GapAlphabet(2), OracleConfig(cache_dir=tmp_path / "exact"))
+    segment_self(letters, GapAlphabet(2), OracleConfig(cache_dir=tmp_path / "exact"))
     [exact] = [json.loads(text) for text in cache_rows(tmp_path / "exact").values()]
     del exact["key"], exact["version"]
     for k, stopped, decided, stored in ((5, None, True, {"at_least": 5}),
@@ -843,7 +842,7 @@ def test_threshold_entry_answers_the_exact_query(tmp_path, monkeypatch, nocache_
     the curves its key names (here the reversed segment), and a following
     exact query reads it without a search."""
     letters = (V, 2, 0, 1, 0, 1, 0, 1, 2)  # minimum 5
-    want = segment_self_intersections(letters, alpha2, nocache_config)
+    want = segment_self(letters, alpha2, nocache_config)
     config = OracleConfig(cache_dir=tmp_path)
     assert segment_self_at_least(letters, 6, alpha2, config) is False
     [entry] = [json.loads(text) for text in cache_rows(tmp_path).values()]
@@ -854,7 +853,7 @@ def test_threshold_entry_answers_the_exact_query(tmp_path, monkeypatch, nocache_
         raise AssertionError("the exact query searched")
 
     monkeypatch.setattr(oracle, "minimize_crossings", no_search)
-    assert segment_self_intersections(letters, alpha2, config).to_json() == want.to_json()
+    assert segment_self(letters, alpha2, config).to_json() == want.to_json()
 
 
 def test_repeated_letter_words(nocache_config):
@@ -883,12 +882,12 @@ def test_bad_segment_pair_queries_are_precondition_errors(tmp_path, alpha2):
     """A bad polarity of either segment, or a basepoint letter inside a
     segment, is a `PreconditionError`, and the query writes no cache row."""
     config = OracleConfig(cache_dir=tmp_path)
-    segment_pair_intersections((0, 1), (V, 2), NORTH, NORTH, alpha2, config)
+    segment_pair((0, 1), (V, 2), NORTH, NORTH, alpha2, config)
     rows = cache_rows(tmp_path)
     for a, b, pa, pb in (((0, 1), (1, 0), "X", NORTH), ((0, 1), (1, 0), NORTH, "X"),
                          ((0, V, 1), (1, 0), NORTH, SOUTH)):
         with pytest.raises(PreconditionError):
-            segment_pair_intersections(a, b, pa, pb, alpha2, config)
+            segment_pair(a, b, pa, pb, alpha2, config)
     assert cache_rows(tmp_path) == rows
 
 
@@ -966,9 +965,9 @@ def test_witness_drawn_on_the_query(tmp_path, nocache_config):
         queries = [
             (lambda c: self_intersection_number(Word.x_word(x1.reduced), alpha, c),
              (CurveSpec(x1.reduced, True, NORTH),), (NORTH,)),
-            (lambda c: segment_self_intersections((V,) + seg_a, alpha, c),
+            (lambda c: segment_self((V,) + seg_a, alpha, c),
              (CurveSpec((V,) + seg_a, False, NORTH),), (NORTH,)),
-            (lambda c: segment_pair_intersections(seg_a, seg_b, *hemis, alpha, c),
+            (lambda c: segment_pair(seg_a, seg_b, *hemis, alpha, c),
              (CurveSpec(seg_a, False, hemis[0]), CurveSpec(seg_b, False, hemis[1])), (hemis[1],)),
             (lambda c: pair_intersection_number(v1, v2, alpha, c),
              tuple(CurveSpec(v.word().letters, False, h) for v, h in zip((v1, v2), hemis)),
@@ -1165,9 +1164,9 @@ def _written_keys(cache_dir) -> list[str]:
     reference_core_candidates(3, length_cap(3, 2), alpha2, config)
     catalog = enumerate_classes(2, 3, config)
     compatibility_graph(catalog, config)
-    segment_self_intersections((2, 0, 1, 0, 2), alpha2, config)
+    segment_self((2, 0, 1, 0, 2), alpha2, config)
     segment_self_at_least((V, 2, 1, 0, 1, 2), 3, alpha2, config)
-    segment_pair_intersections((2, 0, 1), (1, 0, 2), NORTH, SOUTH, alpha2, config)
+    segment_pair((2, 0, 1), (1, 0, 2), NORTH, SOUTH, alpha2, config)
     pair_intersection_number(XLoopClass((0, 1)), XLoopClass((1, 0, 1, 0)), GapAlphabet(1), config)
     return sorted(json.loads(text)["key"] for text in cache_rows(cache_dir).values())
 

@@ -10,10 +10,10 @@ from loopforge import (
     all_maximal_spans,
     has_adjacent_repeat,
     maximal_two_letter_words,
-    orientation,
     parse_word,
     reduce_word,
 )
+from snail_reference import orientation
 from loopforge.words import reduce_adjacent_pairs
 
 

@@ -5,7 +5,8 @@
 
 `record` runs a fixed list of commands (COMMANDS) with CHECKOUT's `src` on
 the import path, each three times: with `--no-cache`, on a fresh cache
-directory of its own, and again on that directory, now warm.  It keeps
+directory of its own, and again on that directory, now warm.  A command
+without the oracle options runs three times as given.  It keeps
 stdout and the exit code of every run, and the cache rows each command
 wrote, sorted by key.  The runs are sequential, one process at a time.
 
@@ -38,7 +39,18 @@ COMMANDS: list[list[str]] = (
     # a chord inside a gap: of an open word, and the closing chord of a closed one
     + [["selfint", "--n", "2", "v 2 0 0 1 2 v"], ["selfint", "--n", "2", "0 1 1 2 2 0"]]
     + [["graph", "--n", n, "--k", "4", "--jobs", "2"] for n in ("1", "2")]
+    # the commands that need no oracle
+    + [["bounds", "--n", "2", "--k", "5"],
+       ["windings", "--n", "2", "v 2 0 1 0 2 1 2 v"],
+       ["decompose", "--n", "2", "2 0 1 0 1 2"],
+       ["count-expansions", "--l", "4", "--k", "9"],
+       ["count-expansions", "--sweep"],
+       ["count-expansions", "--sweep", "--format", "csv"],
+       ["reduce", "--n", "2", "v 0 1 2 0 0 2 1 v"],
+       ["canon", "--n", "2", "--hemisphere", "S", "v 1 2 0 1 2 v"],
+       ["equiv", "--n", "2", "0 1 2 2 1 0", "0 1 1 0"]]
 )
+ORACLE_COMMANDS = ("enumerate", "graph", "growth", "pairint", "selfint")  # take --no-cache
 STATES = ("no-cache", "fresh", "warm")
 RUN = "import sys; from loopforge.cli import main; main(sys.argv[1:], prog_name='loopforge')"
 
@@ -67,8 +79,10 @@ def record(checkout: Path, out: Path) -> None:
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as work:
         for index, args in enumerate(COMMANDS):
             cache = Path(work, f"cache{index}")
-            cached = [*args, "--cache-dir", str(cache)]
-            run = {"args": args, "no-cache": _run(checkout, [*args, "--no-cache"], work),
+            oracle = args[0] in ORACLE_COMMANDS
+            cached = [*args, "--cache-dir", str(cache)] if oracle else args
+            uncached = [*args, "--no-cache"] if oracle else args
+            run = {"args": args, "no-cache": _run(checkout, uncached, work),
                    "fresh": _run(checkout, cached, work), "rows": _rows(cache),
                    "warm": _run(checkout, cached, work)}
             warm_rows = _rows(cache)  # a warm run that writes rows changes them
