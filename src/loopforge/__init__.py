@@ -36,10 +36,8 @@ from .oracle import (
     self_intersection_number,
 )
 from .bounds import (
-    BoundsReport,
     Winding,
     analytic_bounds,
-    family_bound_snails,
     find_windings,
     winding_self_lower_bound,
 )
@@ -64,4 +62,18 @@ from .extremal import (
     length_cap,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "NORTH", "SOUTH", "GapAlphabet", "PreconditionError", "Reduction", "Span", "V", "Word",
+    "all_maximal_spans", "has_adjacent_repeat", "maximal_two_letter_words", "parse_letters",
+    "parse_word", "reduce_word",
+    "VLoopClass", "XLoopClass", "canon_v", "canon_x",
+    "CrossingCount", "CurveSpec", "Drawing", "OracleConfig", "count_crossings",
+    "minimize_crossings", "pair_intersection_number", "segment_self_at_least",
+    "self_intersection_number",
+    "Winding", "analytic_bounds", "find_windings", "winding_self_lower_bound",
+    "ExpansionDecomposition", "count_vectors_exact", "decompose", "m_vector_count",
+    "multinomial", "z_vector",
+    "CatalogEntry", "ClassCatalog", "CompatibilityGraph", "EnumerationIncompleteError",
+    "FamilyBounds", "compatibility_graph", "enumerate_classes", "family_bounds",
+    "growth_report", "length_cap",
+]

@@ -2,10 +2,10 @@
 
 Windings are alternating two-letter segments circling one obstacle; matching
 orientations of the bordering arcs force crossings, which add up across the
-windings of a single obstacle.  The closed-form evaluators collect the
-explicit numeric bounds on the extremal family sizes f(n,k) and g(n,k),
-among them the family threshold of snails, the basepoint-adjacent
-alternating blocks at the ends of based words.
+windings of a single obstacle.  :func:`analytic_bounds` builds the report of
+the `bounds` command directly: the explicit numeric bounds on the extremal
+family sizes f(n,k) and g(n,k), among them the family threshold of snails,
+the basepoint-adjacent alternating blocks at the ends of based words.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .words import (
     GapAlphabet,
@@ -61,28 +60,6 @@ class Winding:
             raise PreconditionError("a winding needs depth at least 1")
 
 
-def _span_windings(
-    letters: tuple[int, ...],
-    alphabet: GapAlphabet,
-    basepoint_at_ends: bool,
-) -> list[Winding]:
-    out: list[Winding] = []
-    for obstacle, span in obstacle_spans(letters, alphabet):
-        left_is_end = span.start == 0
-        right_is_end = span.end == len(letters) - 1
-        if obstacle == 1:
-            # borders of basepoint windings must be real crossings away
-            # from the basepoint; end-touching blocks are snail material
-            if left_is_end or right_is_end:
-                continue
-        elif not basepoint_at_ends and (left_is_end or right_is_end):
-            # an off-equator based word has no crossing bordering its ends
-            continue
-        form = "aba" if span.length % 2 == 1 else "abab"
-        out.append(Winding(obstacle, span.depth, span, form))
-    return out
-
-
 def find_windings(word: Word, alphabet: GapAlphabet) -> list[Winding]:
     """All windings of a word; for based words the ends border on the
     basepoint, which is a valid border for every obstacle except the
@@ -90,7 +67,17 @@ def find_windings(word: Word, alphabet: GapAlphabet) -> list[Winding]:
     letters = word.inner()
     if has_adjacent_repeat(letters):
         raise PreconditionError("windings are defined on words without adjacent repeats")
-    return _span_windings(letters, alphabet, basepoint_at_ends=(word.kind == "v"))
+    out: list[Winding] = []
+    for obstacle, span in obstacle_spans(letters, alphabet):
+        # borders of basepoint windings must be real crossings away from the
+        # basepoint, so end-touching blocks are snail material; an
+        # off-equator based word has no crossing bordering its ends
+        at_end = span.start == 0 or span.end == len(letters) - 1
+        if at_end and (obstacle == 1 or word.kind != "v"):
+            continue
+        form = "aba" if span.length % 2 == 1 else "abab"
+        out.append(Winding(obstacle, span.depth, span, form))
+    return out
 
 
 def winding_self_lower_bound(word: Word, alphabet: GapAlphabet) -> int:
@@ -125,15 +112,6 @@ def best_obstacle_bound(depths: Iterable[tuple[int, int]]) -> int:
     return max(map(depth_family_bound, by_obstacle.values()), default=0)
 
 
-def family_bound_snails(k: int) -> int:
-    """Size threshold 4(2k+1)^2: any larger same-polarity family of based
-    loops with two-sided alternating prefixes has a pair (possibly equal)
-    with at least k crossings."""
-    if k < 1:
-        raise PreconditionError("k must be at least 1")
-    return 4 * (2 * k + 1) ** 2
-
-
 # -- closed-form bound evaluators ---------------------------------------------
 
 
@@ -164,66 +142,10 @@ def _power_of_two_text(exponent: int) -> str | None:
             sys.set_int_max_str_digits(limit)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """Closed-form bounds on the extremal family sizes for given n and k.
-
-    All values are exact; powers too large to expand keep their exponent.
-    """
-
-    n: int
-    k: int
-    f_upper_single_puncture: int | None
-    f_upper_double_exp_exponent: int
-    f_upper_double_exp_value: str | None
-    f_lower_sqrt_exponent_sqrt_arg: int | None
-    f_lower_sqrt_exponent: Fraction | None
-    f_lower_ratio_power: Fraction | None
-    f_from_g_coefficient: int
-    f_from_g_argument: int
-    snail_family_threshold: int
-    chain: str
-
-    def to_json(self) -> dict:
-        def frac(x: Fraction | None):
-            return None if x is None else f"{x.numerator}/{x.denominator}"
-
-        exp_json = None
-        if self.f_lower_sqrt_exponent_sqrt_arg is not None:
-            exp_json = {
-                "base": "2",
-                "exponentSqrtArg": str(self.f_lower_sqrt_exponent_sqrt_arg),
-                "exponentDivisor": "3",
-                "exponentExact": frac(self.f_lower_sqrt_exponent),
-                "approx": f"{2 ** (math.sqrt(self.f_lower_sqrt_exponent_sqrt_arg) / 3):.6g}",
-            }
-        return {
-            "n": self.n,
-            "k": self.k,
-            "exact": True,
-            "fUpperSinglePuncture": (
-                None
-                if self.f_upper_single_puncture is None
-                else str(self.f_upper_single_puncture)
-            ),
-            "fUpperDoubleExp": {
-                "base": "2",
-                "exponent": str(self.f_upper_double_exp_exponent),
-                "value": self.f_upper_double_exp_value,
-            },
-            "fLowerSqrtExp": exp_json,
-            "fLowerRatioPower": frac(self.f_lower_ratio_power),
-            "fFromG": {
-                "coefficient": str(self.f_from_g_coefficient),
-                "argument": str(self.f_from_g_argument),
-            },
-            "snailFamilyThreshold": str(self.snail_family_threshold),
-            "chain": self.chain,
-        }
-
-
-def analytic_bounds(n: int, k: int) -> BoundsReport:
-    """Evaluate every closed-form bound available at the given n and k."""
+def analytic_bounds(n: int, k: int) -> dict:
+    """Every closed-form bound on the extremal family sizes at the given n
+    and k, as the report that the `bounds` command prints.  All values are
+    exact; powers too large to expand keep their exponent."""
     if n < 1 or k < 1:
         raise PreconditionError("need n >= 1 and k >= 1")
     # the largest numbers are (2k)^(2n) and 484 k^2, and x has more than D
@@ -233,27 +155,36 @@ def analytic_bounds(n: int, k: int) -> BoundsReport:
     if n <= 2 * k and n * k >= 3072**2:  # sqrt(nk) / 3 >= 1024
         raise PreconditionError(f"2^(sqrt(nk)/3) at n={n}, k={k} is past the largest float")
     exponent = double_exp_exponent(n, k)
-    sqrt_arg = None
     sqrt_exp = None
     if n <= 2 * k:
-        sqrt_arg = n * k
-        root = math.isqrt(sqrt_arg)
-        if root * root == sqrt_arg:
-            sqrt_exp = Fraction(root, 3)
+        root = math.isqrt(n * k)
+        g = math.gcd(root, 3)
+        sqrt_exp = {
+            "base": "2",
+            "exponentSqrtArg": str(n * k),
+            "exponentDivisor": "3",
+            "exponentExact": f"{root // g}/{3 // g}" if root * root == n * k else None,
+            "approx": f"{2 ** (math.sqrt(n * k) / 3):.6g}",
+        }
     ratio_power = None
-    if n >= 2 * k:
-        ratio_power = Fraction(n, k) ** (k - 1)
-    return BoundsReport(
-        n=n,
-        k=k,
-        f_upper_single_puncture=2 * k + 1 if n == 1 else None,
-        f_upper_double_exp_exponent=exponent,
-        f_upper_double_exp_value=_power_of_two_text(exponent),
-        f_lower_sqrt_exponent_sqrt_arg=sqrt_arg,
-        f_lower_sqrt_exponent=sqrt_exp,
-        f_lower_ratio_power=ratio_power,
-        f_from_g_coefficient=484 * k * k,
-        f_from_g_argument=5 * k,
-        snail_family_threshold=family_bound_snails(k),
-        chain="g(n,k) <= f(n,k) <= g(n+1,k)",
-    )
+    if n >= 2 * k:  # (n/k)^(k-1); powers of coprime terms stay coprime
+        g = math.gcd(n, k)
+        ratio_power = f"{(n // g) ** (k - 1)}/{(k // g) ** (k - 1)}"
+    return {
+        "n": n,
+        "k": k,
+        "exact": True,
+        "fUpperSinglePuncture": str(2 * k + 1) if n == 1 else None,
+        "fUpperDoubleExp": {
+            "base": "2",
+            "exponent": str(exponent),
+            "value": _power_of_two_text(exponent),
+        },
+        "fLowerSqrtExp": sqrt_exp,
+        "fLowerRatioPower": ratio_power,
+        "fFromG": {"coefficient": str(484 * k * k), "argument": str(5 * k)},
+        # any larger same-polarity family of based loops with two-sided
+        # alternating prefixes has a pair (possibly equal) with k crossings
+        "snailFamilyThreshold": str(4 * (2 * k + 1) ** 2),
+        "chain": "g(n,k) <= f(n,k) <= g(n+1,k)",
+    }

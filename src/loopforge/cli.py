@@ -20,7 +20,7 @@ import sys
 import click
 from click.core import ParameterSource
 
-from .bounds import MAX_REPORT_DIGITS, analytic_bounds, find_windings, winding_self_lower_bound
+from .bounds import MAX_REPORT_DIGITS, analytic_bounds, best_obstacle_bound, find_windings
 from .canon import canon_v, canon_x
 from .expansion import count_vectors_exact, decompose, sweep_rows
 from .extremal import (
@@ -219,7 +219,7 @@ def pairint(word1: str, word2: str, n: int, hemi1: str, hemi2: str,
 @k_option
 def bounds(n: int, k: int) -> None:
     """Closed-form bounds on the extremal family sizes."""
-    _emit(analytic_bounds(n, k).to_json())
+    _emit(analytic_bounds(n, k))
 
 
 @main.command()
@@ -230,7 +230,6 @@ def windings(word_text: str, n: int) -> None:
     alphabet = GapAlphabet(n)
     word = parse_word(word_text, alphabet)
     found = find_windings(word, alphabet)
-    lb = winding_self_lower_bound(word, alphabet)
     _emit(
         {
             "windings": [
@@ -243,7 +242,7 @@ def windings(word_text: str, n: int) -> None:
                 }
                 for w in found
             ],
-            "lowerBound": lb,
+            "lowerBound": best_obstacle_bound((w.obstacle, w.depth) for w in found),
             "exact": True,
         }
     )
@@ -255,7 +254,7 @@ def windings(word_text: str, n: int) -> None:
 def decompose_cmd(word_text: str, n: int) -> None:
     """Core word and expansion vectors of a word without adjacent repeats."""
     letters = parse_letters(word_text, GapAlphabet(n))
-    if letters and letters[0] == V and letters[-1] == V:
+    if len(letters) >= 2 and letters[0] == V and letters[-1] == V:
         letters = letters[1:-1]
     if V in letters:
         raise PreconditionError("'v' must appear at both ends or not at all")

@@ -1,6 +1,8 @@
 import hashlib
+import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +11,6 @@ from loopforge import (
     PreconditionError,
     Word,
     analytic_bounds,
-    family_bound_snails,
     find_windings,
     parse_word,
     winding_self_lower_bound,
@@ -182,53 +183,47 @@ def test_snail_pair_lower_bound():
 
 
 def test_family_bound_threshold():
-    assert family_bound_snails(1) == 36
-    assert family_bound_snails(2) == 100
-    assert family_bound_snails(5) == 484
-    with pytest.raises(PreconditionError):
-        family_bound_snails(0)
+    assert analytic_bounds(1, 1)["snailFamilyThreshold"] == "36"
+    assert analytic_bounds(1, 2)["snailFamilyThreshold"] == "100"
+    assert analytic_bounds(1, 5)["snailFamilyThreshold"] == "484"
 
 
 def test_analytic_bounds_single_puncture():
     report = analytic_bounds(1, 3)
-    assert report.f_upper_single_puncture == 7
-    assert analytic_bounds(2, 3).f_upper_single_puncture is None
+    assert report["fUpperSinglePuncture"] == "7"
+    assert analytic_bounds(2, 3)["fUpperSinglePuncture"] is None
 
 
 def test_analytic_bounds_double_exponential():
     report = analytic_bounds(2, 1)
-    assert report.f_upper_double_exp_exponent == 16
-    assert report.f_upper_double_exp_value == str(2**16)
+    assert report["fUpperDoubleExp"]["exponent"] == "16"
+    assert report["fUpperDoubleExp"]["value"] == str(2**16)
 
 
 def test_analytic_bounds_sqrt_exponent():
     report = analytic_bounds(2, 8)
-    assert report.f_lower_sqrt_exponent_sqrt_arg == 16
-    assert str(report.f_lower_sqrt_exponent) == "4/3"
+    assert report["fLowerSqrtExp"]["exponentSqrtArg"] == "16"
+    assert report["fLowerSqrtExp"]["exponentExact"] == "4/3"
     # non-square argument keeps the root form without a rational exponent
     report = analytic_bounds(2, 3)
-    assert report.f_lower_sqrt_exponent_sqrt_arg == 6
-    assert report.f_lower_sqrt_exponent is None
+    assert report["fLowerSqrtExp"]["exponentSqrtArg"] == "6"
+    assert report["fLowerSqrtExp"]["exponentExact"] is None
 
 
 def test_analytic_bounds_ratio_case():
-    from fractions import Fraction
-
     report = analytic_bounds(10, 2)
-    assert report.f_lower_ratio_power == Fraction(10, 2) ** 1
-    assert analytic_bounds(1, 5).f_lower_ratio_power is None
+    assert report["fLowerRatioPower"] == "5/1"
+    assert analytic_bounds(1, 5)["fLowerRatioPower"] is None
 
 
 def test_analytic_bounds_coefficients():
     report = analytic_bounds(2, 3)
-    assert report.f_from_g_coefficient == 484 * 9
-    assert report.f_from_g_argument == 15
-    assert report.snail_family_threshold == 4 * 49
+    assert report["fFromG"] == {"coefficient": str(484 * 9), "argument": "15"}
+    assert report["snailFamilyThreshold"] == str(4 * 49)
 
 
 def test_analytic_bounds_json_big_numbers():
-    report = analytic_bounds(2, 8)
-    data = report.to_json()
+    data = analytic_bounds(2, 8)
     assert data["fUpperDoubleExp"]["exponent"] == str(16**4)
     # 2^65536 has ~20k digits; the decimal expansion is still emitted
     assert data["fUpperDoubleExp"]["value"] is None or isinstance(
@@ -237,12 +232,33 @@ def test_analytic_bounds_json_big_numbers():
     assert data["exact"] is True
 
 
+def _reference_fractions(n, k):
+    """exponentExact and fLowerRatioPower built with `Fraction`: root/3 for
+    a square nk <= 2k^2, and (n/k)^(k-1) for n >= 2k, each as "p/q"."""
+    def text(x):
+        return None if x is None else f"{x.numerator}/{x.denominator}"
+
+    root = math.isqrt(n * k)
+    exact = Fraction(root, 3) if n <= 2 * k and root * root == n * k else None
+    ratio = Fraction(n, k) ** (k - 1) if n >= 2 * k else None
+    return text(exact), text(ratio)
+
+
+def test_analytic_bounds_fractions_match_reference():
+    for n in range(1, 13):
+        for k in range(1, 13):
+            report = analytic_bounds(n, k)
+            sqrt_exp = report["fLowerSqrtExp"]
+            exact = None if sqrt_exp is None else sqrt_exp["exponentExact"]
+            assert (exact, report["fLowerRatioPower"]) == _reference_fractions(n, k), (n, k)
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
 def test_analytic_bounds_restores_int_digit_limit():
     """Expanding 2^65536 lifts the interpreter's int/str digit limit for that
     one conversion only, and still prints every digit."""
     before = sys.get_int_max_str_digits()
-    value = analytic_bounds(2, 8).f_upper_double_exp_value
+    value = analytic_bounds(2, 8)["fUpperDoubleExp"]["value"]
     assert sys.get_int_max_str_digits() == before
     if before:
         with pytest.raises(ValueError):
@@ -263,10 +279,10 @@ def test_double_exp_value_printed_up_to_20000_digits():
         for k in range(1, 13):
             assert double_exp_exponent(n, k) == (2 * k) ** (2 * n)
     # (2k)^(2n) = 66564 is the first exponent of a report past the cap
-    report = analytic_bounds(1, 129)
-    assert report.f_upper_double_exp_exponent == double_exp_exponent(1, 129) == 66564
-    assert report.f_upper_double_exp_value is None
-    assert analytic_bounds(1, 128).f_upper_double_exp_value is not None
+    report = analytic_bounds(1, 129)["fUpperDoubleExp"]
+    assert report["exponent"] == str(double_exp_exponent(1, 129)) == "66564"
+    assert report["value"] is None
+    assert analytic_bounds(1, 128)["fUpperDoubleExp"]["value"] is not None
 
 
 def test_analytic_bounds_rejects_bad_args():

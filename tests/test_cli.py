@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from cache_rows import cache_rows, write_row
-from loopforge import Drawing, cli, count_crossings, oracle
+from loopforge import Drawing, bounds, cli, count_crossings, oracle
 from loopforge.cache import DATABASE
 from loopforge.cli import main
 from loopforge.words import format_letters
@@ -384,6 +384,18 @@ def test_windings_command(runner):
     assert data["windings"][0]["obstacle"] == 1
 
 
+def test_windings_scans_word_once(runner, monkeypatch):
+    """The report's windings and its lower bound come from one scan of the
+    word's spans."""
+    calls = []
+    spans = bounds.obstacle_spans
+    monkeypatch.setattr(bounds, "obstacle_spans", lambda *a: calls.append(a) or spans(*a))
+    result = _invoke(runner, ["windings", "--n", "2", "v 2 0 1 0 2 1 0 1 2 v"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["lowerBound"] == 4
+    assert len(calls) == 1
+
+
 def test_windings_follow_word_not_n(runner):
     # only obstacles between two gaps the word uses can wind, so a huge --n
     # costs nothing and changes nothing for words over gaps 0..2
@@ -400,6 +412,21 @@ def test_decompose_command(runner):
     data = json.loads(result.output)
     assert data["core"] == "2 0 1 2"
     assert data["vectors"]["01"] == [2]
+
+
+def test_decompose_single_v_is_not_both_ends(runner):
+    """A lone 'v' is not a based word, as in `reduce`, `windings` and
+    `selfint`; 'v v' is the empty based word."""
+    for command in ("decompose", "reduce", "windings"):
+        result = _invoke(runner, [command, "--n", "2", "v"])
+        assert result.exit_code == 2, command
+        assert json.loads(result.output)["error"] == {
+            "type": "PreconditionError",
+            "message": "'v' must appear at both ends or not at all",
+        }
+    result = _invoke(runner, ["decompose", "--n", "2", "v v"])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {"core": "", "exact": True, "vectors": {}}
 
 
 def test_count_expansions_command(runner):

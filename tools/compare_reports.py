@@ -49,6 +49,16 @@ COMMANDS: list[list[str]] = (
        ["reduce", "--n", "2", "v 0 1 2 0 0 2 1 v"],
        ["canon", "--n", "2", "--hemisphere", "S", "v 1 2 0 1 2 v"],
        ["equiv", "--n", "2", "0 1 2 2 1 0", "0 1 1 0"]]
+    # every branch of the bounds report: one puncture, a non-square and a square
+    # sqrt(nk), the ratio power, a null power of two, and a refusal (exit 2)
+    + [["bounds", "--n", n, "--k", k]
+       for n, k in (("1", "3"), ("2", "3"), ("2", "8"), ("10", "2"), ("4", "10"),
+                    ("9216", "1024"))]
+    # windings: basepoint and x-word windings at an end are dropped, other end
+    # windings kept; the abab form; two windings of one obstacle against two obstacles
+    + [["windings", "--n", "2", word]
+       for word in ("v 2 0 1 0 v", "v 0 1 0 2 1 2 v", "0 1 0 2 1 2", "1 2 0 1 0 1 2 0",
+                    "v 2 0 1 0 2 1 0 1 2 v", "v 2 0 2 0 2 1 2 1 2 v")]
 )
 ORACLE_COMMANDS = ("enumerate", "graph", "growth", "pairint", "selfint")  # take --no-cache
 STATES = ("no-cache", "fresh", "warm")
