@@ -10,15 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import (
-    NORTH,
-    SOUTH,
-    PreconditionError,
-    Reduction,
-    Word,
-    hemisphere_after,
-    reduce_word,
-)
+from .words import NORTH, SOUTH, PreconditionError, Word, check_hemisphere, reduce_word
 
 
 @dataclass(frozen=True)
@@ -38,8 +30,7 @@ class VLoopClass:
     start_hemisphere: str
 
     def __post_init__(self) -> None:
-        if self.start_hemisphere not in (NORTH, SOUTH):
-            raise PreconditionError(f"bad hemisphere {self.start_hemisphere!r}")
+        check_hemisphere(self.start_hemisphere)
 
     def word(self) -> Word:
         return Word.v_word(self.core)
@@ -64,8 +55,6 @@ def canon_x(word: Word) -> XLoopClass:
 def canon_v(word: Word, first_arc_hemisphere: str) -> VLoopClass:
     if word.kind != "v":
         raise PreconditionError("canon_v needs a v-word")
-    if first_arc_hemisphere not in (NORTH, SOUTH):
-        raise PreconditionError(f"bad hemisphere {first_arc_hemisphere!r}")
-    red: Reduction = reduce_word(word)
-    hemi = hemisphere_after(first_arc_hemisphere, red.stripped_prefix_parity)
-    return VLoopClass(red.word.inner(), hemi)
+    south = check_hemisphere(first_arc_hemisphere) == SOUTH
+    red = reduce_word(word)
+    return VLoopClass(red.word.inner(), (NORTH, SOUTH)[south ^ red.stripped_prefix_parity])

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .words import PreconditionError, has_adjacent_repeat, maximal_two_letter_words
+from .words import PreconditionError, Span, all_maximal_spans, has_adjacent_repeat
 
 
 @dataclass(frozen=True)
@@ -30,15 +30,6 @@ class ExpansionDecomposition:
 
     core: tuple[int, ...]
     vectors: dict[tuple[int, int], tuple[int, ...]]
-
-
-def _pairs_present(letters: tuple[int, ...]) -> list[tuple[int, int]]:
-    present = sorted(set(letters))
-    return [
-        (a, b)
-        for i, a in enumerate(present)
-        for b in present[i + 1 :]
-    ]
 
 
 def shrink_core(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -61,16 +52,18 @@ def decompose(letters: tuple[int, ...]) -> ExpansionDecomposition:
     if has_adjacent_repeat(letters):
         raise PreconditionError("decomposition needs a word without adjacent repeats")
     core = shrink_core(letters)
+    full: dict[tuple[int, int], list[Span]] = {}
+    shrunk: dict[tuple[int, int], list[Span]] = {}
+    for by_pair, word in ((full, letters), (shrunk, core)):
+        for span in all_maximal_spans(word):
+            by_pair.setdefault((span.a, span.b), []).append(span)
     vectors: dict[tuple[int, int], tuple[int, ...]] = {}
-    for a, b in _pairs_present(letters):
-        spans_full = maximal_two_letter_words(letters, a, b)
-        spans_core = maximal_two_letter_words(core, a, b)
+    for pair in sorted(full.keys() | shrunk.keys()):
+        spans_full, spans_core = full.get(pair, []), shrunk.get(pair, [])
         if len(spans_full) != len(spans_core):
             raise AssertionError("shrinking must preserve the maximal-subword pattern")
-        if spans_full:
-            vectors[(a, b)] = tuple(
-                (sf.length - sc.length) // 2 for sf, sc in zip(spans_full, spans_core)
-            )
+        vectors[pair] = tuple((sf.length - sc.length) // 2
+                              for sf, sc in zip(spans_full, spans_core))
     return ExpansionDecomposition(core, vectors)
 
 

@@ -90,6 +90,7 @@ from .words import (
     PreconditionError,
     Word,
     V,
+    check_hemisphere,
     equator_position,
     format_letter,
 )
@@ -132,8 +133,7 @@ class CurveSpec:
     hemisphere: str
 
     def __post_init__(self) -> None:
-        if self.hemisphere not in (NORTH, SOUTH):
-            raise PreconditionError(f"bad hemisphere {self.hemisphere!r}")
+        check_hemisphere(self.hemisphere)
         if self.closed and V in self.letters:
             raise PreconditionError("closed diagrams have no basepoint letter")
         if self.closed and len(self.letters) % 2:
@@ -791,9 +791,7 @@ def _open_text(kind: str, letters: tuple[int, ...], hemisphere: str) -> tuple[st
     traversal, the pieces `_pair_form` joins (the letter string as a key's
     first curve, and as its second after a first of hemisphere 0 or 1), the
     hemisphere and the reversal."""
-    if hemisphere not in _HEMI_INT:
-        raise PreconditionError(f"bad hemisphere {hemisphere!r}")
-    hemi = _HEMI_INT[hemisphere]
+    hemi = _HEMI_INT[check_hemisphere(hemisphere)]
     parts = ((_letters_key(letters), hemi, False),
              (_letters_key(letters[::-1]), hemi ^ (len(letters) % 2), True))
     pieces = tuple((t + "@0~", (f"{t}@{h}", f"{t}@{h ^ 1}"), h, r) for t, h, r in parts)

@@ -27,17 +27,11 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated preconditions."""
 
 
-def flip(hemisphere: str) -> str:
-    if hemisphere == NORTH:
-        return SOUTH
-    if hemisphere == SOUTH:
-        return NORTH
-    raise PreconditionError(f"not a hemisphere: {hemisphere!r}")
-
-
-def hemisphere_after(hemisphere: str, arc_steps: int) -> str:
-    """Hemisphere reached from `hemisphere` after crossing the equator `arc_steps` times."""
-    return hemisphere if arc_steps % 2 == 0 else flip(hemisphere)
+def check_hemisphere(hemisphere: str) -> str:
+    """`hemisphere`, once checked to be NORTH or SOUTH."""
+    if hemisphere not in (NORTH, SOUTH):
+        raise PreconditionError(f"bad hemisphere {hemisphere!r}")
+    return hemisphere
 
 
 @dataclass(frozen=True)
@@ -50,11 +44,8 @@ class GapAlphabet:
         if self.n < 1:
             raise PreconditionError(f"need at least one puncture, got n={self.n}")
 
-    def is_gap(self, letter: int) -> bool:
-        return 0 <= letter <= self.n
-
     def validate_letter(self, letter: int) -> None:
-        if letter != V and not self.is_gap(letter):
+        if letter != V and not 0 <= letter <= self.n:
             raise PreconditionError(f"letter {letter} outside gap range 0..{self.n}")
 
 
@@ -89,9 +80,9 @@ class Word:
             raise PreconditionError(f"unknown word kind {self.kind!r}")
         if self.kind == "v":
             if len(self.letters) < 2 or self.letters[0] != V or self.letters[-1] != V:
-                raise PreconditionError("v-word must start and end with 'v'")
+                raise PreconditionError("'v' must appear at both ends or not at all")
             if V in self.letters[1:-1]:
-                raise PreconditionError("'v' inside the inner word")
+                raise PreconditionError("'v' in the interior of the word")
         else:
             if V in self.letters:
                 raise PreconditionError("x-word must not contain 'v'")
@@ -127,16 +118,9 @@ def parse_letters(text: str, alphabet: GapAlphabet) -> tuple[int, ...]:
 
 
 def parse_word(text: str, alphabet: GapAlphabet) -> Word:
-    """Parse and validate a word; the kind is inferred from 'v' at the ends."""
+    """Parse and validate a word: a v-word if 'v' occurs, else an x-word."""
     letters = parse_letters(text, alphabet)
-    n_v = letters.count(V)
-    if n_v == 0:
-        return Word.x_word(letters)
-    if len(letters) < 2 or letters[0] != V or letters[-1] != V:
-        raise PreconditionError("'v' must appear at both ends or not at all")
-    if n_v > 2:
-        raise PreconditionError("'v' in the interior of the word")
-    return Word(letters, "v")
+    return Word(letters, "v" if V in letters else "x")
 
 
 def has_adjacent_repeat(word: Word | tuple[int, ...]) -> bool:

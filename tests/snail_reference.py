@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from loopforge.words import (
+    NORTH,
+    SOUTH,
     V,
     GapAlphabet,
     PreconditionError,
@@ -21,7 +23,6 @@ from loopforge.words import (
     Word,
     equator_position,
     has_adjacent_repeat,
-    hemisphere_after,
 )
 
 
@@ -55,7 +56,8 @@ def _leading_snail(word: Word, first_arc_hemisphere: str, reverse: bool) -> Snai
     inner = word.inner()
     if reverse:
         inner = tuple(reversed(inner))
-        polarity = hemisphere_after(first_arc_hemisphere, len(word.inner()))
+        # each crossing of the equator flips the hemisphere
+        polarity = (NORTH, SOUTH)[(first_arc_hemisphere == SOUTH) ^ (len(inner) % 2)]
     else:
         polarity = first_arc_hemisphere
     if not inner or inner[0] not in (0, 1):

@@ -1,18 +1,29 @@
+import functools
+import json
 import random
 
 import pytest
+from click.testing import CliRunner
 
 from loopforge import (
+    NORTH,
+    CurveSpec,
     GapAlphabet,
+    OracleConfig,
     PreconditionError,
     V,
+    VLoopClass,
     Word,
     all_maximal_spans,
+    canon_v,
     has_adjacent_repeat,
     maximal_two_letter_words,
+    parse_letters,
     parse_word,
     reduce_word,
 )
+from loopforge.cli import main
+from segment_queries import segment_pair
 from snail_reference import orientation
 from loopforge.words import reduce_adjacent_pairs
 
@@ -45,6 +56,47 @@ def test_parse_rejects_one_sided_v(alpha2):
     # a lone 'v' has no interior
     with pytest.raises(PreconditionError, match="both ends or not at all"):
         parse_word("v", alpha2)
+
+
+BOTH_ENDS = "'v' must appear at both ends or not at all"
+INTERIOR = "'v' in the interior of the word"
+
+
+def _refused_by_cli(text: str) -> None:
+    result = CliRunner().invoke(main, ["reduce", "--n", "2", text], catch_exceptions=False)
+    assert result.exit_code == 2
+    raise PreconditionError(json.loads(result.output)["error"]["message"])
+
+
+def _word_rule_cases():
+    """Each word rule refused through every way in: (call, message)."""
+    alpha2 = GapAlphabet(2)
+    for text, message in (("2 v", BOTH_ENDS), ("v 2 v 2", BOTH_ENDS), ("v", BOTH_ENDS),
+                          ("v 2 v 2 v", INTERIOR), ("v v v", INTERIOR)):
+        letters = parse_letters(text, alpha2)
+        calls = {"parse_word": functools.partial(parse_word, text, alpha2),
+                 "Word": functools.partial(Word, letters, "v"),
+                 "cli": functools.partial(_refused_by_cli, text)}
+        if len(letters) >= 2 and letters[0] == letters[-1] == V:
+            calls["v_word"] = functools.partial(Word.v_word, letters[1:-1])
+        for way, call in calls.items():
+            yield pytest.param(call, message, id=f"{way}:{text}")
+    calls = {"VLoopClass": functools.partial(VLoopClass, (2,), "X"),
+             # stripped prefix parity 0, then 1
+             "canon_v-even": functools.partial(canon_v, Word.v_word((2,)), "X"),
+             "canon_v-odd": functools.partial(canon_v, Word.v_word((0, 2)), "X"),
+             "CurveSpec": functools.partial(CurveSpec, (0, 1), True, "X"),
+             "segment_pair": functools.partial(segment_pair, (2, 0), (1, 2), "X", NORTH, alpha2,
+                                               OracleConfig(use_cache=False))}
+    for way, call in calls.items():
+        yield pytest.param(call, "bad hemisphere 'X'", id=way)
+
+
+@pytest.mark.parametrize("call, message", _word_rule_cases())
+def test_word_rule_has_one_message(call, message):
+    with pytest.raises(PreconditionError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_parse_rejects_odd_x_word(alpha2):

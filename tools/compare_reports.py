@@ -59,6 +59,12 @@ COMMANDS: list[list[str]] = (
     + [["windings", "--n", "2", word]
        for word in ("v 2 0 1 0 v", "v 0 1 0 2 1 2 v", "0 1 0 2 1 2", "1 2 0 1 0 1 2 0",
                     "v 2 0 1 0 2 1 0 1 2 v", "v 2 0 2 0 2 1 2 1 2 v")]
+    # the word rules' refusals (exit 2): 'v' at one end or inside, an odd x-word,
+    # mixed kinds, and an oracle command refused in every cache state
+    + [["reduce", "--n", "2", "2 v"], ["reduce", "--n", "2", "v 2 v 2 v"],
+       ["canon", "--n", "2", "v 2 v 2"], ["windings", "--n", "2", "0 1 2"],
+       ["decompose", "--n", "2", "v v 2 v"], ["equiv", "--n", "2", "v 2 v", "0 1"],
+       ["selfint", "--n", "2", "2 v 2"]]
 )
 ORACLE_COMMANDS = ("enumerate", "graph", "growth", "pairint", "selfint")  # take --no-cache
 STATES = ("no-cache", "fresh", "warm")
