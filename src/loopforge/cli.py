@@ -36,6 +36,7 @@ from .words import (
     V,
     GapAlphabet,
     PreconditionError,
+    Word,
     format_letters,
     parse_letters,
     parse_word,
@@ -254,10 +255,8 @@ def windings(word_text: str, n: int) -> None:
 def decompose_cmd(word_text: str, n: int) -> None:
     """Core word and expansion vectors of a word without adjacent repeats."""
     letters = parse_letters(word_text, GapAlphabet(n))
-    if len(letters) >= 2 and letters[0] == V and letters[-1] == V:
-        letters = letters[1:-1]
-    if V in letters:
-        raise PreconditionError("'v' must appear at both ends or not at all")
+    if V in letters:  # a word without 'v' may have odd length here
+        letters = Word(letters, "v").inner()
     dec = decompose(letters)
     _emit(
         {

@@ -66,9 +66,10 @@ and the catalog's candidates are threshold queries at k (`_solve` with a
 cutoff): the exact minimum and witness below k, else only k.
 
 A query is answered through the cache key of one canonical form of its
-curves: reversed, rotated, swapped or mirrored curves share a key, and the
-witness of the form is drawn back onto the query's curves.  Every query is
-its key and its form as plain data, which `_solve` answers.  `_self_form`
+curves: reversed, rotated, swapped or mirrored curves share a key, and so
+do curves and their images under the reflection through v, all reflected
+together.  The witness of the form is drawn back onto the query's curves.
+Every query is its key and its form as plain data, which `_solve` answers.  `_self_form`
 builds them for a self query, and `_pair_form` for every pair query and
 every pair of the compatibility graph, by joining pieces of the texts of
 its two curves, made once per curve.  `_solve` builds the searched curves
@@ -117,9 +118,16 @@ class OracleConfig:
             raise PreconditionError("budget must be at least 1")
 
     def store(self) -> CacheStore | None:
+        """The cache store of `cache_dir`, built once per config, or of the
+        default directory as `$LOOPFORGE_CACHE` and the working directory
+        name it at each query: a library call's default config is shared."""
         if not self.use_cache:
             return None
-        return CacheStore(self.cache_dir or default_cache_dir())
+        return self._store if self.cache_dir else CacheStore(default_cache_dir())
+
+    @functools.cached_property
+    def _store(self) -> CacheStore:
+        return CacheStore(self.cache_dir)
 
 
 @dataclass(frozen=True)
@@ -720,7 +728,32 @@ def count_crossings(drawing: Drawing, tally: str = "auto") -> int:
 # -- canonical forms and cache keys --------------------------------------------
 
 
-def _letters_key(letters: tuple[int, ...]) -> str:
+class _Reflection(dict):
+    """σ_n: the reflection of the sphere that fixes v and keeps both
+    hemispheres.  It reverses the equator (0, v, 1, 2, ..., n), so it maps
+    gap 0 to 1, 1 to 0 and g to n + 2 - g for 2 <= g <= n.  Chords keep their
+    disks and interleavings, so every crossing minimum is unchanged.  A
+    letter's image is stored when it is first looked up, so the map grows
+    with the words and not with n; a letter out of range stays, and reaches
+    the search's range check."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, g: int) -> int:
+        self[g] = image = 1 - g if g in (0, 1) else self.n + 2 - g if 2 <= g <= self.n else g
+        return image
+
+
+_reflection = functools.cache(_Reflection)  # one map per n
+
+
+def _reflect(letters: tuple[int, ...], n: int) -> tuple[int, ...]:
+    return tuple(map(_reflection(n).__getitem__, letters))
+
+
+def _letters_key(letters) -> str:
     return ".".join(map(_letter_text, letters))
 
 
@@ -729,10 +762,33 @@ def _moved(letters: tuple[int, ...], shift: int, rev: bool) -> tuple[int, ...]:
     return rot[::-1] if rev else rot
 
 
-def _least(letters: tuple[int, ...], shifts=(0,)) -> tuple[str, int, bool]:
-    """The least letter string of `letters` over reversal and `shifts`, with
-    the shift and reversal that give it."""
-    return min((_letters_key(_moved(letters, s, r)), s, r) for s in shifts for r in (False, True))
+def _text(letters: tuple[int, ...], sig: _Reflection | None) -> tuple[str, bool]:
+    """The lesser letter string of `letters` and of their image under `sig`,
+    if any, and whether it is the image.  Text order is the order of the
+    letters' texts, and the two agree up to the first letter `sig` moves, so
+    that letter decides, and only the lesser string is formatted."""
+    if sig is not None:
+        for a in letters:
+            b = sig[a]
+            if b != a:
+                if _letter_text(b) < _letter_text(a):
+                    return _letters_key(map(sig.__getitem__, letters)), True
+                break
+    return _letters_key(letters), False
+
+
+def _least(letters: tuple[int, ...], sig: _Reflection | None,
+           shifts=(0,)) -> tuple[str, bool, int, bool]:
+    """The least letter string of `letters` over reversal, `shifts` and the
+    reflection `sig`, if any, with the reflection, shift and reversal that
+    give it; of equal strings, one without the reflection."""
+    best = None
+    for s in shifts:
+        for r in (False, True):
+            least = _text(_moved(letters, s, r), sig) + (s, r)
+            if best is None or least < best:
+                best = least
+    return best
 
 
 @dataclass(frozen=True)
@@ -741,21 +797,29 @@ class _Form:
     to search with the query's curves that their drawings are drawn back on
     (an x-pair searches both relative hemispheres).  The move (query curve,
     shift, reversed) of a searched curve sends its position j to position
-    (shift + (m-1-j if reversed else j)) mod m of that query curve."""
+    (shift + (m-1-j if reversed else j)) mod m of that query curve.  A
+    `reflected` form searches the images under σ_n of all its curves, whose
+    gap h is the query's gap σ_n(h), in reverse order."""
 
     searches: tuple[tuple[tuple[CurveSpec, ...], tuple[CurveSpec, ...]], ...]
     moves: tuple[tuple[int, int, bool], ...]
+    reflected: bool
 
     @staticmethod
-    def of(queries, moves, hemispheres) -> "_Form":
+    def of(n, queries, moves, hemispheres, reflected) -> "_Form":
         """Search each query, a tuple of curves (letters, closed,
-        hemisphere), moved by `moves`, starting in its hemispheres."""
+        hemisphere), moved by `moves` and reflected by σ_n if `reflected`,
+        starting in its hemispheres."""
+        def letters(curve: CurveSpec, shift: int, rev: bool) -> tuple[int, ...]:
+            moved = _moved(curve.letters, shift, rev)
+            return _reflect(moved, n) if reflected else moved
+
         queries = [tuple(CurveSpec(*c) for c in q) for q in queries]
         return _Form(tuple(
-            (tuple(CurveSpec(_moved(q[qi].letters, s, r), q[qi].closed, h)
+            (tuple(CurveSpec(letters(q[qi], s, r), q[qi].closed, h)
                    for (qi, s, r), h in zip(moves, hs)), q)
             for q, hs in zip(queries, hemispheres)
-        ), moves)
+        ), moves, reflected)
 
     def back(self, drawing: Drawing) -> Drawing:
         """A drawing of searched curves, drawn on the query's curves."""
@@ -766,79 +830,105 @@ class _Form:
             m = len(query[qi].letters)
             return qi, (shift + (m - 1 - j if rev else j)) % m
 
-        return Drawing(drawing.n, query, {g: tuple(point(*p) for p in order)
-                                          for g, order in drawing.gap_orders.items()})
+        orders = {g: tuple(point(*p) for p in order) for g, order in drawing.gap_orders.items()}
+        if self.reflected:
+            sig = _reflection(drawing.n)
+            orders = {sig[g]: order[::-1] for g, order in orders.items()}
+        return Drawing(drawing.n, query, orders)
 
 
-def _self_key(n: int, kind: str, letters: tuple[int, ...]) -> tuple[str, int, bool]:
+def _self_key(n: int, kind: str, letters: tuple[int, ...],
+              reflect: bool = True) -> tuple[str, int, bool, bool]:
     """The key of a self query on a closed curve ("x"), a v-word ("v") or an
-    open segment ("seg"), with the shift and reversal that give it."""
+    open segment ("seg"), with the shift, reversal and reflection that give
+    it: the least letter string over reversal, the rotations of a closed
+    curve, and σ_n unless not `reflect`."""
     # the closing chord makes the diagram cyclic
-    text, shift, rev = _least(letters, range(len(letters) or 1) if kind == "x" else (0,))
-    return (f"n{n}|seg|{text}" if kind == "seg" else f"n{n}|self|{kind}|{text}"), shift, rev
+    text, refl, shift, rev = _least(letters, _reflection(n) if reflect else None,
+                                    range(len(letters) or 1) if kind == "x" else (0,))
+    return (f"n{n}|seg|{text}" if kind == "seg" else f"n{n}|self|{kind}|{text}"), shift, rev, refl
 
 
 def _self_form(n: int, kind: str, letters: tuple[int, ...]) -> tuple[str, tuple]:
     """The key of a self query on the `kind` curve of `letters`, first arc
     north, and the arguments of `_Form.of` that build the form it names."""
-    key, shift, rev = _self_key(n, kind, letters)
-    return key, ([((letters, kind == "x", NORTH),)], ((0, shift, rev),), [(NORTH,)])
+    key, shift, rev, refl = _self_key(n, kind, letters)
+    return key, (n, [((letters, kind == "x", NORTH),)], ((0, shift, rev),), [(NORTH,)], refl)
 
 
-def _open_text(kind: str, letters: tuple[int, ...], hemisphere: str) -> tuple[str, tuple, tuple]:
+def _open_text(n: int, kind: str, letters: tuple[int, ...],
+               hemisphere: str) -> tuple[str, tuple, tuple]:
     """The text of an open curve of `kind`, and the curve as (letters,
-    closed, hemisphere).  The text gives, for the forward and the reversed
-    traversal, the pieces `_pair_form` joins (the letter string as a key's
-    first curve, and as its second after a first of hemisphere 0 or 1), the
-    hemisphere and the reversal."""
+    closed, hemisphere).  The text lists the pieces `_pair_form` joins, for
+    the forward and the reversed traversal of the curve and of its image
+    under σ_n: as a key's first curve, (letter string, reflection,
+    hemisphere, reversal), least first; and as its second, for each
+    reflection, (the letter string after a first of hemisphere 0 or 1,
+    hemisphere, reversal)."""
     hemi = _HEMI_INT[check_hemisphere(hemisphere)]
-    parts = ((_letters_key(letters), hemi, False),
-             (_letters_key(letters[::-1]), hemi ^ (len(letters) % 2), True))
-    pieces = tuple((t + "@0~", (f"{t}@{h}", f"{t}@{h ^ 1}"), h, r) for t, h, r in parts)
-    return kind, pieces, (letters, False, hemisphere)
+    firsts, seconds = [], []
+    for refl, image in zip((False, True), (letters, _reflect(letters, n))):
+        parts = ((_letters_key(image), hemi, False),
+                 (_letters_key(image[::-1]), hemi ^ (len(image) % 2), True))
+        firsts += [(t + "@0~", refl, h, r) for t, h, r in parts]
+        seconds.append([((f"{t}@{h}", f"{t}@{h ^ 1}"), h, r) for t, h, r in parts])
+    return kind, (sorted(firsts), seconds), (letters, False, hemisphere)
 
 
 def _class_text(c: LoopClass, n: int) -> tuple[str, tuple, tuple]:
-    """The text of a class's curve, an x-curve's first arc north."""
+    """The text of a class's curve, an x-curve's first arc north: for an
+    x-curve, the keys of its self query and of its image's under σ_n, each
+    least over rotation and reversal alone."""
     if isinstance(c, VLoopClass):
-        return _open_text("v", c.word().letters, c.start_hemisphere)
-    return "x", _self_key(n, "x", c.reduced), (c.reduced, True, NORTH)
+        return _open_text(n, "v", c.word().letters, c.start_hemisphere)
+    keys = tuple(_self_key(n, "x", letters, reflect=False)
+                 for letters in (c.reduced, _reflect(c.reduced, n)))
+    return "x", keys, (c.reduced, True, NORTH)
 
 
 def _pair_form(n: int, t1: tuple, t2: tuple) -> tuple[str, tuple]:
     """The key of a pair query on two curves of one kind, from their texts,
-    and the arguments of `_Form.of` that build the form it names."""
+    and the arguments of `_Form.of` that build the form it names.  σ_n
+    reflects both curves or neither: one curve's image alone may cross the
+    other curve more or less often."""
     (kind, a, c1), (other, b, c2) = t1, t2
     if kind != other:
         raise PreconditionError("cannot pair classes of different kinds")
     if kind == "x":
+        # the least joined key, of the curves or of their images; of equal
+        # keys, the curves'
+        text, refl = min(("~".join(sorted((a[rho][0], b[rho][0]))), rho) for rho in (False, True))
+        a, b = a[refl], b[refl]
         order = (0, 1) if a[0] <= b[0] else (1, 0)
         # a searched closed curve starts one arc later than its query curve
         # per odd shift, so each odd shift flips the relative hemisphere once
         flip = (a[1] + b[1]) % 2
         queries = [(c1, (c2[0], True, _HEMIS[h ^ flip])) for h in (0, 1)]
-        return f"n{n}|pairx|" + "~".join((a, b)[i][0] for i in order), (
-            queries, tuple((i,) + (a, b)[i][1:] for i in order), [(NORTH, h) for h in _HEMIS])
+        return f"n{n}|pairx|{text}", (
+            n, queries, tuple((i,) + (a, b)[i][1:3] for i in order),
+            [(NORTH, h) for h in _HEMIS], refl)
     # value-preserving transforms: swap curves, reverse either traversal,
-    # mirror both hemispheres.  The key is the least string "p@0~q@d" over a
-    # traversal p of one curve, then one q of the other, and their relative
-    # hemisphere d; the mirror image, p@1, is never less.  A letter string
-    # holds no "@", so of two different "p@0~" pieces neither begins the
-    # other: the greater one starts only greater keys, and equal keys have
-    # equal pieces.  Those are told apart as (p, q) tuples are, by the
-    # hemisphere, curve and reversal of p, then of q.
+    # mirror both hemispheres, reflect both curves by σ_n.  The key is the
+    # least string "p@0~q@d" over a traversal p of one curve, then one q of
+    # the other, both of the curves or both of their images, and their
+    # relative hemisphere d; the mirror image, p@1, is never less.  A letter
+    # string holds no "@", so of two different "p@0~" pieces neither begins
+    # the other: the greater one starts only greater keys, and equal keys
+    # have equal pieces.  Those are told apart as (p, q) tuples are, by the
+    # reflection, then the hemisphere, curve and reversal of p, then of q.
     key = None
-    for i, (ps, qs) in enumerate(((a, b), (b, a))):
-        for first, _, h, r in ps:
+    for i, ((firsts, _), (_, seconds)) in enumerate(((a, b), (b, a))):
+        for first, refl, h, r in firsts:
             if key is not None and first > key:
-                continue
-            for _, seconds, hq, rq in qs:
-                text = first + seconds[h]
-                if key is None or text < key or text == key and (h, i, r, hq, 1 - i, rq) < pick:
-                    key, pick = text, (h, i, r, hq, 1 - i, rq)
-    hf, i, ri, hs, j, rj = pick
+                break  # so are the later firsts
+            for pieces, hq, rq in seconds[refl]:
+                text = first + pieces[h]
+                if key is None or text < key or text == key and (
+                        refl, h, i, r, hq, 1 - i, rq) < pick:
+                    key, pick = text, (refl, h, i, r, hq, 1 - i, rq)
+    refl, hf, i, ri, hs, j, rj = pick
     return f"n{n}|pair|{kind}|{key}", (
-        [(c1, c2)], ((i, 0, ri), (j, 0, rj)), [(NORTH, _HEMIS[hf ^ hs])])
+        n, [(c1, c2)], ((i, 0, ri), (j, 0, rj)), [(NORTH, _HEMIS[hf ^ hs])], refl)
 
 
 def _solve(n: int, key: str, form: tuple, config: OracleConfig,

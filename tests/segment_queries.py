@@ -19,5 +19,5 @@ def segment_pair(letters_a: tuple[int, ...], letters_b: tuple[int, ...], polarit
                  polarity_b: str, alphabet: GapAlphabet, config: OracleConfig) -> CrossingCount:
     """Minimal crossings between two open segments of the given polarities."""
     n = alphabet.n
-    return _solve(n, *_pair_form(n, _open_text("seg", tuple(letters_a), polarity_a),
-                                 _open_text("seg", tuple(letters_b), polarity_b)), config)
+    return _solve(n, *_pair_form(n, _open_text(n, "seg", tuple(letters_a), polarity_a),
+                                 _open_text(n, "seg", tuple(letters_b), polarity_b)), config)

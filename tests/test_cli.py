@@ -429,6 +429,23 @@ def test_decompose_single_v_is_not_both_ends(runner):
     assert json.loads(result.output) == {"core": "", "exact": True, "vectors": {}}
 
 
+def test_decompose_refuses_interior_v_as_every_word_command(runner):
+    """A word with 'v' at both ends and inside gets the message `reduce`
+    and every other word command give; 'v' at one end only keeps its own.
+    A word without 'v' may still have odd length."""
+    for word, message in (("v v 2 v", "'v' in the interior of the word"),
+                          ("v 2 v 2 v", "'v' in the interior of the word"),
+                          ("2 v", "'v' must appear at both ends or not at all")):
+        for command in ("decompose", "reduce"):
+            result = _invoke(runner, [command, "--n", "2", word])
+            assert result.exit_code == 2, (command, word)
+            assert json.loads(result.output)["error"] == {
+                "type": "PreconditionError", "message": message}, (command, word)
+    result = _invoke(runner, ["decompose", "--n", "2", "2 0 1"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["core"] == "2 0 1"
+
+
 def test_count_expansions_command(runner):
     result = _invoke(runner, ["count-expansions", "--l", "2", "--k", "3"])
     data = json.loads(result.output)

@@ -367,14 +367,14 @@ def test_cached_jobs_match_sequential(tmp_path):
         graph = compatibility_graph(catalog, config, jobs=jobs)
         runs[jobs] = catalog.to_json(), graph.to_json(), cache_rows(config.cache_dir)
     assert runs[2] == runs[1]
-    assert len(runs[1][2]) > 100
+    assert len(runs[1][2]) > 70  # 82 rows
 
 
 def test_jobs_workers_open_a_new_cache_together(tmp_path):
     """The workers of a `--jobs` pool that open a cache no process has opened
     yet each set its journal mode, at about the same time: none fails with
     "database is locked", as about one pool in ten did."""
-    words = [(V, 0, V), (V, 1, V)]
+    words = [(V, 0, V), (V, 2, V)]  # two keys: v 1 v is the reflection of v 0 v
     for attempt in range(50):
         config = OracleConfig(cache_dir=tmp_path / str(attempt))
         calls = [(2, *oracle._self_form(2, "v", w), config) for w in words]
@@ -437,19 +437,22 @@ def test_batched_rows_match_rows_written_one_by_one(tmp_path, monkeypatch):
         runs.append((catalog.to_json(), graph.to_json(), len(calls), cache_rows(config.cache_dir)))
         monkeypatch.undo()
     assert runs[1] == runs[0] and runs[2] == runs[0]
-    assert len(runs[0][3]) > 300
+    assert len(runs[0][3]) > 200  # 252 rows
 
 
 def test_graph_searches_each_key_once(nocache_config, monkeypatch):
     # pairs of one cache key share one answer: the k=4 graph has 780 pairs
-    # and 132 distinct keys, and even without a cache each is searched once
+    # and 75 distinct keys (132 without the reflection through v), and even
+    # without a cache each is searched once
     catalog = enumerate_classes(2, 4, nocache_config)
     search = oracle.minimize_crossings
     calls = []
     monkeypatch.setattr(oracle, "minimize_crossings", lambda *a: calls.append(a) or search(*a))
     graph = compatibility_graph(catalog, nocache_config)
     assert len(graph.edges) == 780
-    assert len(calls) == 132
+    assert len(calls) == 75
+    texts = [oracle._class_text(e.loop_class, 2) for e in catalog.entries]
+    assert len({oracle._pair_form(2, texts[i], texts[j])[0] for i, j in graph.edges}) == 75
 
 
 @pytest.mark.parametrize("n, k", [(2, 4), (1, 4)])

@@ -8,13 +8,14 @@ import os
 import random
 import shutil
 import sys
+import tempfile
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import naive_reference as naive
@@ -291,10 +292,18 @@ def _flip(hemisphere, parity):
     return (NORTH, SOUTH)[(hemisphere == SOUTH) ^ parity]
 
 
-def _symmetric_forms(curves, rotation):
+def _reflected(letters, n):
+    """The letters of the curve reflected through v, which reverses the
+    equator (0, v, 1, 2, ..., n) and keeps both hemispheres: 0 and 1 trade
+    places, and 2..n run backwards."""
+    return tuple(a if a == V else 1 - a if a < 2 else n + 2 - a for a in letters)
+
+
+def _symmetric_forms(curves, rotation, n):
     """Curve tuples that differ from `curves` by a symmetry the cache keys
     rely on: each curve reversed, each closed curve rotated by `rotation`,
-    the curves swapped, every hemisphere mirrored."""
+    the curves swapped, every hemisphere mirrored, every curve reflected
+    through v."""
     for i, c in enumerate(curves):
         # chord j of an m-letter curve lies in hemisphere h + j, and the
         # reversal starts on chord m - 2: hemisphere h + m, which keeps h for
@@ -310,6 +319,7 @@ def _symmetric_forms(curves, rotation):
     if len(curves) == 2:
         yield curves[::-1]
     yield tuple(CurveSpec(c.letters, c.closed, _flip(c.hemisphere, 1)) for c in curves)
+    yield tuple(CurveSpec(_reflected(c.letters, n), c.closed, c.hemisphere) for c in curves)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -325,10 +335,72 @@ def test_key_symmetries_keep_value(instance, rotation):
     for the oracle and for the brute-force reference alike."""
     n, curves, tally = instance
     want = naive.minimize(_plain(curves), n, tally)
-    for moved in _symmetric_forms(curves, rotation):
+    for moved in _symmetric_forms(curves, rotation, n):
         value, _, exact = minimize_crossings(n, moved, tally)
         assert exact and value == want, (curves, moved)
         assert naive.minimize(_plain(moved), n, tally) == want, (curves, moved)
+
+
+@st.composite
+def _reflected_queries(draw):
+    """A self or pair query whose cache key names the reflection through v
+    of its curves: n, the key, the form and the query's curves.  Open
+    curves (maybe with a basepoint first), v-words or closed curves, at
+    most six crossings in all."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("seg", "v", "x")))
+    count = draw(st.integers(1, 2))
+    curves = []
+    for _ in range(count):
+        letters = tuple(draw(st.lists(st.integers(0, n), min_size=1, max_size=6 // count)))
+        if kind == "x":
+            letters = letters[:len(letters) // 2 * 2]
+        elif kind == "v":
+            letters = (V, *letters, V)
+        else:
+            letters = (V,) * draw(st.booleans()) + letters
+        # a self query and an x-class start north
+        open_pair = count == 2 and kind != "x"
+        hemisphere = draw(st.sampled_from((NORTH, SOUTH))) if open_pair else NORTH
+        curves.append(CurveSpec(letters, kind == "x", hemisphere))
+    if count == 1:
+        key, form = oracle._self_form(n, kind, curves[0].letters)
+    else:
+        key, form = _pair_form(n, *(
+            oracle._class_text(XLoopClass(c.letters), n) if kind == "x"
+            else _open_text(n, kind, c.letters, c.hemisphere) for c in curves))
+    assume(form[-1])
+    return n, key, form, tuple(curves)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_reflected_queries())
+def test_reflected_canonical_witness_draws_the_query(query):
+    """A query whose key names its curves reflected through v searches the
+    reflected curves, and its witness, drawn back, draws the query's own
+    curves and recounts to the query's minimum, with no cache, on a fresh
+    cache and on a warm one alike."""
+    n, key, form, curves = query
+    tally = "self" if len(curves) == 1 else "inter"
+    searched = oracle._Form.of(*form).searches[0][0]
+    assert sorted(a for c in searched for a in c.letters) == sorted(
+        a for c in curves for a in _reflected(c.letters, n))
+    # an x-pair is minimized over the relative hemisphere of its second curve
+    hemispheres = (NORTH, SOUTH) if curves[0].closed and tally == "inter" else (
+        curves[-1].hemisphere,)
+    want = min(naive.minimize(_plain(curves[:-1] + (replace(curves[-1], hemisphere=h),)),
+                              n, tally) for h in hemispheres)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        answers = [oracle._solve(n, key, form, config)
+                   for config in (OracleConfig(use_cache=False), OracleConfig(cache_dir=cache_dir),
+                                  OracleConfig(cache_dir=cache_dir))]
+    for got in answers:
+        assert got.exact and got.value == want
+        assert got.witness == answers[0].witness
+        drawn = got.witness.curves
+        assert drawn[0] == curves[0]
+        assert [c.letters for c in drawn] == [c.letters for c in curves]
+        assert count_crossings(got.witness, tally) == want
 
 
 @st.composite
@@ -839,15 +911,16 @@ def test_stopped_pair_search_keeps_the_greedy_drawing():
 
 def test_threshold_entry_answers_the_exact_query(tmp_path, monkeypatch, nocache_config, alpha2):
     """A threshold query below its cutoff leaves the exact entry, drawn on
-    the curves its key names (here the reversed segment), and a following
-    exact query reads it without a search."""
+    the curves its key names (here the reversed segment reflected through
+    v), and a following exact query reads it without a search."""
     letters = (V, 2, 0, 1, 0, 1, 0, 1, 2)  # minimum 5
     want = segment_self(letters, alpha2, nocache_config)
     config = OracleConfig(cache_dir=tmp_path)
     assert segment_self_at_least(letters, 6, alpha2, config) is False
     [entry] = [json.loads(text) for text in cache_rows(tmp_path).values()]
     assert entry["exact"] and entry["value"] == want.value == 5
-    assert entry["witness"]["curves"][0]["letters"] == [format_letter(a) for a in letters[::-1]]
+    assert entry["witness"]["curves"][0]["letters"] == [
+        format_letter(a) for a in _reflected(letters[::-1], 2)]
 
     def no_search(*args):
         raise AssertionError("the exact query searched")
@@ -903,7 +976,9 @@ def test_drawing_json_round_trip(config, alpha2):
 
 def test_default_cache_dir(tmp_path, monkeypatch):
     """Without a cache directory the oracle uses `$LOOPFORGE_CACHE` when it
-    is set and not empty, else `.loopforge-cache` in the working directory."""
+    is set and not empty, else `.loopforge-cache` in the working directory,
+    as they are at each query, also for one shared config.  A config with
+    a cache directory builds its store once."""
     monkeypatch.chdir(tmp_path)
     here, elsewhere = tmp_path / ".loopforge-cache", tmp_path / "elsewhere"
     for value, directory in ((None, here), ("", here), (str(elsewhere), elsewhere)):
@@ -912,12 +987,15 @@ def test_default_cache_dir(tmp_path, monkeypatch):
         else:
             monkeypatch.setenv("LOOPFORGE_CACHE", value)
         assert default_cache_dir() == str(directory)
-    _selfint_v((2, 0, 2), OracleConfig())
+    shared = OracleConfig()
+    _selfint_v((2, 0, 2), shared)
     assert [json.loads(e)["value"] for e in cache_rows(elsewhere).values()] == [1]
     assert not here.exists()
     monkeypatch.delenv("LOOPFORGE_CACHE")
-    _selfint_v((2, 1, 2), OracleConfig())
+    _selfint_v((2, 1, 2), shared)
     assert [json.loads(e)["value"] for e in cache_rows(here).values()] == [1]
+    config = OracleConfig(cache_dir=elsewhere)
+    assert config.store() is config.store()
 
 
 def test_budget_exhaustion_flags_inexact():
@@ -1172,13 +1250,17 @@ def _written_keys(cache_dir) -> list[str]:
 
 
 def test_cache_keys_pinned(tmp_path):
-    """Cache keys are a file format: existing caches must keep hitting."""
+    """Cache keys are a file format: existing caches must keep hitting.  A
+    key names its least form, and the reflection through v gave some
+    queries a lesser one; an old cache keeps hitting on every key that is
+    still the least form of its queries."""
     assert _written_keys(tmp_path) == json.loads(PINNED_KEYS.read_text())
 
 
 def _reference_pair_key(n, kind, specs):
-    """The pair key as first defined: the least of the 16 strings over curve
-    swap, reversal of either curve and mirroring of both hemispheres."""
+    """The pair key as first defined, with the reflection through v: the
+    least of the 32 strings over curve swap, reversal of either curve,
+    mirroring of both hemispheres and reflecting both curves."""
 
     def spec_forms(letters, hemi):
         arcs = len(letters) - 1
@@ -1190,14 +1272,16 @@ def _reference_pair_key(n, kind, specs):
 
     (l1, h1), (l2, h2) = specs
     keys = []
-    for a in spec_forms(l1, h1):
-        for b in spec_forms(l2, h2):
-            for first, second in ((a, b), (b, a)):
-                for mirror in (0, 1):
-                    keys.append(
-                        f"{text(first[0])}@{first[1] ^ mirror}"
-                        f"~{text(second[0])}@{second[1] ^ mirror}"
-                    )
+    for reflect in (False, True):
+        images = [(_reflected(ls, n) if reflect else ls, h) for ls, h in ((l1, h1), (l2, h2))]
+        for a in spec_forms(*images[0]):
+            for b in spec_forms(*images[1]):
+                for first, second in ((a, b), (b, a)):
+                    for mirror in (0, 1):
+                        keys.append(
+                            f"{text(first[0])}@{first[1] ^ mirror}"
+                            f"~{text(second[0])}@{second[1] ^ mirror}"
+                        )
     return f"n{n}|pair|{kind}|{min(keys)}"
 
 
@@ -1213,7 +1297,7 @@ def test_pair_key_transforms():
         return letters[::-1], (hemi + len(letters)) % 2
 
     def key_of(specs):
-        return _pair_form(12, *(_open_text("seg", ls, (NORTH, SOUTH)[h]) for ls, h in specs))[0]
+        return _pair_form(12, *(_open_text(12, "seg", ls, (NORTH, SOUTH)[h]) for ls, h in specs))[0]
 
     for v_start, v_end, odd, hemi in itertools.product((False, True), repeat=4):
         for _ in range(8):
@@ -1225,31 +1309,57 @@ def test_pair_key_transforms():
             assert key == _reference_pair_key(12, "seg", specs)
             # the texts of the curves compose the key either way round
             assert key_of(specs[::-1]) == key
-            for swap, rev1, rev2, mirror in itertools.product((False, True), repeat=4):
+            for swap, rev1, rev2, mirror, reflect in itertools.product((False, True), repeat=5):
                 first, second = specs[::-1] if swap else specs
                 first = reverse(*first) if rev1 else first
                 second = reverse(*second) if rev2 else second
-                moved = tuple((ls, h ^ mirror) for ls, h in (first, second))
+                moved = tuple((_reflected(ls, 12) if reflect else ls, h ^ mirror)
+                              for ls, h in (first, second))
                 assert key_of(moved) == key, (specs, moved)
+
+
+def test_reflecting_one_curve_of_a_pair_changes_the_key(nocache_config):
+    """The reflection through v acts on both curves of a pair together.
+    Reflected alone, one curve may cross the other more or less often, so
+    such a pair has another key: `v 2 0 2 v` crosses its own reflection
+    `v 2 1 2 v` never, and itself twice.  Reflecting both keeps the key."""
+    n, same, other = 2, (V, 2, 0, 2, V), (V, 2, 1, 2, V)
+    assert _reflected(same, n) == other
+
+    def form(c1, c2):
+        return _pair_form(n, *(_open_text(n, "v", c, NORTH) for c in (c1, c2)))
+
+    assert form(same, other)[0] != form(same, same)[0]
+    assert form(other, other)[0] == form(same, same)[0]
+    assert form(other, same)[0] == form(same, other)[0]
+    for (c1, c2), want in (((same, other), 0), ((same, same), 2), ((other, other), 2)):
+        got = oracle._solve(n, *form(c1, c2), nocache_config)
+        assert got.value == want == naive.pair((c1, False, 0), (c2, False, 0), n=n)
+        assert count_crossings(got.witness) == want
 
 
 def _eight_string_pair_form(n, kind, curves):
     """The key and `_Form.of` arguments of a pair query on two open curves
-    as first composed: format the eight strings "p@0~q@d" of a traversal p
+    as first composed, with the reflection through v: for the curves and
+    for their images, format the eight strings "p@0~q@d" of a traversal p
     of one curve, one q of the other and their relative hemisphere d, and
-    take the least (string, p, q), p and q as (text, hemisphere, curve,
-    reversed).  Each curve is (letters, closed, hemisphere)."""
-    parts = []
-    for i, (letters, _, hemisphere) in enumerate(curves):
-        hemi = (NORTH, SOUTH).index(hemisphere)
-        parts.append([(".".join(map(format_letter, letters)), hemi, i, False),
-                      (".".join(map(format_letter, letters[::-1])),
-                       hemi ^ (len(letters) % 2), i, True)])
-    text, (_, hf, i, ri), (_, hs, j, rj) = min(
-        (f"{p[0]}@0~{q[0]}@{p[1] ^ q[1]}", p, q)
-        for x in parts[0] for y in parts[1] for p, q in ((x, y), (y, x)))
+    take the least (string, reflected, p, q), p and q as (text, hemisphere,
+    curve, reversed).  Each curve is (letters, closed, hemisphere)."""
+    candidates = []
+    for reflect in (False, True):
+        parts = []
+        for i, (letters, _, hemisphere) in enumerate(curves):
+            hemi = (NORTH, SOUTH).index(hemisphere)
+            image = _reflected(letters, n) if reflect else letters
+            parts.append([(".".join(map(format_letter, image)), hemi, i, False),
+                          (".".join(map(format_letter, image[::-1])),
+                           hemi ^ (len(letters) % 2), i, True)])
+        candidates += [(f"{p[0]}@0~{q[0]}@{p[1] ^ q[1]}", reflect, p, q)
+                       for x in parts[0] for y in parts[1] for p, q in ((x, y), (y, x))]
+    text, reflect, (_, hf, i, ri), (_, hs, j, rj) = min(candidates)
     return f"n{n}|pair|{kind}|{text}", (
-        [tuple(curves)], ((i, 0, ri), (j, 0, rj)), [(NORTH, (NORTH, SOUTH)[hf ^ hs])])
+        n, [tuple(curves)], ((i, 0, ri), (j, 0, rj)), [(NORTH, (NORTH, SOUTH)[hf ^ hs])],
+        reflect)
 
 
 def test_pair_form_matches_eight_string_formula(config):
@@ -1261,7 +1371,7 @@ def test_pair_form_matches_eight_string_formula(config):
     pairs = [(t1, t2) for i, t1 in enumerate(texts) for t2 in texts[i:]]
     words = [(V, 2, V), (V, 2, 0, 2, V), (V, 2, 0, 1, 0, 2, V), (2, 0, 2), (2, 0, 0, 2),
              (V, 1, 0, 1), (1, 0, 1, V), (0, 1), (1, 0), (V, V)]
-    seg = [_open_text("seg", letters, hemi) for letters in words for hemi in (NORTH, SOUTH)]
+    seg = [_open_text(2, "seg", letters, hemi) for letters in words for hemi in (NORTH, SOUTH)]
     pairs += [(t1, t2) for t1 in seg for t2 in seg]
     assert len(pairs) > 3160
     for t1, t2 in pairs:

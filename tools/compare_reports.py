@@ -38,6 +38,10 @@ COMMANDS: list[list[str]] = (
        ["pairint", "--n", "2", "0 1 2 1", "0 2 0 1 2 1"]]
     # a chord inside a gap: of an open word, and the closing chord of a closed one
     + [["selfint", "--n", "2", "v 2 0 0 1 2 v"], ["selfint", "--n", "2", "0 1 1 2 2 0"]]
+    # the reflection through v: the chord-in-gap word reflected (value 1), and a
+    # pair with one curve reflected (value 0; without the reflection it is 2)
+    + [["selfint", "--n", "2", "v 2 1 1 0 2 v"],
+       ["pairint", "--n", "2", "v 2 0 2 v", "v 2 1 2 v"]]
     + [["graph", "--n", n, "--k", "4", "--jobs", "2"] for n in ("1", "2")]
     # the commands that need no oracle
     + [["bounds", "--n", "2", "--k", "5"],
