@@ -21,6 +21,7 @@ import click
 from click.core import ParameterSource
 
 from .bounds import MAX_REPORT_DIGITS, analytic_bounds, best_obstacle_bound, find_windings
+from .cache import default_cache_dir
 from .canon import canon_v, canon_x
 from .expansion import count_vectors_exact, decompose, sweep_rows
 from .extremal import (
@@ -106,10 +107,13 @@ jobs_option = click.option("--jobs", type=int, default=1, show_default=True)
 
 
 def oracle_options(fn):
-    """Add the oracle options and pass the command one `config` argument."""
+    """Add the oracle options and pass the command one `config` argument,
+    whose cache directory is resolved once for the whole command."""
 
     @functools.wraps(fn)
     def command(budget: int, cache_dir: str | None, no_cache: bool, **kwargs):
+        if not cache_dir and not no_cache:
+            cache_dir = default_cache_dir()
         config = OracleConfig(budget=budget, cache_dir=cache_dir, use_cache=not no_cache)
         return fn(config=config, **kwargs)
 

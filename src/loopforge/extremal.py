@@ -8,8 +8,12 @@ oracle run on the basepoint-anchored prefix segment; both prunes are sound,
 so the walk is exhaustive up to the provable length cap.  The walk draws
 each anchored prefix by growing its parent's drawing by one point; a prefix
 drawn with fewer than k crossings is below k, so the oracle is asked only
-about prefixes whose grown drawing has k or more.  Each candidate is a
-threshold query at k as well: its exact minimum and witness below k.
+about prefixes whose grown drawing has k or more.  The walk visits one
+mirror half of the prefix tree, the cores beginning `2 0`: the reflection
+through v swaps letters 0 and 1, keeps every crossing minimum and every
+prune, and so reads the cores beginning `2 1` off that half.  Each
+candidate is a threshold query at k as well: its exact minimum and witness
+below k, evaluated in order up to the first that runs out of budget.
 
 Pairwise-compatibility graphs and clique sizes probe the extremal family
 sizes.  A clique upper bound is honest in one direction only: any valid
@@ -34,6 +38,7 @@ from .oracle import (
     _class_text,
     _grow_segment,
     _pair_form,
+    _reflect,
     _segment_start,
     _self_form,
     _solve,
@@ -169,27 +174,43 @@ def _wound(wind: tuple, prefix: tuple[int, ...], letter: int, n: int) -> tuple:
     return closed, best, block_obstacles(min(last, letter), max(last, letter), n), 2
 
 
-def _map(fn, calls: list[tuple], jobs: int) -> list:
-    """`[fn(*args) for args in calls]`, run in a pool of processes when there
-    is more than one job and more than one call.  The pool starts all its
-    processes at the first call, so it has no more than there are jobs,
-    calls or CPUs.  The rows of an open cache batch are written first, so
-    the workers read them."""
+def _through_first(results, stop) -> list:
+    """The results up to the first one that `stop` holds for, that one too."""
+    out = []
+    for res in results:
+        out.append(res)
+        if stop(res):
+            break
+    return out
+
+
+def _map(fn, calls: list[tuple], jobs: int, stop=lambda res: False) -> list:
+    """`[fn(*args) for args in calls]`, ending at the first result that
+    `stop` holds for, run in a pool of processes when there is more than one
+    job and more than one call.  The pool starts all its processes at the
+    first call, so it has no more than there are jobs, calls or CPUs, and a
+    stop cancels the calls it has not started.  The rows of an open cache
+    batch are written first, so the workers read them."""
     if jobs <= 1 or len(calls) <= 1:
-        return [fn(*args) for args in calls]
+        return _through_first((fn(*args) for args in calls), stop)
     flush_batch()
     from concurrent.futures import ProcessPoolExecutor  # loaded only by a run that forks
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(calls), os.cpu_count() or 1)) as pool:
-        return list(pool.map(fn, *zip(*calls)))
+        results = _through_first(pool.map(fn, *zip(*calls)), stop)
+        if len(results) < len(calls):
+            pool.shutdown(cancel_futures=True)
+        return results
 
 
 def _evaluate_words(
     words: list[Word], k: int, alphabet: GapAlphabet, config: OracleConfig, jobs: int
 ) -> list[CrossingCount]:
-    """Each word's threshold query at k: its exact minimum below k."""
+    """Each word's threshold query at k: its exact minimum below k, up to
+    the first word whose query runs out of budget."""
     n = alphabet.n
-    return _map(_solve, [(n, *_self_form(n, w.kind, w.letters), config, k) for w in words], jobs)
+    return _map(_solve, [(n, *_self_form(n, w.kind, w.letters), config, k) for w in words],
+                jobs, lambda res: not res.exact)
 
 
 def _enumerate_x_words(cap: int) -> list[Word]:
@@ -203,18 +224,27 @@ def _enumerate_x_words(cap: int) -> list[Word]:
 def _collect_core_candidates(
     k: int, cap: int, alphabet: GapAlphabet, config: OracleConfig
 ) -> list[tuple[int, ...]]:
-    """Depth-first walk over reduced core words (start and end letter 2).
+    """Depth-first walk over reduced core words (start and end letter 2), in
+    lexicographic order.
 
     Each anchored prefix `(V,) + prefix` is drawn by growing its parent's
     drawing by one point.  A drawing with fewer than k crossings shows that
     the prefix is below k, so the oracle is asked only about prefixes whose
     grown drawing has k or more; growing only adds crossings, so below such
     a prefix no more drawings are grown.  Each prefix hands its children its
-    winding state and its drawing, so neither is rebuilt from the letters."""
+    winding state and its drawing, so neither is rebuilt from the letters.
+
+    Only the root `(2,)` and the subtree below `(2, 0)` are walked.  The
+    reflection σ_2 through v keeps 2 and swaps 0 and 1, so it maps that
+    subtree onto the one below `(2, 1)`, and a prefix and its image are
+    pruned alike: their winding bounds only relabel obstacles, and they
+    share the oracle's cache key, so the oracle's verdict.  The candidates
+    below `(2, 1)` are the images of those below `(2, 0)`, sorted."""
     candidates: list[tuple[int, ...]] = []
     n = alphabet.n
 
-    def walk(prefix: tuple[int, ...], wind: tuple, drawn: tuple | None) -> None:
+    def walk(prefix: tuple[int, ...], wind: tuple, drawn: tuple | None,
+             letters: tuple[int, ...] = (0, 1, 2)) -> None:
         # drawn: a drawing of the anchored parent prefix (`_grow_segment`)
         # while its crossings are below k, else None
         if prefix_winding_lb(wind) >= k:
@@ -231,12 +261,13 @@ def _collect_core_candidates(
             candidates.append(prefix)
         if len(prefix) >= cap:
             return
-        for letter in (0, 1, 2):
+        for letter in letters:
             if letter != prefix[-1]:
                 walk(prefix + (letter,), _wound(wind, prefix, letter, n), drawn)
 
-    walk((2,), _winding_start(n), _segment_start(n))
-    return candidates
+    walk((2,), _winding_start(n), _segment_start(n), (0,))
+    # every candidate but the root lies below (2, 0)
+    return candidates + sorted(_reflect(core, n) for core in candidates[1:])
 
 
 def enumerate_classes(
@@ -249,8 +280,9 @@ def enumerate_classes(
     to the provable length cap: x-classes for n=1, both-polarity v-classes
     for n=2.
 
-    Raises :class:`EnumerationIncompleteError` if any candidate exhausts the
-    oracle budget; a truncated count is never reported.
+    Raises :class:`EnumerationIncompleteError` at the first candidate that
+    exhausts the oracle budget, whose later candidates are not evaluated; a
+    truncated count is never reported.
     """
     if k < 1:
         raise PreconditionError("k must be at least 1")
@@ -333,6 +365,13 @@ class CompatibilityGraph:
         }
 
 
+def _reflected_class(c: LoopClass, n: int) -> LoopClass:
+    """The image of a class under σ_n, which keeps hemispheres."""
+    if isinstance(c, VLoopClass):
+        return VLoopClass(_reflect(c.core, n), c.start_hemisphere)
+    return XLoopClass(_reflect(c.reduced, n))
+
+
 def compatibility_graph(
     catalog: ClassCatalog,
     config: OracleConfig = OracleConfig(),
@@ -341,21 +380,31 @@ def compatibility_graph(
     if jobs < 1:
         raise PreconditionError("jobs must be at least 1")
     n, count = catalog.n, catalog.count
-    texts = [_class_text(e.loop_class, n) for e in catalog.entries]
-    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    classes = [e.loop_class for e in catalog.entries]
+    texts = [_class_text(c, n) for c in classes]
+    # the index of each class's image under σ_n, or -1 if the catalog does
+    # not hold it: a pair and its image share one cache key
+    index = {c: i for i, c in enumerate(classes)}
+    images = [index.get(_reflected_class(c, n), -1) for c in classes]
     # pairs of one cache key share one answer, so only the first form of
-    # each key is searched or read, and no witness is drawn
-    keys, forms = [], {}
-    for i, j in pairs:
-        key, form = _pair_form(n, texts[i], texts[j])
-        keys.append(key)
-        forms.setdefault(key, form)
+    # each key is searched or read, and no witness is drawn.  A pair whose
+    # image came earlier reuses that pair's key and builds no key of its own.
+    keys, forms = {}, {}
+    for i in range(count):
+        a = images[i]
+        for j in range(i + 1, count):
+            b = images[j]
+            key = keys.get((a, b) if a < b else (b, a))
+            if key is None:
+                key, form = _pair_form(n, texts[i], texts[j])
+                forms.setdefault(key, form)
+            keys[i, j] = key
     calls = [(n, key, form, config, None, False) for key, form in forms.items()]
     with batched_writes():
         results = _map(_solve, calls, jobs)
     edges = {key: GraphEdge(res.value, res.exact, res.value < catalog.k or not res.exact)
              for key, res in zip(forms, results)}
-    return CompatibilityGraph(catalog, {pair: edges[key] for pair, key in zip(pairs, keys)})
+    return CompatibilityGraph(catalog, {pair: edges[key] for pair, key in keys.items()})
 
 
 # -- clique bounds --------------------------------------------------------------

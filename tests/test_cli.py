@@ -77,6 +77,26 @@ def test_deleted_working_directory_is_a_precondition_error(runner, monkeypatch):
     assert error["type"] == "PreconditionError" and "--cache-dir" in error["message"]
 
 
+def test_default_cache_dir_is_resolved_once_per_command(runner, tmp_path, monkeypatch):
+    """Without --cache-dir or --no-cache a command resolves the default cache
+    directory once, not once per query, and its rows land there."""
+    calls = []
+
+    def counted():
+        calls.append(None)
+        return str(tmp_path / "default-cache")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LOOPFORGE_CACHE", raising=False)
+    monkeypatch.setattr(oracle, "default_cache_dir", counted)
+    monkeypatch.setattr(cli, "default_cache_dir", counted, raising=False)
+    result = _invoke(runner, ["graph", "--n", "2", "--k", "3"])
+    assert result.exit_code == 0
+    assert len(calls) == 1
+    assert cache_rows(tmp_path / "default-cache")
+    assert not (tmp_path / ".loopforge-cache").exists()
+
+
 def test_canon_command(runner):
     result = _invoke(
         runner, ["canon", "--n", "2", "--hemisphere", "N", "v 0 2 1 0 2 1 v"]

@@ -174,6 +174,28 @@ def test_enumerate_names_the_first_inexact_candidate(n, message):
     assert str(info.value) == message
 
 
+def test_evaluation_stops_at_the_first_inexact_candidate(alpha2, monkeypatch):
+    """Candidates are evaluated in order up to the first whose query runs out
+    of budget, which the error names; with jobs the pool's calls not yet
+    started are cancelled, and the error is the same."""
+    config, k = OracleConfig(budget=1, use_cache=False), 4
+    words = _candidates(2, k, config)
+    first = next(i for i, w in enumerate(words)
+                 if not oracle._solve(2, *oracle._self_form(2, "v", w.letters), config, k).exact)
+    assert first + 1 < len(words)
+    message = f"budget exhausted on core {words[first].inner()}"
+    assert message == "budget exhausted on core (2, 0, 1, 2)"
+    solved, solve = [], extremal._solve
+    monkeypatch.setattr(extremal, "_solve", lambda *a: solved.append(a) or solve(*a))
+    with pytest.raises(extremal.EnumerationIncompleteError) as info:
+        enumerate_classes(2, k, config)
+    assert str(info.value) == message and len(solved) == first + 1
+    monkeypatch.undo()  # the pool's workers take `_solve` by name
+    with pytest.raises(extremal.EnumerationIncompleteError) as info:
+        enumerate_classes(2, k, config, jobs=2)
+    assert str(info.value) == message
+
+
 def test_enumerate_with_jobs_matches_sequential(nocache_config):
     # no cache, so the pool itself computes every value and witness
     seq = enumerate_classes(2, 2, nocache_config)
@@ -304,12 +326,32 @@ def test_walk_settles_prefixes_by_their_drawings(k, alpha2, nocache_config, monk
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
-def test_walk_matches_reference_walk(k, alpha2, nocache_config):
-    """Settling prefixes by their drawings keeps every candidate of the walk
-    that asks the oracle at every prefix, in the same order."""
+def test_walk_matches_reference_walk(k, alpha2):
+    """Settling prefixes by their drawings, and reading the cores below
+    (2, 1) as the reflections of those below (2, 0), keeps every candidate
+    of the walk that asks the oracle at every prefix of the whole tree, in
+    the same order, also at budgets that leave prefixes undecided."""
     cap = length_cap(k, 2)
-    assert (extremal._collect_core_candidates(k, cap, alpha2, nocache_config)
-            == reference_core_candidates(k, cap, alpha2, nocache_config))
+    for budget in (1, 3, 10, oracle.DEFAULT_BUDGET):
+        config = OracleConfig(budget=budget, use_cache=False)
+        assert (extremal._collect_core_candidates(k, cap, alpha2, config)
+                == reference_core_candidates(k, cap, alpha2, config)), budget
+
+
+def test_walk_visits_one_mirror_half(alpha2, nocache_config, monkeypatch):
+    """No prefix below (2, 1) is grown or asked about, yet the candidates
+    below (2, 1) are those below (2, 0) with 0 and 1 swapped."""
+    k, seen, grow, ask = 5, [], extremal._grow_segment, extremal.segment_self_at_least
+    monkeypatch.setattr(extremal, "_grow_segment",
+                        lambda drawn, letters: seen.append(letters) or grow(drawn, letters))
+    monkeypatch.setattr(extremal, "segment_self_at_least",
+                        lambda letters, *a: seen.append(letters) or ask(letters, *a))
+    cores = extremal._collect_core_candidates(k, length_cap(k, 2), alpha2, nocache_config)
+    assert seen and all(letters[1:3] != (2, 1) for letters in seen)
+    swap = {0: 1, 1: 0, 2: 2}
+    below = {c: [core for core in cores if core[:2] == c] for c in ((2, 0), (2, 1))}
+    assert below[(2, 0)] and cores == [(2,)] + below[(2, 0)] + below[(2, 1)]
+    assert below[(2, 1)] == sorted(tuple(swap[a] for a in core) for core in below[(2, 0)])
 
 
 def test_enumerate_stable_under_larger_cap(alpha2, config):
@@ -441,18 +483,34 @@ def test_batched_rows_match_rows_written_one_by_one(tmp_path, monkeypatch):
 
 
 def test_graph_searches_each_key_once(nocache_config, monkeypatch):
-    # pairs of one cache key share one answer: the k=4 graph has 780 pairs
-    # and 75 distinct keys (132 without the reflection through v), and even
-    # without a cache each is searched once
+    """Pairs of one cache key share one answer: the k=4 graph has 780 pairs
+    and 75 distinct keys (132 without the reflection through v), and even
+    without a cache each is searched once, in the form of its first pair.  A
+    pair whose image under the reflection came earlier reuses that pair's
+    key, so keys are built once per orbit of pairs under the reflection."""
     catalog = enumerate_classes(2, 4, nocache_config)
-    search = oracle.minimize_crossings
-    calls = []
-    monkeypatch.setattr(oracle, "minimize_crossings", lambda *a: calls.append(a) or search(*a))
+    classes = [e.loop_class for e in catalog.entries]
+    texts = [oracle._class_text(c, 2) for c in classes]
+    pairs = list(itertools.combinations(range(len(classes)), 2))
+    want = {}
+    for i, j in pairs:
+        key, form = oracle._pair_form(2, texts[i], texts[j])
+        want.setdefault(key, form)
+    swap = {0: 1, 1: 0, 2: 2}
+    image = [classes.index(VLoopClass(tuple(swap[a] for a in c.core), c.start_hemisphere))
+             for c in classes]
+    orbits = {frozenset({(i, j), tuple(sorted((image[i], image[j])))}) for i, j in pairs}
+    search, solve, pair_form = oracle.minimize_crossings, extremal._solve, extremal._pair_form
+    searches, solved, formed = [], [], []
+    monkeypatch.setattr(oracle, "minimize_crossings",
+                        lambda *a: searches.append(a) or search(*a))
+    monkeypatch.setattr(extremal, "_solve", lambda *a: solved.append(a[1:3]) or solve(*a))
+    monkeypatch.setattr(extremal, "_pair_form", lambda *a: formed.append(a) or pair_form(*a))
     graph = compatibility_graph(catalog, nocache_config)
     assert len(graph.edges) == 780
-    assert len(calls) == 75
-    texts = [oracle._class_text(e.loop_class, 2) for e in catalog.entries]
-    assert len({oracle._pair_form(2, texts[i], texts[j])[0] for i, j in graph.edges}) == 75
+    assert len(searches) == len(want) == 75
+    assert solved == list(want.items())
+    assert len(formed) == len(orbits) < len(pairs)
 
 
 @pytest.mark.parametrize("n, k", [(2, 4), (1, 4)])

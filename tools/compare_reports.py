@@ -43,6 +43,9 @@ COMMANDS: list[list[str]] = (
     + [["selfint", "--n", "2", "v 2 1 1 0 2 v"],
        ["pairint", "--n", "2", "v 2 0 2 v", "v 2 1 2 v"]]
     + [["graph", "--n", n, "--k", "4", "--jobs", "2"] for n in ("1", "2")]
+    # budget limits: one walk prefix left undecided (exit 0), and a catalog
+    # stopped at its first inexact candidate (exit 3)
+    + [["enumerate", "--n", "2", "--k", "4", "--budget", b] for b in ("30", "1")]
     # the commands that need no oracle
     + [["bounds", "--n", "2", "--k", "5"],
        ["windings", "--n", "2", "v 2 0 1 0 2 1 2 v"],
