@@ -36,6 +36,25 @@ pair of its points then costs a fixed weight in either order, so the bound
 is tight there.  The largest gap first throughout and ascending sizes
 both measured slower.
 
+Where the table bound fails to prune, the search folds into the pair
+weights of the gap being ordered the comparisons of the next table whose
+two ends are unplaced points of that gap, which the table counts for
+neither order (the two-gap coupling of two-layer crossing minimization,
+Jünger and Mutzel 1997).  A comparison that always counts adds 1 to its
+order.  A row (f, b) with its decided ends counted and k open costs
+min(f + X, b + k - X) when X open ends go first; that is concave in X, so
+at least its chord: min(f, b + k) plus X (min(f + k, b) - min(f, b + k)) / k,
+a constant and a weight on each open end.  Every completion orders each
+pair of unplaced points one way, so the cheaper folded order of each pair,
+plus the constants and the table's other terms, bound it from below.  That
+is never below the table bound, since min(a + c, b + d) >= min(a, b) +
+min(c, d) and each chord is at least min(f, b) at both ends.  Weights are
+scaled by a multiple of every open count, so the sum is exact before it is
+rounded up.  The bound prunes only subtrees with no drawing below the
+current bound, so the search visits a subset of its nodes in the same order
+and ends on the same drawing; on the ladder `v 2 (0 1)^m 2 v` at m = 12 it
+cut the units from 84,857 to 8,539.
+
 Every search first makes one greedy descent through the same levels,
 appending at each step the point whose append charges least.  That drawing
 is the incumbent, and the bound starts one above its count (at it when it
@@ -79,6 +98,7 @@ only when it searches or draws a witness.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -430,27 +450,45 @@ class _Search:
         # adds min(f + x, b + y).  Where one order is never dearer that is a
         # constant plus x (or y), kept as one flat list of comparisons; only
         # the other rows pay for the min.
+        # The ends new at table L + 1, `opens[L + 1]`, lie in gap L, and
+        # the fold lists of gap L keep them: `fold_less[L]` its comparisons,
+        # `fold_rows[L]` each row with the count of its ends there, its last.
+        # `folding[L]` holds those rows with their other ends counted, on
+        # each `_dfs` entry at L, and every open count divides `fold_scale[L]`.
         self.bound_const = [0] * (levels + 1)
         self.bound_less: list[list[tuple[int, int]]] = [[] for _ in range(levels + 1)]
         self.bound_rows: list[list[tuple[int, int, list[tuple[int, int]]]]] = [
             [] for _ in range(levels + 1)
         ]
+        self.fold_less: dict[int, list[tuple[int, int]]] = {}
+        self.fold_rows: dict[int, list[tuple[tuple, int]]] = {}
+        self.folding: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
         for (gi, i, j), opens in opens_of.items():
             f, b = self.fixed_w[gi][i][j], self.fixed_w[gi][j][i]
             varying: list[tuple[int, int]] = []
             for level in range(1, gi + 1):
-                varying += opens.get(level, ())
+                new = opens.get(level, ())
+                varying += new
                 k = len(varying)
                 if f + k <= b:
                     self.bound_const[level] += f
                     self.bound_less[level] += varying
+                    if new:
+                        self.fold_less.setdefault(level - 1, []).extend(new)
                 elif b + k <= f:
                     self.bound_const[level] += b
                     self.bound_less[level] += [(q, p) for p, q in varying]
+                    if new:
+                        self.fold_less.setdefault(level - 1, []).extend((q, p) for p, q in new)
                 elif k == 1:  # f == b: either order costs f
                     self.bound_const[level] += f
                 else:
-                    self.bound_rows[level].append((f, b, list(varying)))
+                    row = (f, b, list(varying))
+                    self.bound_rows[level].append(row)
+                    if new:
+                        self.fold_rows.setdefault(level - 1, []).append((row, len(new)))
+        self.fold_scale = {level: math.lcm(*range(1, max(new for _, new in rows) + 1))
+                           for level, rows in self.fold_rows.items()}
 
         self.pos = list(base_pos)
         self.current: dict[int, tuple[int, ...]] = {}
@@ -489,6 +527,45 @@ class _Search:
                     b += 1
             total += f if f < b else b
         return total
+
+    def _fold(self, level: int, w: list[list[int]], table: int) -> int:
+        """`table`, the table bound of a node of the gap at `level`, raised by
+        folding into the gap's pair weights w the comparisons of the next
+        table whose two ends are unplaced points of that gap, which the
+        table counts for neither order.  Costs are scaled by `fold_scale`, so
+        the sum is exact."""
+        pos, scale = self.pos, self.fold_scale.get(level, 1)
+        gain, pairs = 0, {}  # pairs[p, q]: the scaled cost folded into "p before q"
+        for p, q in self.fold_less.get(level, ()):
+            if pos[p] == pos[q]:  # both unplaced
+                pairs[p, q] = pairs.get((p, q), 0) + scale
+        for f, b, ends in self.folding.get(level, ()):
+            opened = []
+            for end in ends:
+                p, q = end
+                if pos[p] < pos[q]:
+                    f += 1
+                elif pos[q] < pos[p]:
+                    b += 1
+                else:
+                    opened.append(end)
+            if opened:
+                k = len(opened)
+                low = f if f < b + k else b + k  # the chord at X = 0
+                gain += low - (f if f < b else b)
+                slope = ((f + k if f + k < b else b) - low) * (scale // k)
+                if slope:
+                    for end in opened:
+                        pairs[end] = pairs.get(end, 0) + slope
+        gain *= scale
+        index_of = self.index_of
+        for (p, q), c in pairs.items():
+            back = pairs.get((q, p))
+            if back is None or p < q:  # each point pair once
+                i, j = index_of[p], index_of[q]
+                c_ij, c_ji = w[i][j] * scale, w[j][i] * scale
+                gain += min(c_ij + c, c_ji + (back or 0)) - min(c_ij, c_ji)
+        return table - (-gain // scale)
 
     def _charge(self, amount: int) -> None:
         self.units += amount
@@ -573,9 +650,21 @@ class _Search:
             for j in range(i + 1, m):
                 c_ij, c_ji = wi[j], w[j][i]
                 rest += c_ij if c_ij < c_ji else c_ji
-        if acc + self._future_bound(level + 1, rest) >= self.bound:
+        bound = acc + self._future_bound(level + 1, rest)
+        if bound >= self.bound:
             return
-        self._extend(level, acc, rest, (), list(range(m)), w)
+        # the ends in earlier gaps are placed throughout this subtree
+        pos, folding = self.pos, []
+        self.folding[level] = folding
+        for (f, b, ends), new in self.fold_rows.get(level, ()):
+            for p, q in ends[:-new]:
+                if pos[p] < pos[q]:
+                    f += 1
+                else:
+                    b += 1
+            folding.append((f, b, ends[-new:]))
+        if self._fold(level, w, bound) < self.bound:
+            self._extend(level, acc, rest, (), list(range(m)), w)
 
     def _extend(self, level: int, acc: int, rest: int, order: tuple[int, ...],
                 left: list[int], w: list[list[int]]) -> None:
@@ -627,8 +716,10 @@ class _Search:
                 if acc + inc < self.bound:
                     self.current[g] = order + (p,) + tuple(pts[j] for j in others)
                     self._dfs(level + 1, acc + inc)
-            elif acc + inc + self._future_bound(level + 1, rest - drop) < self.bound:
-                self._extend(level, acc + inc, rest - drop, order + (p,), others, w)
+            else:
+                bound = acc + inc + self._future_bound(level + 1, rest - drop)
+                if bound < self.bound and self._fold(level, w, bound) < self.bound:
+                    self._extend(level, acc + inc, rest - drop, order + (p,), others, w)
         for i in left:
             pos[pts[i]] = at
 

@@ -8,7 +8,7 @@ family bounds.  Families:
 
 * `catalog n=1 k=4` and `catalog n=2 k=4`: `enumerate_classes`, then
   `compatibility_graph` and `family_bounds`, without cache;
-* `ladder m=6..8`: `self_intersection_number` of `v 2 (0 1)^m 2 v`;
+* `ladder m=6..11`: `self_intersection_number` of `v 2 (0 1)^m 2 v`;
 * `clean gap`: `self_intersection_number` over 11 punctures of
   `v (10 0 1 0 2 0 ... 9 0)^2 10 0 10 v`, whose gap 0 holds 21 points and no
   chord, so the search orders it last;
@@ -125,7 +125,7 @@ def run_families(lf, oracle, recorder: Recorder, seed: int, count: int) -> None:
         }})
     recorder.family = "ladder"
     alpha = lf.GapAlphabet(2)
-    for m in range(6, 9):
+    for m in range(6, 12):
         lf.self_intersection_number(lf.Word.v_word((2,) + (0, 1) * m + (2,)), alpha, nocache)
     recorder.family = "clean gap"
     spokes = tuple(x for g in (10, *range(1, 10)) for x in (g, 0))  # 10 0 1 0 ... 9 0

@@ -482,13 +482,19 @@ def test_gap_orders_not_materialized():
     assert peak < 250_000, peak
 
 
-@pytest.mark.parametrize("m, value", [(10, 29), (11, 32)])
-def test_ladder_gaps_ordered_point_by_point(m, value):
+@pytest.mark.parametrize("m, value, budget", [
+    pytest.param(10, 29, 5_000, id="10-29"),
+    pytest.param(11, 32, 10_000, id="11-32"),
+    pytest.param(12, 35, 20_000, id="12-35"),
+])
+def test_ladder_gaps_ordered_point_by_point(m, value, budget):
     """The ladder's two m-point gaps have m! orders each, but the search
-    prunes after every appended point: m = 10 and m = 11 finish exact
-    within 50,000 units, far below the 10! orders of one gap."""
+    prunes after every appended point, and the folded bound refutes most
+    orders of the first gap: m = 10, 11 and 12 finish exact within 1,221,
+    3,215 and 8,539 units, where the table bound alone needs 9,669, 29,513
+    and 84,857."""
     ladder = CurveSpec((V, 2) + (0, 1) * m + (2, V), False, NORTH)
-    got, witness, exact = minimize_crossings(2, (ladder,), "self", budget=50_000)
+    got, witness, exact = minimize_crossings(2, (ladder,), "self", budget=budget)
     assert exact and got == value
     assert count_crossings(witness, "self") == value
 
@@ -654,6 +660,82 @@ def _random_curves(rng):
             letters = [V] * rng.randint(0, 1) + letters + [V] * rng.randint(0, 1)
         curves.append(CurveSpec(tuple(letters), closed, rng.choice((NORTH, SOUTH))))
     return n, tuple(curves), tally
+
+
+def _small_instance(rng):
+    """A random instance of `_random_curves` with at most eight points."""
+    while True:
+        n, curves, tally = _random_curves(rng)
+        if sum(a != V for c in curves for a in c.letters) <= 8:
+            return n, curves, tally
+
+
+def test_folded_bound_is_sound(monkeypatch):
+    """Every folded bound the search computes is at or above the table bound
+    of its node, and at or below the least count of a completion of that
+    node: the orders of the placed gaps and the placed points of the gap
+    being ordered, followed by any order of its unplaced points and of the
+    later gaps, brute-forced by `_Instance.evaluate_orders`.  Some folded
+    bounds are above the table bound."""
+    fold = oracle._Search._fold
+    checked = {"nodes": 0, "raised": 0}
+
+    def checked_fold(self, level, w, table):
+        got = fold(self, level, w, table)
+        inst, gaps = self.inst, self.gap_order
+        g = gaps[level]
+        unplaced = _unplaced_points(self, g) or set(inst.gap_points[g])
+        placed = tuple(sorted(set(inst.gap_points[g]) - unplaced, key=self.pos.__getitem__))
+        fixed = {h: self.current[h] for h in gaps[:level]}
+        later = gaps[level + 1:]
+        least = min(
+            inst.evaluate_orders({**fixed, g: placed + head, **dict(zip(later, tails))})
+            for head in itertools.permutations(unplaced)
+            for tails in itertools.product(
+                *(itertools.permutations(inst.gap_points[h]) for h in later)))
+        assert table <= got <= least, (inst.curves, level, placed)
+        checked["nodes"] += 1
+        checked["raised"] += got > table
+        return got
+
+    monkeypatch.setattr(oracle._Search, "_fold", checked_fold)
+    ladders = [(2, (CurveSpec((V, 2) + (0, 1) * m + (2, V), False, NORTH),), "self")
+               for m in range(2, 5)]
+    rng = random.Random(191)
+    for n, curves, tally in ladders + [_small_instance(rng) for _ in range(1500)]:
+        minimize_crossings(n, curves, tally, cutoff=rng.choice((None, 1, 2, 3, 5)))
+    assert checked["raised"] > 0, checked
+
+
+def test_fold_changes_no_answer(monkeypatch):
+    """The folded bound only prunes subtrees holding no drawing below the
+    current bound, so the search visits a subset of the nodes it visits
+    without the fold, in the same order: an exact answer is the same value
+    and witness for no more units, and a search stopped by its budget gets
+    no worse.  Across these searches the fold saves units."""
+    units = []
+    run = oracle._Search.run
+
+    def counted(self):
+        try:
+            return run(self)
+        finally:
+            units.append(self.units)
+
+    monkeypatch.setattr(oracle._Search, "run", counted)
+    ladders = [(2, (CurveSpec((V, 2) + (0, 1) * m + (2, V), False, NORTH),), "self")
+               for m in range(3, 10)]
+    rng = random.Random(193)
+    cases = [(inst, budget) for inst in ladders + [_random_curves(rng) for _ in range(300)]
+             for budget in (10, oracle.DEFAULT_BUDGET)]
+    folded = [minimize_crossings(*inst, budget) for inst, budget in cases]
+    monkeypatch.setattr(oracle._Search, "_fold", lambda self, level, w, table: table)
+    plain = [minimize_crossings(*inst, budget) for inst, budget in cases]
+    with_fold, without = units[:len(cases)], units[len(cases):]
+    for case, got, want, used, spent in zip(cases, folded, plain, with_fold, without):
+        assert used <= spent and got[0] <= want[0], case
+        assert got == want or not want[2], case
+    assert sum(with_fold) < sum(without)
 
 
 # -- structural invariants --------------------------------------------------------
