@@ -3,7 +3,8 @@
 Each directory holds one database file, `entries.sqlite`, whose table maps a
 canonical key to the JSON text of its entry.  A `put` is one `INSERT OR
 REPLACE` under the WAL journal, in a transaction of its own, so concurrent
-writers (`--jobs` workers, other processes) only ever replace a whole entry.
+writers (the pair-search workers of `graph --jobs`, other processes) only
+ever replace a whole entry.
 Inside :func:`batched_writes` the process that opened the batch keeps its
 rows in memory instead, reads them back from there, and writes them in one
 transaction per :data:`BATCH_ROWS` rows and when the batch ends, also by an
@@ -86,7 +87,7 @@ def _open(path: str):
                            check_same_thread=False)
     try:
         # the file keeps its journal mode.  Of two processes setting it on a
-        # new file at once (`--jobs` workers), SQLite fails one at once
+        # new file at once (`graph --jobs` workers), SQLite fails one at once
         # instead of letting it wait, so that one tries again
         deadline = time.monotonic() + BUSY_SECONDS
         while conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":

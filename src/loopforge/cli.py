@@ -103,7 +103,16 @@ class _Group(click.Group):
 n_option = click.option("--n", "n", type=int, default=2, show_default=True,
                         help="number of punctures")
 k_option = click.option("--k", type=int, required=True, help="crossing budget")
-jobs_option = click.option("--jobs", type=int, default=1, show_default=True)
+
+
+def _refuse_given(names: tuple[str, ...], why: str) -> None:
+    """Exit 2 when the command line gives any of the named parameters,
+    which the command will not read: "--hemi1 not used with x-words"."""
+    ctx = click.get_current_context()
+    given = [p.opts[0] for p in ctx.command.params if p.name in names
+             and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
+    if given:
+        raise click.UsageError(f"{', '.join(given)} not used {why}")
 
 
 def oracle_options(fn):
@@ -142,6 +151,7 @@ def _two_classes(word1: str, word2: str, n: int, hemi1: str, hemi2: str):
         raise PreconditionError("cannot mix words of different kinds")
     if w1.kind == "v":
         return canon_v(w1, hemi1), canon_v(w2, hemi2)
+    _refuse_given(("hemi1", "hemi2"), "with x-words")
     return canon_x(w1), canon_x(w2)
 
 
@@ -175,6 +185,8 @@ def reduce(word_text: str, n: int) -> None:
 def canon(word_text: str, n: int, hemisphere: str) -> None:
     """Canonical homotopy-class descriptor of a word."""
     word = parse_word(word_text, GapAlphabet(n))
+    if word.kind == "x":
+        _refuse_given(("hemisphere",), "with x-words")
     cls = canon_v(word, hemisphere) if word.kind == "v" else canon_x(word)
     _emit({"class": cls.to_json(), "exact": True})
 
@@ -284,14 +296,8 @@ def decompose_cmd(word_text: str, n: int) -> None:
 def count_expansions(length: int | None, k: int | None, sweep: bool, lmax: int, kmax: int,
                      fmt: str) -> None:
     """Count expansion vectors whose forced-crossing bound stays below k."""
-    ctx = click.get_current_context()
-    unused = ("length", "k") if sweep else ("lmax", "kmax", "fmt")
-    given = [p.opts[0] for p in ctx.command.params if p.name in unused
-             and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
-    if given:
-        mode = "with" if sweep else "without"
-        raise click.UsageError(f"{', '.join(given)} not used {mode} --sweep")
     if sweep:
+        _refuse_given(("length", "k"), "with --sweep")
         rows = [{key: "" if val is None else str(val) for key, val in row.items()}
                 for row in sweep_rows(range(0, lmax + 1), range(1, kmax + 1))]
         if fmt == "csv":
@@ -300,6 +306,7 @@ def count_expansions(length: int | None, k: int | None, sweep: bool, lmax: int, 
         else:
             _emit({"rows": rows, "exact": True})
         return
+    _refuse_given(("lmax", "kmax", "fmt"), "without --sweep")
     if length is None or k is None:
         raise click.UsageError("--l and --k are required without --sweep")
     value = count_vectors_exact(length, k)
@@ -312,10 +319,9 @@ def count_expansions(length: int | None, k: int | None, sweep: bool, lmax: int, 
 @oracle_options
 @n_option
 @k_option
-@jobs_option
-def enumerate_cmd(n: int, k: int, jobs: int, config: OracleConfig) -> None:
+def enumerate_cmd(n: int, k: int, config: OracleConfig) -> None:
     """Catalog of loop classes with self-crossing number below k (JSONL)."""
-    catalog = enumerate_classes(n, k, config, jobs=jobs)
+    catalog = enumerate_classes(n, k, config)
     header = dict(catalog.to_json())
     entries = header.pop("entries")
     _emit(header)
@@ -327,10 +333,11 @@ def enumerate_cmd(n: int, k: int, jobs: int, config: OracleConfig) -> None:
 @oracle_options
 @n_option
 @k_option
-@jobs_option
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="worker processes of the pair searches")
 def graph(n: int, k: int, jobs: int, config: OracleConfig) -> None:
     """Compatibility graph of the class catalog, with clique bounds."""
-    catalog = enumerate_classes(n, k, config, jobs=jobs)
+    catalog = enumerate_classes(n, k, config)
     g = compatibility_graph(catalog, config, jobs=jobs)
     out = g.to_json()
     out["familyBounds"] = family_bounds(g).to_json()
@@ -342,12 +349,11 @@ def graph(n: int, k: int, jobs: int, config: OracleConfig) -> None:
 @main.command()
 @oracle_options
 @click.option("--kmax", type=int, required=True)
-@jobs_option
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv",
               show_default=True)
-def growth(kmax: int, jobs: int, fmt: str, config: OracleConfig) -> None:
+def growth(kmax: int, fmt: str, config: OracleConfig) -> None:
     """Class-count growth table for k = 1..kmax (two punctures)."""
-    rows = growth_report(kmax, config, jobs=jobs)
+    rows = growth_report(kmax, config)
     if fmt == "csv":
         _emit_csv([{key: json.dumps(val) if isinstance(val, bool) else val
                     for key, val in row.items()} for row in rows],

@@ -174,43 +174,33 @@ def _wound(wind: tuple, prefix: tuple[int, ...], letter: int, n: int) -> tuple:
     return closed, best, block_obstacles(min(last, letter), max(last, letter), n), 2
 
 
-def _through_first(results, stop) -> list:
-    """The results up to the first one that `stop` holds for, that one too."""
-    out = []
-    for res in results:
-        out.append(res)
-        if stop(res):
-            break
-    return out
-
-
-def _map(fn, calls: list[tuple], jobs: int, stop=lambda res: False) -> list:
-    """`[fn(*args) for args in calls]`, ending at the first result that
-    `stop` holds for, run in a pool of processes when there is more than one
-    job and more than one call.  The pool starts all its processes at the
-    first call, so it has no more than there are jobs, calls or CPUs, and a
-    stop cancels the calls it has not started.  The rows of an open cache
-    batch are written first, so the workers read them."""
+def _map(fn, calls: list[tuple], jobs: int) -> list:
+    """`[fn(*args) for args in calls]`, run in a pool of processes when there
+    is more than one job and more than one call.  The pool starts all its
+    processes at the first call, so it has no more than there are jobs,
+    calls or CPUs.  The rows of an open cache batch are written first, so
+    the workers read them."""
     if jobs <= 1 or len(calls) <= 1:
-        return _through_first((fn(*args) for args in calls), stop)
+        return [fn(*args) for args in calls]
     flush_batch()
     from concurrent.futures import ProcessPoolExecutor  # loaded only by a run that forks
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(calls), os.cpu_count() or 1)) as pool:
-        results = _through_first(pool.map(fn, *zip(*calls)), stop)
-        if len(results) < len(calls):
-            pool.shutdown(cancel_futures=True)
-        return results
+        return list(pool.map(fn, *zip(*calls)))
 
 
 def _evaluate_words(
-    words: list[Word], k: int, alphabet: GapAlphabet, config: OracleConfig, jobs: int
+    words: list[Word], k: int, alphabet: GapAlphabet, config: OracleConfig
 ) -> list[CrossingCount]:
     """Each word's threshold query at k: its exact minimum below k, up to
-    the first word whose query runs out of budget."""
+    the first word whose query runs out of budget, that one too."""
     n = alphabet.n
-    return _map(_solve, [(n, *_self_form(n, w.kind, w.letters), config, k) for w in words],
-                jobs, lambda res: not res.exact)
+    results = []
+    for w in words:
+        results.append(_solve(n, *_self_form(n, w.kind, w.letters), config, k))
+        if not results[-1].exact:
+            break
+    return results
 
 
 def _enumerate_x_words(cap: int) -> list[Word]:
@@ -274,7 +264,6 @@ def enumerate_classes(
     n: int,
     k: int,
     config: OracleConfig = OracleConfig(),
-    jobs: int = 1,
 ) -> ClassCatalog:
     """All loop classes with exact oracle self-crossing number below k, up
     to the provable length cap: x-classes for n=1, both-polarity v-classes
@@ -286,8 +275,6 @@ def enumerate_classes(
     """
     if k < 1:
         raise PreconditionError("k must be at least 1")
-    if jobs < 1:
-        raise PreconditionError("jobs must be at least 1")
     cap = length_cap(k, n)
     alphabet = GapAlphabet(n)
     with batched_writes():
@@ -298,7 +285,7 @@ def enumerate_classes(
             words = [Word.v_word(core)
                      for core in _collect_core_candidates(k, cap, alphabet, config)]
             kept = [(Word.v_word(()), 0, None)]
-        results = _evaluate_words(words, k, alphabet, config, jobs)
+        results = _evaluate_words(words, k, alphabet, config)
     for word, res in zip(words, results):
         if not res.exact:
             name = word if n == 1 else f"core {word.inner()}"
@@ -499,7 +486,6 @@ def family_bounds(graph: CompatibilityGraph) -> FamilyBounds:
 def growth_report(
     kmax: int,
     config: OracleConfig = OracleConfig(),
-    jobs: int = 1,
 ) -> list[dict[str, object]]:
     """Rows (k, two-puncture class count, single-puncture count, normalized
     log growth, double-exponential upper bound exponent) for k = 1..kmax.
@@ -511,8 +497,8 @@ def growth_report(
     """
     if kmax < 1:
         return []
-    cat2 = enumerate_classes(2, kmax, config, jobs=jobs)
-    cat1 = enumerate_classes(1, kmax, config, jobs=jobs)
+    cat2 = enumerate_classes(2, kmax, config)
+    cat1 = enumerate_classes(1, kmax, config)
     rows = []
     for k in range(1, kmax + 1):
         count2 = sum(e.selfint < k for e in cat2.entries)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from cache_rows import cache_rows, write_row
 from loopforge import Drawing, bounds, cli, count_crossings, oracle
 from loopforge.cache import DATABASE
 from loopforge.cli import main
+from loopforge.extremal import compatibility_graph, enumerate_classes, growth_report
 from loopforge.words import format_letters
 
 
@@ -238,8 +240,9 @@ def test_selfint_budget_exit_code(runner, tmp_path):
 
 
 def test_selfint_small_budget_bounds_the_search(runner):
-    # the m=10 ladder has two 10-point gaps; a budget of 1000 appended
-    # points stops it at once, before any order of the first gap is complete
+    # the m=10 ladder has two 10-point gaps; its search completes a first
+    # order of the first gap at unit 11, but an exact answer needs 1,221
+    # units, so a budget of 1000 appended points stops it short of one
     ladder = "v 2 " + "0 1 " * 10 + "2 v"
     tracemalloc.start()
     start = time.perf_counter()
@@ -567,6 +570,31 @@ def test_count_expansions_rejects_options_of_the_other_mode(runner, args, messag
     assert json.loads(result.stdout) == {"error": {"type": "UsageError", "message": message}}
 
 
+@pytest.mark.parametrize("command, options, words, message", [
+    ("canon", ["--hemisphere", "S"], ["0 1 2 1"], "--hemisphere not used with x-words"),
+    ("canon", ["--hemisphere", "N"], [""], "--hemisphere not used with x-words"),
+    ("equiv", ["--hemi1", "N"], ["0 1 2 1", "1 2"], "--hemi1 not used with x-words"),
+    ("equiv", ["--hemi2", "S"], ["0 1 2 1", "1 2"], "--hemi2 not used with x-words"),
+    ("pairint", ["--hemi1", "S"], ["0 1 2 1", "1 2"], "--hemi1 not used with x-words"),
+    ("pairint", ["--hemi1", "S", "--hemi2", "S"], ["0 1", "1 2"],
+     "--hemi1, --hemi2 not used with x-words"),
+])
+def test_hemisphere_options_refused_on_x_words(runner, tmp_path, command, options, words,
+                                               message):
+    """An x-word has no first-arc hemisphere, so a hemisphere option given
+    with x-words exits 2, before any search; the same words without it, and
+    v-words with it, print their reports."""
+    args = [command, "--n", "2"] + (["--cache-dir", str(tmp_path)] if command == "pairint" else [])
+    result = _invoke(runner, [*args, *options, *words])
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {"error": {"type": "UsageError", "message": message}}
+    assert not any(tmp_path.iterdir())
+    v_words = ["v 2 0 1 2 v", "v 2 1 2 v"][:len(words)]
+    for given in ([*args, *words], [*args, *options, *v_words]):
+        result = _invoke(runner, given)
+        assert result.exit_code == 0 and json.loads(result.output)["exact"] is True
+
+
 @pytest.mark.parametrize("args, message", [
     (["selfint", "--budget", "abc", "v 2 v"],
      "Invalid value for '--budget': 'abc' is not a valid integer."),
@@ -641,7 +669,7 @@ def test_run_config_validation(runner):
         result = _invoke(runner, [command, "--n", "2", "--k", "3", "--length-cap", "80"])
         assert result.exit_code == 2
         assert json.loads(result.output)["error"]["type"] == "UsageError"
-    result = _invoke(runner, ["enumerate", "--n", "2", "--k", "1", "--jobs", "0"])
+    result = _invoke(runner, ["graph", "--n", "2", "--k", "1", "--jobs", "0"])
     assert result.exit_code == 2
 
 
@@ -660,6 +688,21 @@ def test_oracle_options_only_where_used():
             assert (option in params) == (name in oracle_commands), (name, option)
     # the growth table is defined for two punctures only
     assert "n" not in {p.name for p in main.commands["growth"].params}
+
+
+def test_jobs_only_on_graph(runner):
+    """Only the graph's pair searches run in worker processes: a catalog
+    runs in one process, so `enumerate` and `growth` take no `--jobs`."""
+    for name, command in main.commands.items():
+        assert ("jobs" in {p.name for p in command.params}) == (name == "graph"), name
+    for args in (["enumerate", "--n", "2", "--k", "3"], ["growth", "--kmax", "2"]):
+        result = _invoke(runner, [*args, "--jobs", "2", "--no-cache"])
+        assert result.exit_code == 2
+        assert json.loads(result.output) == {
+            "error": {"type": "UsageError", "message": "No such option '--jobs'."}}
+    assert "jobs" not in inspect.signature(enumerate_classes).parameters
+    assert "jobs" not in inspect.signature(growth_report).parameters
+    assert "jobs" in inspect.signature(compatibility_graph).parameters
 
 
 @pytest.mark.parametrize("args", [

@@ -158,8 +158,6 @@ def test_enumerate_rejects_bad_args(config):
     with pytest.raises(PreconditionError):
         enumerate_classes(2, 0, config)
     with pytest.raises(PreconditionError, match="jobs must be at least 1"):
-        enumerate_classes(2, 1, config, jobs=0)
-    with pytest.raises(PreconditionError, match="jobs must be at least 1"):
         compatibility_graph(enumerate_classes(2, 1, config), config, jobs=0)
 
 
@@ -176,8 +174,7 @@ def test_enumerate_names_the_first_inexact_candidate(n, message):
 
 def test_evaluation_stops_at_the_first_inexact_candidate(alpha2, monkeypatch):
     """Candidates are evaluated in order up to the first whose query runs out
-    of budget, which the error names; with jobs the pool's calls not yet
-    started are cancelled, and the error is the same."""
+    of budget, which the error names."""
     config, k = OracleConfig(budget=1, use_cache=False), 4
     words = _candidates(2, k, config)
     first = next(i for i, w in enumerate(words)
@@ -190,17 +187,6 @@ def test_evaluation_stops_at_the_first_inexact_candidate(alpha2, monkeypatch):
     with pytest.raises(extremal.EnumerationIncompleteError) as info:
         enumerate_classes(2, k, config)
     assert str(info.value) == message and len(solved) == first + 1
-    monkeypatch.undo()  # the pool's workers take `_solve` by name
-    with pytest.raises(extremal.EnumerationIncompleteError) as info:
-        enumerate_classes(2, k, config, jobs=2)
-    assert str(info.value) == message
-
-
-def test_enumerate_with_jobs_matches_sequential(nocache_config):
-    # no cache, so the pool itself computes every value and witness
-    seq = enumerate_classes(2, 2, nocache_config)
-    par = enumerate_classes(2, 2, nocache_config, jobs=2)
-    assert par.to_json() == seq.to_json()
 
 
 def _candidates(n, k, config):
@@ -226,7 +212,7 @@ def test_threshold_evaluation_agrees_with_exact(n, tmp_path, nocache_config):
             if word not in exact:
                 exact[word] = oracle.self_intersection_number(word, alphabet, nocache_config)
         for config in (nocache_config, warm, warm):  # the first warm pass searches
-            for word, got in zip(words, extremal._evaluate_words(words, k, alphabet, config, 1)):
+            for word, got in zip(words, extremal._evaluate_words(words, k, alphabet, config)):
                 want = exact[word]
                 if want.value < k:
                     assert got.to_json() == want.to_json(), (word, k)
@@ -268,7 +254,7 @@ def test_catalog_report_same_in_every_cache_state(n, tmp_path, nocache_config, m
     _no_forms_or_witnesses(monkeypatch)
     words = [keys[key] for key in dropped]
     assert all((res.value, res.exact, res.witness) == (k, True, None)
-               for res in extremal._evaluate_words(words, k, GapAlphabet(n), config, 1))
+               for res in extremal._evaluate_words(words, k, GapAlphabet(n), config))
 
 
 def test_warm_threshold_queries_read_only_the_cache(tmp_path, alpha2, monkeypatch):
@@ -287,13 +273,13 @@ def test_warm_threshold_queries_read_only_the_cache(tmp_path, alpha2, monkeypatc
     rows = cache_rows(tmp_path)
     proved = [letters for letters in asked
               if "at_least" in json.loads(rows[oracle._self_key(2, "seg", letters)[0]])]
-    dropped = [w for w, res in zip(words, extremal._evaluate_words(words, k, alpha2, config, 1))
+    dropped = [w for w, res in zip(words, extremal._evaluate_words(words, k, alpha2, config))
                if res.value >= k]
     assert proved and dropped
     _no_forms_or_witnesses(monkeypatch)
     assert all(ask(letters, k, alpha2, config) is True for letters in proved)
     assert all((res.value, res.exact, res.witness) == (k, True, None)
-               for res in extremal._evaluate_words(dropped, k, alpha2, config, 1))
+               for res in extremal._evaluate_words(dropped, k, alpha2, config))
     below = [letters for letters in asked
              if "exact" in json.loads(rows[oracle._self_key(2, "seg", letters)[0]])]
     assert below
@@ -399,13 +385,13 @@ def test_graph_jobs_match(nocache_config, n):
 
 
 def test_cached_jobs_match_sequential(tmp_path):
-    """Forked workers write a fresh cache directory that the parent has
-    already opened, each through its own connection: the reports and the
-    stored rows equal those of one process."""
+    """Forked graph workers write a fresh cache directory that the parent's
+    catalog has already opened, each through its own connection: the reports
+    and the stored rows equal those of one process."""
     runs = {}
     for jobs in (1, 2):
         config = OracleConfig(cache_dir=tmp_path / f"jobs{jobs}")
-        catalog = enumerate_classes(2, 3, config, jobs=jobs)
+        catalog = enumerate_classes(2, 3, config)
         graph = compatibility_graph(catalog, config, jobs=jobs)
         runs[jobs] = catalog.to_json(), graph.to_json(), cache_rows(config.cache_dir)
     assert runs[2] == runs[1]
@@ -452,8 +438,9 @@ def test_jobs_pool_has_no_more_workers_than_calls_or_cpus(monkeypatch, nocache_c
         assert extremal._map(pow, [(2, i) for i in range(calls)], jobs) == [2**i for i in range(calls)]
         assert sizes.pop() == size
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    seq = enumerate_classes(2, 3, nocache_config)
-    assert enumerate_classes(2, 3, nocache_config, jobs=1000).to_json() == seq.to_json()
+    catalog = enumerate_classes(2, 3, nocache_config)
+    seq = compatibility_graph(catalog, nocache_config)
+    assert compatibility_graph(catalog, nocache_config, jobs=1000).to_json() == seq.to_json()
     assert sizes == [2]
 
 

@@ -43,6 +43,11 @@ COMMANDS: list[list[str]] = (
     + [["selfint", "--n", "2", "v 2 1 1 0 2 v"],
        ["pairint", "--n", "2", "v 2 0 2 v", "v 2 1 2 v"]]
     + [["graph", "--n", n, "--k", "4", "--jobs", "2"] for n in ("1", "2")]
+    # options a command does not read (exit 2): `--jobs` of a catalog, and a
+    # hemisphere given with x-words
+    + [["enumerate", "--n", "2", "--k", "3", "--jobs", "2"], ["growth", "--kmax", "2", "--jobs", "2"],
+       ["canon", "--n", "2", "--hemisphere", "S", "0 1 2 1"],
+       ["pairint", "--n", "2", "--hemi1", "S", "0 1 2 1", "1 2"]]
     # budget limits: one walk prefix left undecided (exit 0), and a catalog
     # stopped at its first inexact candidate (exit 3)
     + [["enumerate", "--n", "2", "--k", "4", "--budget", b] for b in ("30", "1")]
