@@ -36,24 +36,35 @@ pair of its points then costs a fixed weight in either order, so the bound
 is tight there.  The largest gap first throughout and ascending sizes
 both measured slower.
 
-Where the table bound fails to prune, the search folds into the pair
-weights of the gap being ordered the comparisons of the next table whose
-two ends are unplaced points of that gap, which the table counts for
-neither order (the two-gap coupling of two-layer crossing minimization,
-Jünger and Mutzel 1997).  A comparison that always counts adds 1 to its
-order.  A row (f, b) with its decided ends counted and k open costs
-min(f + X, b + k - X) when X open ends go first; that is concave in X, so
-at least its chord: min(f, b + k) plus X (min(f + k, b) - min(f, b + k)) / k,
-a constant and a weight on each open end.  Every completion orders each
-pair of unplaced points one way, so the cheaper folded order of each pair,
-plus the constants and the table's other terms, bound it from below.  That
-is never below the table bound, since min(a + c, b + d) >= min(a, b) +
-min(c, d) and each chord is at least min(f, b) at both ends.  Weights are
-scaled by a multiple of every open count, so the sum is exact before it is
-rounded up.  The bound prunes only subtrees with no drawing below the
-current bound, so the search visits a subset of its nodes in the same order
-and ends on the same drawing; on the ladder `v 2 (0 1)^m 2 v` at m = 12 it
-cut the units from 84,857 to 8,539.
+While a gap is ordered, the only comparisons of the later gaps' table that
+can change are those whose two ends are unplaced points of that gap, so the
+search splits that table once on entering the gap: a constant, of the
+decided comparisons and of the rows left with no open end at min(f, b),
+and an open part, of the other comparisons and rows, their decided ends
+counted.  Appending p decides exactly the open comparisons and ends at p,
+so a child's table bound is the constant plus what p decides there, and a
+child the search enters carries the open part less p's ends, sharing each
+row p does not touch.  So every node's bound is the count of the whole
+table at its positions, the same number as a recount, read from its open
+part alone.
+
+Where the table bound fails to prune, the search folds the open part of
+the node, which the table counts for neither order, into the pair weights
+of the gap being ordered (the two-gap coupling of two-layer crossing
+minimization, Jünger and Mutzel 1997).  A comparison that always counts
+adds 1 to its order.  A row (f, b) with its decided ends counted and k
+open costs min(f + X, b + k - X) when X open ends go first; that is
+concave in X, so at least its chord: min(f, b + k) plus X (min(f + k, b) -
+min(f, b + k)) / k, a constant and a weight on each open end.  Every
+completion orders each pair of unplaced points one way, so the cheaper
+folded order of each pair, plus the constants and the table's other terms,
+bound it from below.  That is never below the table bound, since min(a + c,
+b + d) >= min(a, b) + min(c, d) and each chord is at least min(f, b) at
+both ends.  Weights are scaled by a multiple of every open count, so the
+sum is exact before it is rounded up.  The bound prunes only subtrees with
+no drawing below the current bound, so the search visits a subset of its
+nodes in the same order and ends on the same drawing; on the ladder
+`v 2 (0 1)^m 2 v` at m = 12 it cut the units from 84,857 to 8,539.
 
 Every search first makes one greedy descent through the same levels,
 appending at each step the point whose append charges least.  That drawing
@@ -338,6 +349,10 @@ class _Instance:
         )
 
 
+_Less = list[tuple[int, int]]  # comparisons (p, q), each 1 if p goes before q
+_Rows = list[tuple[int, int, _Less]]  # rows (f, b, ends), each min(f + x, b + y)
+
+
 class _Search:
     def __init__(self, inst: _Instance, budget: int, cutoff: int | None):
         self.inst = inst
@@ -450,19 +465,10 @@ class _Search:
         # adds min(f + x, b + y).  Where one order is never dearer that is a
         # constant plus x (or y), kept as one flat list of comparisons; only
         # the other rows pay for the min.
-        # The ends new at table L + 1, `opens[L + 1]`, lie in gap L, and
-        # the fold lists of gap L keep them: `fold_less[L]` its comparisons,
-        # `fold_rows[L]` each row with the count of its ends there, its last.
-        # `folding[L]` holds those rows with their other ends counted, on
-        # each `_dfs` entry at L, and every open count divides `fold_scale[L]`.
         self.bound_const = [0] * (levels + 1)
-        self.bound_less: list[list[tuple[int, int]]] = [[] for _ in range(levels + 1)]
-        self.bound_rows: list[list[tuple[int, int, list[tuple[int, int]]]]] = [
-            [] for _ in range(levels + 1)
-        ]
-        self.fold_less: dict[int, list[tuple[int, int]]] = {}
-        self.fold_rows: dict[int, list[tuple[tuple, int]]] = {}
-        self.folding: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
+        self.bound_less: list[_Less] = [[] for _ in range(levels + 1)]
+        self.bound_rows: list[_Rows] = [[] for _ in range(levels + 1)]
+        most = [0] * levels  # most[L]: the most ends in gap L of a row of table L + 1
         for (gi, i, j), opens in opens_of.items():
             f, b = self.fixed_w[gi][i][j], self.fixed_w[gi][j][i]
             varying: list[tuple[int, int]] = []
@@ -473,22 +479,15 @@ class _Search:
                 if f + k <= b:
                     self.bound_const[level] += f
                     self.bound_less[level] += varying
-                    if new:
-                        self.fold_less.setdefault(level - 1, []).extend(new)
                 elif b + k <= f:
                     self.bound_const[level] += b
                     self.bound_less[level] += [(q, p) for p, q in varying]
-                    if new:
-                        self.fold_less.setdefault(level - 1, []).extend((q, p) for p, q in new)
                 elif k == 1:  # f == b: either order costs f
                     self.bound_const[level] += f
                 else:
-                    row = (f, b, list(varying))
-                    self.bound_rows[level].append(row)
-                    if new:
-                        self.fold_rows.setdefault(level - 1, []).append((row, len(new)))
-        self.fold_scale = {level: math.lcm(*range(1, max(new for _, new in rows) + 1))
-                           for level, rows in self.fold_rows.items()}
+                    self.bound_rows[level].append((f, b, list(varying)))
+                    most[level - 1] = max(most[level - 1], len(new))
+        self.fold_scale = [math.lcm(*range(1, k + 1)) for k in most]  # open counts divide it
 
         self.pos = list(base_pos)
         self.current: dict[int, tuple[int, ...]] = {}
@@ -508,38 +507,73 @@ class _Search:
                 w[j][i] += 1
         return w
 
-    def _future_bound(self, level: int, rest: int) -> int:
-        """Lower bound on the cost still to charge while the gap at
-        `level` - 1 is being ordered: `rest`, the cheaper orders of its pairs
-        of unplaced points, plus, over the point pairs of the later gaps, the
-        cheaper relative order, counting candidates whose far ends lie in two
-        gaps or share a gap in which their order is known."""
-        pos = self.pos
-        total = rest + self.bound_const[level]
-        for p, q in self.bound_less[level]:
-            if pos[p] < pos[q]:
-                total += 1
-        for f, b, ends in self.bound_rows[level]:
-            for p, q in ends:  # f + x and b + y
+    def _split(self, const: int, less: _Less, rows: _Rows) -> tuple[int, _Less, _Rows]:
+        """Split a table, or a node's constant and open part of one, at the
+        current positions: into a constant, `const` plus the decided
+        comparisons that count and each row left with no open end at its
+        min(f, b), and an open part, the comparisons whose two ends share a
+        position (unplaced points of the gap being ordered) and each row with
+        open ends, its decided ends counted into (f, b).  A row with no end
+        decided stays the same tuple, so a child shares it."""
+        pos, open_less, open_rows = self.pos, [], []
+        for end in less:
+            p, q = end
+            if pos[p] == pos[q]:
+                open_less.append(end)
+            elif pos[p] < pos[q]:
+                const += 1
+        for row in rows:
+            f, b, ends = row
+            opened = []
+            for end in ends:
+                p, q = end
                 if pos[p] < pos[q]:
                     f += 1
                 elif pos[q] < pos[p]:
                     b += 1
+                else:
+                    opened.append(end)
+            if len(opened) == len(ends):
+                open_rows.append(row)
+            elif opened:
+                open_rows.append((f, b, opened))
+            else:
+                const += f if f < b else b
+        return const, open_less, open_rows
+
+    def _table(self, level: int, rest: int, p: int, const: int, less: _Less, rows: _Rows) -> int:
+        """Lower bound on the cost still to charge at the child that appends
+        point p (0, the basepoint, for none) to a node of the gap at `level`:
+        `rest`, the cheaper orders of the child's pairs of unplaced points,
+        plus table `level` + 1 from the node's constant and open part, where
+        p decides the comparisons and row ends at p, as the first end or the
+        second, and every other open end counts for neither order."""
+        total = rest + const
+        for a, _ in less:
+            if a == p:
+                total += 1
+        for f, b, ends in rows:
+            for a, c in ends:  # f + x and b + y
+                if a == p:
+                    f += 1
+                elif c == p:
+                    b += 1
             total += f if f < b else b
         return total
 
-    def _fold(self, level: int, w: list[list[int]], table: int) -> int:
+    def _folded(self, level: int, w: list[list[int]], table: int, less: _Less, rows: _Rows) -> int:
         """`table`, the table bound of a node of the gap at `level`, raised by
-        folding into the gap's pair weights w the comparisons of the next
-        table whose two ends are unplaced points of that gap, which the
-        table counts for neither order.  Costs are scaled by `fold_scale`, so
-        the sum is exact."""
-        pos, scale = self.pos, self.fold_scale.get(level, 1)
+        folding into the gap's pair weights w the comparisons and row ends of
+        the open part `less`, `rows` of it or its parent whose two ends are
+        still unplaced, which the table counts for neither order.  Costs are
+        scaled by `fold_scale`, so the sum is exact."""
+        pos, scale = self.pos, self.fold_scale[level]
         gain, pairs = 0, {}  # pairs[p, q]: the scaled cost folded into "p before q"
-        for p, q in self.fold_less.get(level, ()):
+        for end in less:
+            p, q = end
             if pos[p] == pos[q]:  # both unplaced
-                pairs[p, q] = pairs.get((p, q), 0) + scale
-        for f, b, ends in self.folding.get(level, ()):
+                pairs[end] = pairs.get(end, 0) + scale
+        for f, b, ends in rows:
             opened = []
             for end in ends:
                 p, q = end
@@ -564,7 +598,9 @@ class _Search:
             if back is None or p < q:  # each point pair once
                 i, j = index_of[p], index_of[q]
                 c_ij, c_ji = w[i][j] * scale, w[j][i] * scale
-                gain += min(c_ij + c, c_ji + (back or 0)) - min(c_ij, c_ji)
+                c += c_ij
+                back = c_ji + (back or 0)
+                gain += (c if c < back else back) - (c_ij if c_ij < c_ji else c_ji)
         return table - (-gain // scale)
 
     def _charge(self, amount: int) -> None:
@@ -650,28 +686,19 @@ class _Search:
             for j in range(i + 1, m):
                 c_ij, c_ji = wi[j], w[j][i]
                 rest += c_ij if c_ij < c_ji else c_ji
-        bound = acc + self._future_bound(level + 1, rest)
-        if bound >= self.bound:
-            return
-        # the ends in earlier gaps are placed throughout this subtree
-        pos, folding = self.pos, []
-        self.folding[level] = folding
-        for (f, b, ends), new in self.fold_rows.get(level, ()):
-            for p, q in ends[:-new]:
-                if pos[p] < pos[q]:
-                    f += 1
-                else:
-                    b += 1
-            folding.append((f, b, ends[-new:]))
-        if self._fold(level, w, bound) < self.bound:
-            self._extend(level, acc, rest, (), list(range(m)), w)
+        const, less, rows = self._split(self.bound_const[level + 1],
+                                        self.bound_less[level + 1], self.bound_rows[level + 1])
+        bound = acc + self._table(level, rest, 0, const, less, rows)
+        if bound < self.bound and self._folded(level, w, bound, less, rows) < self.bound:
+            self._extend(level, acc, rest, (), list(range(m)), w, const, less, rows)
 
-    def _extend(self, level: int, acc: int, rest: int, order: tuple[int, ...],
-                left: list[int], w: list[list[int]]) -> None:
+    def _extend(self, level: int, acc: int, rest: int, order: tuple[int, ...], left: list[int],
+                w: list[list[int]], const: int, less: _Less, rows: _Rows) -> None:
         """Append each point of `left`, the indices of the unplaced points of
         the gap at `level`, after the placed points `order`, and search on
         below the bound.  The unplaced points share the position after the
         placed ones, since each of them will follow every placed point.
+        `const`, `less` and `rows` split the next table at this node.
 
         A point is not appended right after a tied twin of a higher index:
         the two orders of tied twins cost the same in every completion, and
@@ -717,9 +744,10 @@ class _Search:
                     self.current[g] = order + (p,) + tuple(pts[j] for j in others)
                     self._dfs(level + 1, acc + inc)
             else:
-                bound = acc + inc + self._future_bound(level + 1, rest - drop)
-                if bound < self.bound and self._fold(level, w, bound) < self.bound:
-                    self._extend(level, acc + inc, rest - drop, order + (p,), others, w)
+                bound = acc + inc + self._table(level, rest - drop, p, const, less, rows)
+                if bound < self.bound and self._folded(level, w, bound, less, rows) < self.bound:
+                    self._extend(level, acc + inc, rest - drop, order + (p,), others, w,
+                                 *self._split(const, less, rows))
         for i in left:
             pos[pts[i]] = at
 

@@ -575,7 +575,7 @@ def test_future_bound_matches_reference(monkeypatch):
     with its minimum as cutoff, where it must refute every node."""
     checked = {"bound": 0, "sub-node": 0, "varying": 0, "weights": 0, "tighter": 0}
     search_class = oracle._Search
-    future_bound, weights = search_class._future_bound, search_class._gap_weights
+    table_bound, weights = search_class._table, search_class._gap_weights
 
     reference = {}  # search -> its reference candidates
 
@@ -584,8 +584,9 @@ def test_future_bound_matches_reference(monkeypatch):
             reference[search] = _reference_candidates(search)
         return reference[search]
 
-    def checked_bound(self, level, rest):
-        got = future_bound(self, level, rest)
+    def checked_bound(self, level, rest, p, const, less, rows):
+        got = table_bound(self, level, rest, p, const, less, rows)
+        level += 1  # the table read while the gap at `level` is ordered
         building = self.gap_order[level - 1]
         unplaced = _unplaced_points(self, building)
         placed = set(self.gap_order[:level])
@@ -625,7 +626,7 @@ def test_future_bound_matches_reference(monkeypatch):
         checked["weights"] += 1
         return got
 
-    monkeypatch.setattr(search_class, "_future_bound", checked_bound)
+    monkeypatch.setattr(search_class, "_table", checked_bound)
     monkeypatch.setattr(search_class, "_gap_weights", checked_weights)
     ladders = [
         (2, (CurveSpec((V, 2) + (0, 1) * m + (2, V), False, NORTH),), "self") for m in range(3, 7)
@@ -677,11 +678,11 @@ def test_folded_bound_is_sound(monkeypatch):
     being ordered, followed by any order of its unplaced points and of the
     later gaps, brute-forced by `_Instance.evaluate_orders`.  Some folded
     bounds are above the table bound."""
-    fold = oracle._Search._fold
+    fold = oracle._Search._folded
     checked = {"nodes": 0, "raised": 0}
 
-    def checked_fold(self, level, w, table):
-        got = fold(self, level, w, table)
+    def checked_fold(self, level, w, table, less, rows):
+        got = fold(self, level, w, table, less, rows)
         inst, gaps = self.inst, self.gap_order
         g = gaps[level]
         unplaced = _unplaced_points(self, g) or set(inst.gap_points[g])
@@ -698,7 +699,7 @@ def test_folded_bound_is_sound(monkeypatch):
         checked["raised"] += got > table
         return got
 
-    monkeypatch.setattr(oracle._Search, "_fold", checked_fold)
+    monkeypatch.setattr(oracle._Search, "_folded", checked_fold)
     ladders = [(2, (CurveSpec((V, 2) + (0, 1) * m + (2, V), False, NORTH),), "self")
                for m in range(2, 5)]
     rng = random.Random(191)
@@ -729,13 +730,102 @@ def test_fold_changes_no_answer(monkeypatch):
     cases = [(inst, budget) for inst in ladders + [_random_curves(rng) for _ in range(300)]
              for budget in (10, oracle.DEFAULT_BUDGET)]
     folded = [minimize_crossings(*inst, budget) for inst, budget in cases]
-    monkeypatch.setattr(oracle._Search, "_fold", lambda self, level, w, table: table)
+    monkeypatch.setattr(oracle._Search, "_folded",
+                        lambda self, level, w, table, less, rows: table)
     plain = [minimize_crossings(*inst, budget) for inst, budget in cases]
     with_fold, without = units[:len(cases)], units[len(cases):]
     for case, got, want, used, spent in zip(cases, folded, plain, with_fold, without):
         assert used <= spent and got[0] <= want[0], case
         assert got == want or not want[2], case
     assert sum(with_fold) < sum(without)
+
+
+def _reference_future_bound(search, level, rest):
+    """The table bound as the search once recounted it at every node: `rest`
+    plus table `level`, each comparison and row end read from the current
+    positions."""
+    pos = search.pos
+    total = rest + search.bound_const[level]
+    for p, q in search.bound_less[level]:
+        if pos[p] < pos[q]:
+            total += 1
+    for f, b, ends in search.bound_rows[level]:
+        for p, q in ends:  # f + x and b + y
+            if pos[p] < pos[q]:
+                f += 1
+            elif pos[q] < pos[p]:
+                b += 1
+        total += f if f < b else b
+    return total
+
+
+def _recounted_table(search, level):
+    """Table `level` + 1 split from scratch at the current positions: its
+    constant plus the decided comparisons that count and the rows with no
+    open end at min(f, b); the comparisons whose ends share a position; and
+    the other rows, their decided ends counted into (f, b), with their open
+    ends."""
+    pos = search.pos
+    const, less, rows = search.bound_const[level + 1], [], []
+    for p, q in search.bound_less[level + 1]:
+        if pos[p] == pos[q]:
+            less.append((p, q))
+        else:
+            const += pos[p] < pos[q]
+    for f, b, ends in search.bound_rows[level + 1]:
+        f += sum(pos[p] < pos[q] for p, q in ends)
+        b += sum(pos[q] < pos[p] for p, q in ends)
+        opened = [(p, q) for p, q in ends if pos[p] == pos[q]]
+        if opened:
+            rows.append((f, b, opened))
+        else:
+            const += min(f, b)
+    return const, less, rows
+
+
+def test_carried_open_part_matches_recount(monkeypatch):
+    """At every node the search enters, the constant and open part carried
+    down from the gap's entry equal table L + 1 split from scratch at that
+    node's positions, and with the open rows at min(f, b) give the table
+    bound once recounted at every node.  A row of the parent, or of the
+    table at the gap's entry, that the last append leaves with no decided
+    end is kept as the same tuple, not copied."""
+    checked = {"nodes": 0, "sub-nodes": 0, "open less": 0, "open rows": 0,
+               "closed rows": 0, "shared rows": 0}
+    kinds = set()
+    extend = oracle._Search._extend
+    path = []  # the open rows of the entered nodes above, innermost last
+
+    def checked_extend(self, level, acc, rest, order, left, w, const, less, rows):
+        assert (const, less, rows) == _recounted_table(self, level), (self.inst.curves, order)
+        table = const + sum(min(f, b) for f, b, _ in rows)
+        assert table == _reference_future_bound(self, level + 1, 0), self.inst.curves
+        parent, pos = path[-1] if order else self.bound_rows[level + 1], self.pos
+        kept = [r for r in parent if all(pos[p] == pos[q] for p, q in r[2])]
+        assert {id(r) for r in kept} <= {id(row) for row in rows}, (self.inst.curves, order)
+        checked["shared rows"] += bool(order and kept)
+        checked["nodes"] += 1
+        checked["sub-nodes"] += bool(order)
+        checked["open less"] += bool(less)
+        checked["open rows"] += bool(rows)
+        checked["closed rows"] += bool(order) and len(rows) < len(parent)
+        kinds.update(("closed" if c.closed else "v-ended" if V in c.letters else "open")
+                     for c in self.inst.curves)
+        kinds.add(self.inst.tally)
+        path.append(rows)
+        try:
+            return extend(self, level, acc, rest, order, left, w, const, less, rows)
+        finally:
+            path.pop()
+
+    monkeypatch.setattr(oracle._Search, "_extend", checked_extend)
+    ladders = [(2, (CurveSpec((V, 2) + (0, 1) * m + (2, V), False, NORTH),), "self")
+               for m in range(2, 7)]
+    rng = random.Random(197)
+    for n, curves, tally in ladders + [_random_curves(rng) for _ in range(300)]:
+        minimize_crossings(n, curves, tally)
+    assert min(checked.values()) > 0, checked
+    assert kinds == {"open", "closed", "v-ended", "self", "inter"}, kinds
 
 
 # -- structural invariants --------------------------------------------------------
