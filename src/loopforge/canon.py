@@ -17,9 +17,6 @@ from .words import NORTH, SOUTH, PreconditionError, Word, check_hemisphere, redu
 class XLoopClass:
     reduced: tuple[int, ...]
 
-    def word(self) -> Word:
-        return Word.x_word(self.reduced)
-
     def to_json(self) -> dict:
         return {"kind": "x", "reduced": [str(a) for a in self.reduced]}
 

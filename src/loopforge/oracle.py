@@ -41,17 +41,20 @@ can change are those whose two ends are unplaced points of that gap, so the
 search splits that table once on entering the gap: a constant, of the
 decided comparisons and of the rows left with no open end at min(f, b),
 and an open part, of the other comparisons and rows, their decided ends
-counted.  Appending p decides exactly the open comparisons and ends at p,
-so a child's table bound is the constant plus what p decides there, and a
-child the search enters carries the open part less p's ends, sharing each
-row p does not touch.  So every node's bound is the count of the whole
-table at its positions, the same number as a recount, read from its open
-part alone.
+counted.  Each child splits its parent's open part in the same way at its
+own positions: appending p decides exactly the open comparisons and ends
+at p, and every row p does not touch is shared.  This split is the one
+place that reads the positions of a table's comparisons, and it also
+gives the node's table bound: its constant plus each open row at min(f,
+b).  So every node's bound is the count of the whole table at its
+positions, the same number as a recount, read from its parent's open part
+alone.
 
-Where the table bound fails to prune, the search folds the open part of
-the node, which the table counts for neither order, into the pair weights
-of the gap being ordered (the two-gap coupling of two-layer crossing
-minimization, Jünger and Mutzel 1997).  A comparison that always counts
+Where the table bound fails to prune, the search folds the node's open
+part, every comparison and row end of which joins two unplaced points and
+counts for neither order in the table, into the pair weights of the gap
+being ordered (the two-gap coupling of two-layer crossing minimization,
+Jünger and Mutzel 1997).  A comparison that always counts
 adds 1 to its order.  A row (f, b) with its decided ends counted and k
 open costs min(f + X, b + k - X) when X open ends go first; that is
 concave in X, so at least its chord: min(f, b + k) plus X (min(f + k, b) -
@@ -507,15 +510,18 @@ class _Search:
                 w[j][i] += 1
         return w
 
-    def _split(self, const: int, less: _Less, rows: _Rows) -> tuple[int, _Less, _Rows]:
+    def _split(self, const: int, less: _Less, rows: _Rows) -> tuple[int, int, _Less, _Rows]:
         """Split a table, or a node's constant and open part of one, at the
-        current positions: into a constant, `const` plus the decided
-        comparisons that count and each row left with no open end at its
-        min(f, b), and an open part, the comparisons whose two ends share a
-        position (unplaced points of the gap being ordered) and each row with
-        open ends, its decided ends counted into (f, b).  A row with no end
-        decided stays the same tuple, so a child shares it."""
-        pos, open_less, open_rows = self.pos, [], []
+        current positions, the only place a comparison's positions are read:
+        into a constant, `const` plus the decided comparisons that count and
+        each row left with no open end at its min(f, b), and an open part,
+        the comparisons whose two ends share a position (unplaced points of
+        the gap being ordered) and each row with open ends, its decided ends
+        counted into (f, b).  A row with no end decided stays the same tuple,
+        so a child shares it.  Returns the table bound first: the constant
+        plus each open row at min(f, b), where its open ends count for
+        neither order."""
+        pos, open_less, open_rows, open_min = self.pos, [], [], 0
         for end in less:
             p, q = end
             if pos[p] == pos[q]:
@@ -533,64 +539,31 @@ class _Search:
                     b += 1
                 else:
                     opened.append(end)
-            if len(opened) == len(ends):
-                open_rows.append(row)
-            elif opened:
-                open_rows.append((f, b, opened))
-            else:
+            if not opened:
                 const += f if f < b else b
-        return const, open_less, open_rows
-
-    def _table(self, level: int, rest: int, p: int, const: int, less: _Less, rows: _Rows) -> int:
-        """Lower bound on the cost still to charge at the child that appends
-        point p (0, the basepoint, for none) to a node of the gap at `level`:
-        `rest`, the cheaper orders of the child's pairs of unplaced points,
-        plus table `level` + 1 from the node's constant and open part, where
-        p decides the comparisons and row ends at p, as the first end or the
-        second, and every other open end counts for neither order."""
-        total = rest + const
-        for a, _ in less:
-            if a == p:
-                total += 1
-        for f, b, ends in rows:
-            for a, c in ends:  # f + x and b + y
-                if a == p:
-                    f += 1
-                elif c == p:
-                    b += 1
-            total += f if f < b else b
-        return total
+                continue
+            open_min += f if f < b else b
+            open_rows.append(row if len(opened) == len(ends) else (f, b, opened))
+        return const + open_min, const, open_less, open_rows
 
     def _folded(self, level: int, w: list[list[int]], table: int, less: _Less, rows: _Rows) -> int:
-        """`table`, the table bound of a node of the gap at `level`, raised by
-        folding into the gap's pair weights w the comparisons and row ends of
-        the open part `less`, `rows` of it or its parent whose two ends are
-        still unplaced, which the table counts for neither order.  Costs are
-        scaled by `fold_scale`, so the sum is exact."""
-        pos, scale = self.pos, self.fold_scale[level]
+        """`table`, the bound of a node of the gap at `level` as its table
+        bound gives it, raised by folding into the gap's pair weights w the node's
+        open part `less`, `rows` from `_split`, whose comparisons and row
+        ends all join two unplaced points and count for neither order in
+        the table.  Costs are scaled by `fold_scale`, so the sum is exact."""
+        scale = self.fold_scale[level]
         gain, pairs = 0, {}  # pairs[p, q]: the scaled cost folded into "p before q"
         for end in less:
-            p, q = end
-            if pos[p] == pos[q]:  # both unplaced
-                pairs[end] = pairs.get(end, 0) + scale
+            pairs[end] = pairs.get(end, 0) + scale
         for f, b, ends in rows:
-            opened = []
-            for end in ends:
-                p, q = end
-                if pos[p] < pos[q]:
-                    f += 1
-                elif pos[q] < pos[p]:
-                    b += 1
-                else:
-                    opened.append(end)
-            if opened:
-                k = len(opened)
-                low = f if f < b + k else b + k  # the chord at X = 0
-                gain += low - (f if f < b else b)
-                slope = ((f + k if f + k < b else b) - low) * (scale // k)
-                if slope:
-                    for end in opened:
-                        pairs[end] = pairs.get(end, 0) + slope
+            k = len(ends)
+            low = f if f < b + k else b + k  # the chord at X = 0
+            gain += low - (f if f < b else b)
+            slope = ((f + k if f + k < b else b) - low) * (scale // k)
+            if slope:
+                for end in ends:
+                    pairs[end] = pairs.get(end, 0) + slope
         gain *= scale
         index_of = self.index_of
         for (p, q), c in pairs.items():
@@ -686,9 +659,9 @@ class _Search:
             for j in range(i + 1, m):
                 c_ij, c_ji = wi[j], w[j][i]
                 rest += c_ij if c_ij < c_ji else c_ji
-        const, less, rows = self._split(self.bound_const[level + 1],
-                                        self.bound_less[level + 1], self.bound_rows[level + 1])
-        bound = acc + self._table(level, rest, 0, const, less, rows)
+        table, const, less, rows = self._split(
+            self.bound_const[level + 1], self.bound_less[level + 1], self.bound_rows[level + 1])
+        bound = acc + rest + table
         if bound < self.bound and self._folded(level, w, bound, less, rows) < self.bound:
             self._extend(level, acc, rest, (), list(range(m)), w, const, less, rows)
 
@@ -744,10 +717,12 @@ class _Search:
                     self.current[g] = order + (p,) + tuple(pts[j] for j in others)
                     self._dfs(level + 1, acc + inc)
             else:
-                bound = acc + inc + self._table(level, rest - drop, p, const, less, rows)
-                if bound < self.bound and self._folded(level, w, bound, less, rows) < self.bound:
+                table, sub_const, sub_less, sub_rows = self._split(const, less, rows)
+                bound = acc + inc + rest - drop + table
+                if bound < self.bound and self._folded(
+                        level, w, bound, sub_less, sub_rows) < self.bound:
                     self._extend(level, acc + inc, rest - drop, order + (p,), others, w,
-                                 *self._split(const, less, rows))
+                                 sub_const, sub_less, sub_rows)
         for i in left:
             pos[pts[i]] = at
 

@@ -566,16 +566,21 @@ def _unplaced_points(search, g):
 
 
 def test_future_bound_matches_reference(monkeypatch):
-    """At every node and sub-node the table bound equals the bound
-    recomputed from the positions, and each level's weights equal the
-    reference costs.  A sub-node of level L orders the gap at L point by
-    point: its bound covers the pairs of its unplaced points and the gaps
-    after it.  The bound is never below the one that waits for both far ends
-    to be placed, and above it at some node.  Every search completes, also
-    with its minimum as cutoff, where it must refute every node."""
-    checked = {"bound": 0, "sub-node": 0, "varying": 0, "weights": 0, "tighter": 0}
+    """At every node and sub-node the table bound `_split` returns equals the
+    bound of the later gaps recomputed from the positions, also at children
+    the bound prunes; at every node `_extend` receives, its running total
+    `rest` equals the recomputed cost of the pairs of its unplaced points; and
+    each level's weights equal the reference costs.  A sub-node of level L
+    orders the gap at L point by point: its bound covers the pairs of its
+    unplaced points and the gaps after it.  Neither part is ever below the
+    one that waits for both far ends to be placed, and one is above it at
+    some node.  Every search completes, also with its minimum as cutoff,
+    where it must refute every node."""
+    checked = {"bound": 0, "sub-node": 0, "varying": 0, "weights": 0, "tighter": 0, "rest": 0}
     search_class = oracle._Search
-    table_bound, weights = search_class._table, search_class._gap_weights
+    split, weights = search_class._split, search_class._gap_weights
+    dfs, extend = search_class._dfs, search_class._extend
+    levels = []  # the level of each running `_dfs` and `_extend`, innermost last
 
     reference = {}  # search -> its reference candidates
 
@@ -584,9 +589,9 @@ def test_future_bound_matches_reference(monkeypatch):
             reference[search] = _reference_candidates(search)
         return reference[search]
 
-    def checked_bound(self, level, rest, p, const, less, rows):
-        got = table_bound(self, level, rest, p, const, less, rows)
-        level += 1  # the table read while the gap at `level` is ordered
+    def checked_split(self, const, less, rows):
+        got = split(self, const, less, rows)
+        level = levels[-1] + 1  # the table read while the gap at levels[-1] is ordered
         building = self.gap_order[level - 1]
         unplaced = _unplaced_points(self, building)
         placed = set(self.gap_order[:level])
@@ -597,20 +602,44 @@ def test_future_bound_matches_reference(monkeypatch):
                 for g in self.gap_order[level:]
                 for pair_cands in cands[g].values()
             )
-            + sum(
-                min(_reference_pair_costs(self, building, pair_cands, placed - {building}, rule))
-                for (u, v), pair_cands in cands[building].items()
+            for rule in ("shared", "placed")
+        )
+        assert got[0] == want, (self.inst.curves, level)
+        assert got[0] >= floor, (self.inst.curves, level)
+        checked["bound"] += 1
+        checked["sub-node"] += 0 < len(unplaced) < len(self.inst.gap_points[building])
+        checked["tighter"] += got[0] > floor
+        checked["varying"] += bool(self.bound_rows[level])
+        return got
+
+    def checked_dfs(self, level, acc):
+        levels.append(level)
+        try:
+            return dfs(self, level, acc)
+        finally:
+            levels.pop()
+
+    def checked_extend(self, level, acc, rest, *args):
+        building = self.gap_order[level]
+        unplaced = _unplaced_points(self, building)
+        placed = set(self.gap_order[:level])
+        want, floor = (
+            sum(
+                min(_reference_pair_costs(self, building, pair_cands, placed, rule))
+                for (u, v), pair_cands in candidates(self)[building].items()
                 if u in unplaced and v in unplaced
             )
             for rule in ("shared", "placed")
         )
-        assert got == want, (self.inst.curves, level)
-        assert got >= floor, (self.inst.curves, level)
-        checked["bound"] += 1
-        checked["sub-node"] += 0 < len(unplaced) < len(self.inst.gap_points[building])
-        checked["tighter"] += got > floor
-        checked["varying"] += bool(self.bound_rows[level])
-        return got
+        assert rest == want, (self.inst.curves, level)
+        assert rest >= floor, (self.inst.curves, level)
+        checked["rest"] += 1
+        checked["tighter"] += rest > floor
+        levels.append(level)
+        try:
+            return extend(self, level, acc, rest, *args)
+        finally:
+            levels.pop()
 
     def checked_weights(self, level):
         got = weights(self, level)
@@ -626,7 +655,9 @@ def test_future_bound_matches_reference(monkeypatch):
         checked["weights"] += 1
         return got
 
-    monkeypatch.setattr(search_class, "_table", checked_bound)
+    monkeypatch.setattr(search_class, "_split", checked_split)
+    monkeypatch.setattr(search_class, "_dfs", checked_dfs)
+    monkeypatch.setattr(search_class, "_extend", checked_extend)
     monkeypatch.setattr(search_class, "_gap_weights", checked_weights)
     ladders = [
         (2, (CurveSpec((V, 2) + (0, 1) * m + (2, V), False, NORTH),), "self") for m in range(3, 7)
@@ -677,11 +708,16 @@ def test_folded_bound_is_sound(monkeypatch):
     node: the orders of the placed gaps and the placed points of the gap
     being ordered, followed by any order of its unplaced points and of the
     later gaps, brute-forced by `_Instance.evaluate_orders`.  Some folded
-    bounds are above the table bound."""
+    bounds are above the table bound.  The fold gets only open entries:
+    both points of every comparison and of every row end share a position."""
     fold = oracle._Search._folded
     checked = {"nodes": 0, "raised": 0}
 
     def checked_fold(self, level, w, table, less, rows):
+        pos = self.pos
+        assert all(pos[p] == pos[q] for p, q in less), (self.inst.curves, level)
+        assert all(pos[p] == pos[q] for _, _, ends in rows for p, q in ends), (
+            self.inst.curves, level)
         got = fold(self, level, w, table, less, rows)
         inst, gaps = self.inst, self.gap_order
         g = gaps[level]
