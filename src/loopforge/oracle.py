@@ -48,7 +48,12 @@ place that reads the positions of a table's comparisons, and it also
 gives the node's table bound: its constant plus each open row at min(f,
 b).  So every node's bound is the count of the whole table at its
 positions, the same number as a recount, read from its parent's open part
-alone.
+alone.  A child is first bounded by its parent's table bound, and split
+only if that fails to prune it: appending a point decides open
+comparisons, each adding 0 or 1, and open row ends, each raising f or b,
+so a child's table bound is never below its parent's.  A child whose
+parent has nothing open is neither split nor folded: its table bound is
+its parent's, and a fold of nothing leaves it unchanged.
 
 Where the table bound fails to prune, the search folds the node's open
 part, every comparison and row end of which joins two unplaced points and
@@ -663,15 +668,24 @@ class _Search:
             self.bound_const[level + 1], self.bound_less[level + 1], self.bound_rows[level + 1])
         bound = acc + rest + table
         if bound < self.bound and self._folded(level, w, bound, less, rows) < self.bound:
-            self._extend(level, acc, rest, (), list(range(m)), w, const, less, rows)
+            self._extend(level, acc, rest, (), list(range(m)), w, table, const, less, rows)
 
     def _extend(self, level: int, acc: int, rest: int, order: tuple[int, ...], left: list[int],
-                w: list[list[int]], const: int, less: _Less, rows: _Rows) -> None:
+                w: list[list[int]], table: int, const: int, less: _Less, rows: _Rows) -> None:
         """Append each point of `left`, the indices of the unplaced points of
         the gap at `level`, after the placed points `order`, and search on
         below the bound.  The unplaced points share the position after the
         placed ones, since each of them will follow every placed point.
-        `const`, `less` and `rows` split the next table at this node.
+        `const`, `less` and `rows` split the next table at this node, and
+        `table` is its table bound.
+
+        A child with two or more points left is bounded by this node's table
+        bound, then by its own from `_split`, then folded, each only if the
+        one before fails to prune it.  The first is sound: appending a point
+        only decides open comparisons, each adding 0 or 1, and open row
+        ends, each raising the row's f or b, so no table bound falls.  A node
+        with nothing open passes its table bound and parts on unsplit and
+        unfolded.
 
         A point is not appended right after a tied twin of a higher index:
         the two orders of tied twins cost the same in every completion, and
@@ -716,13 +730,14 @@ class _Search:
                 if acc + inc < self.bound:
                     self.current[g] = order + (p,) + tuple(pts[j] for j in others)
                     self._dfs(level + 1, acc + inc)
-            else:
-                table, sub_const, sub_less, sub_rows = self._split(const, less, rows)
-                bound = acc + inc + rest - drop + table
-                if bound < self.bound and self._folded(
-                        level, w, bound, sub_less, sub_rows) < self.bound:
-                    self._extend(level, acc + inc, rest - drop, order + (p,), others, w,
-                                 sub_const, sub_less, sub_rows)
+            elif acc + inc + rest - drop + table < self.bound:
+                sub = table, const, less, rows  # nothing open: the child's are these
+                if less or rows:
+                    sub = self._split(const, less, rows)
+                    bound = acc + inc + rest - drop + sub[0]
+                    if bound >= self.bound or self._folded(level, w, bound, *sub[2:]) >= self.bound:
+                        continue
+                self._extend(level, acc + inc, rest - drop, order + (p,), others, w, *sub)
         for i in left:
             pos[pts[i]] = at
 

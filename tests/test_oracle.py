@@ -3,6 +3,7 @@ import inspect
 import io
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -566,9 +567,15 @@ def _unplaced_points(search, g):
 
 
 def test_future_bound_matches_reference(monkeypatch):
-    """At every node and sub-node the table bound `_split` returns equals the
-    bound of the later gaps recomputed from the positions, also at children
-    the bound prunes; at every node `_extend` receives, its running total
+    """At every node and sub-node where `_split` runs, the table bound it
+    returns equals the bound of the later gaps recomputed from the
+    positions.  It runs on entering each gap, and at each child with two or
+    more points left that its node's table bound does not prune, if that
+    node has an open part; so it is checked also at children that their own
+    table bound or the fold prunes, but not at children pruned by their
+    node's table bound, nor at those whose node has nothing open, which
+    `test_carried_open_part_matches_recount` checks where the search
+    enters them.  At every node `_extend` receives, its running total
     `rest` equals the recomputed cost of the pairs of its unplaced points; and
     each level's weights equal the reference costs.  A sub-node of level L
     orders the gap at L point by point: its bound covers the pairs of its
@@ -776,6 +783,108 @@ def test_fold_changes_no_answer(monkeypatch):
     assert sum(with_fold) < sum(without)
 
 
+def _prune_cases(seed):
+    """The ladders m = 2..9 and 300 random instances, each at budgets 10 and
+    the default."""
+    ladders = [(2, (CurveSpec((V, 2) + (0, 1) * m + (2, V), False, NORTH),), "self")
+               for m in range(2, 10)]
+    rng = random.Random(seed)
+    return [(inst, budget) for inst in ladders + [_random_curves(rng) for _ in range(300)]
+            for budget in (10, oracle.DEFAULT_BUDGET)]
+
+
+def test_child_table_bound_never_below_parent(monkeypatch):
+    """`_extend` bounds a child by its node's table bound before it splits
+    it, which is sound because the table bound `_split` returns at every
+    child it splits is at or above its node's: appending a point only
+    decides open comparisons and row ends.  A child is split only if its
+    node has an open part, and some children's table bound is higher."""
+    search_class = oracle._Search
+    split, dfs, extend = search_class._split, search_class._dfs, search_class._extend
+    tables = []  # the table bound of each running `_extend`, None for `_dfs`; innermost last
+    checked = {"children": 0, "raised": 0}
+
+    def checked_split(self, const, less, rows):
+        got = split(self, const, less, rows)
+        if tables[-1] is not None:  # a child's split, not a gap's entry
+            assert less or rows, self.inst.curves
+            assert got[0] >= tables[-1], self.inst.curves
+            checked["children"] += 1
+            checked["raised"] += got[0] > tables[-1]
+        return got
+
+    def checked_dfs(self, level, acc):
+        tables.append(None)
+        try:
+            return dfs(self, level, acc)
+        finally:
+            tables.pop()
+
+    def checked_extend(self, level, acc, rest, order, left, w, table, const, less, rows):
+        tables.append(table)
+        try:
+            return extend(self, level, acc, rest, order, left, w, table, const, less, rows)
+        finally:
+            tables.pop()
+
+    monkeypatch.setattr(search_class, "_split", checked_split)
+    monkeypatch.setattr(search_class, "_dfs", checked_dfs)
+    monkeypatch.setattr(search_class, "_extend", checked_extend)
+    for inst, budget in _prune_cases(199):
+        minimize_crossings(*inst, budget)
+    assert min(checked.values()) > 0, checked
+
+
+class _NeverPrunes(int):
+    """A table bound whose every sum is below any search bound."""
+
+    def __radd__(self, other):
+        return -math.inf
+
+
+class _NeverEmpty(list):
+    """An open part that reads as non-empty, even with nothing in it."""
+
+    def __bool__(self):
+        return True
+
+
+def test_parent_table_bound_changes_no_search(monkeypatch):
+    """With the test of each child against its node's table bound disabled,
+    and every child split, also a child of a node with nothing open, every
+    search returns the same value, witness and exact flag for the same
+    units: the test prunes only children that their own bounds prune.  It
+    saves splits."""
+    units, splits = [], [0]
+    search_class = oracle._Search
+    run, split, extend = search_class.run, search_class._split, search_class._extend
+
+    def counted_run(self):
+        try:
+            return run(self)
+        finally:
+            units.append(self.units)
+
+    def counted_split(self, const, less, rows):
+        splits[-1] += 1
+        return split(self, const, less, rows)
+
+    monkeypatch.setattr(search_class, "run", counted_run)
+    monkeypatch.setattr(search_class, "_split", counted_split)
+    cases = _prune_cases(211)
+    pruned = [minimize_crossings(*inst, budget) for inst, budget in cases]
+    monkeypatch.setattr(
+        search_class, "_extend",
+        lambda self, level, acc, rest, order, left, w, table, const, less, rows: extend(
+            self, level, acc, rest, order, left, w, _NeverPrunes(table), const,
+            _NeverEmpty(less), rows))
+    splits.append(0)
+    plain = [minimize_crossings(*inst, budget) for inst, budget in cases]
+    assert pruned == plain
+    assert units[:len(cases)] == units[len(cases):]
+    assert splits[0] < splits[1], splits
+
+
 def _reference_future_bound(search, level, rest):
     """The table bound as the search once recounted it at every node: `rest`
     plus table `level`, each comparison and row end read from the current
@@ -822,19 +931,20 @@ def _recounted_table(search, level):
 def test_carried_open_part_matches_recount(monkeypatch):
     """At every node the search enters, the constant and open part carried
     down from the gap's entry equal table L + 1 split from scratch at that
-    node's positions, and with the open rows at min(f, b) give the table
-    bound once recounted at every node.  A row of the parent, or of the
-    table at the gap's entry, that the last append leaves with no decided
-    end is kept as the same tuple, not copied."""
+    node's positions, and the table bound it is given equals both the
+    constant plus the open rows at min(f, b) and the table bound once
+    recounted at every node.  A row of the parent, or of the table at the
+    gap's entry, that the last append leaves with no decided end is kept as
+    the same tuple, not copied."""
     checked = {"nodes": 0, "sub-nodes": 0, "open less": 0, "open rows": 0,
                "closed rows": 0, "shared rows": 0}
     kinds = set()
     extend = oracle._Search._extend
     path = []  # the open rows of the entered nodes above, innermost last
 
-    def checked_extend(self, level, acc, rest, order, left, w, const, less, rows):
+    def checked_extend(self, level, acc, rest, order, left, w, table, const, less, rows):
         assert (const, less, rows) == _recounted_table(self, level), (self.inst.curves, order)
-        table = const + sum(min(f, b) for f, b, _ in rows)
+        assert table == const + sum(min(f, b) for f, b, _ in rows), (self.inst.curves, order)
         assert table == _reference_future_bound(self, level + 1, 0), self.inst.curves
         parent, pos = path[-1] if order else self.bound_rows[level + 1], self.pos
         kept = [r for r in parent if all(pos[p] == pos[q] for p, q in r[2])]
@@ -850,7 +960,7 @@ def test_carried_open_part_matches_recount(monkeypatch):
         kinds.add(self.inst.tally)
         path.append(rows)
         try:
-            return extend(self, level, acc, rest, order, left, w, const, less, rows)
+            return extend(self, level, acc, rest, order, left, w, table, const, less, rows)
         finally:
             path.pop()
 

@@ -52,9 +52,10 @@ COMMANDS: list[list[str]] = (
     # stopped at its first inexact candidate (exit 3)
     + [["enumerate", "--n", "2", "--k", "4", "--budget", b] for b in ("30", "1")]
     # a search stopped by its budget one unit short of finishing (exit 3), and
-    # the same search finished at its last unit (exit 0): they pin its units
-    + [["selfint", "--n", "2", "--budget", b, LADDER.format(" ".join(["0 1"] * 10))]
-       for b in ("1220", "1221")]
+    # the same search finished at its last unit (exit 0): they pin its units,
+    # for two ladders
+    + [["selfint", "--n", "2", "--budget", b, LADDER.format(" ".join(["0 1"] * m))]
+       for m, units in ((10, 1221), (11, 3215)) for b in (str(units - 1), str(units))]
     # the commands that need no oracle
     + [["bounds", "--n", "2", "--k", "5"],
        ["windings", "--n", "2", "v 2 0 1 0 2 1 2 v"],
