@@ -6,12 +6,12 @@ REPLACE` under the WAL journal, in a transaction of its own, so concurrent
 writers (the pair-search workers of `graph --jobs`, other processes) only
 ever replace a whole entry.
 Inside :func:`batched_writes` the process that opened the batch keeps its
-rows in memory instead, reads them back from there, and writes them in one
-transaction per :data:`BATCH_ROWS` rows and when the batch ends, also by an
-exception or an interrupt.  The first row it keeps after each write opens the
-connection, so an unusable location fails at that row.  It holds no lock
-between those writes, so a process killed in a batch loses at most its
-unwritten rows, never part of an entry.  A key, such as
+rows in memory instead, and writes them in one transaction per
+:data:`BATCH_ROWS` rows and when the batch ends, also by an exception or an
+interrupt; reads see the database alone.  The first row it keeps after each
+write opens the connection, so an unusable location fails at that row.  It
+holds no lock between those writes, so a process killed in a batch loses at
+most its unwritten rows, never part of an entry.  A key, such as
 `n2|self|v|v.2.0.1.2.v`, does not carry the model version: each entry holds
 it in its `"version"` field, which :meth:`CacheStore.get` checks, so bumping
 :data:`MODEL_VERSION` makes old entries misses.
@@ -144,23 +144,29 @@ class CacheStore:
         """The entry of `key`, or None when there is no database or no row, or
         the row is not UTF-8 JSON, is not a JSON object, or was written for
         another key or version.  Never creates the directory or the database."""
-        rows = _batches.get(os.getpid())
-        text = rows.get((self.directory, key)) if rows else None
+        return self.get_many([key])[key]
+
+    def get_many(self, keys: list[str]) -> dict[str, dict | None]:
+        """Each key's entry as :meth:`get` reads it, one query per BATCH_ROWS
+        keys; the calls that batch their writes keep what they wrote."""
+        found = dict.fromkeys(keys)
+        conn = self._connection(write=False)
         try:
-            if text is None:
-                conn = self._connection(write=False)
-                if conn is None:
-                    return None
-                row = conn.execute("SELECT entry FROM entries WHERE key = ?", (key,)).fetchone()
-                text = row[0] if row is not None else None
-            entry = json.loads(text) if text is not None else None
-        except (sqlite3.Error, TypeError, ValueError):  # not UTF-8 JSON text
-            return None
-        if not isinstance(entry, dict):
-            return None
-        if entry.get("version") != MODEL_VERSION or entry.get("key") != key:
-            return None
-        return entry
+            for i in range(0, len(keys) if conn else 0, BATCH_ROWS):
+                chunk = keys[i:i + BATCH_ROWS]
+                # entry texts as bytes, so a text that is not UTF-8 misses alone
+                found.update(conn.execute("SELECT key, CAST(entry AS BLOB) FROM entries "
+                                          f"WHERE key IN ({','.join('?' * len(chunk))})", chunk))
+        except sqlite3.Error:
+            return dict.fromkeys(keys)
+        for key, text in found.items():
+            try:
+                entry = json.loads(text.decode()) if text is not None else None
+            except ValueError:  # not UTF-8 JSON text
+                entry = None
+            ok = isinstance(entry, dict) and entry.get("version") == MODEL_VERSION
+            found[key] = entry if ok and entry.get("key") == key else None
+        return found
 
     def put(self, key: str, fields: dict) -> None:
         """Store the entry of `key`, or keep it in this process's open batch."""

@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass
 
 from .bounds import block_obstacles, depth_family_bound, double_exp_exponent
-from .cache import batched_writes, flush_batch
+from .cache import BATCH_ROWS, batched_writes, flush_batch
 from .canon import LoopClass, VLoopClass, XLoopClass
 from .expansion import tail_cap
 from .oracle import (
@@ -39,10 +39,10 @@ from .oracle import (
     _grow_segment,
     _pair_form,
     _reflect,
+    _seg_texts,
     _segment_start,
     _self_form,
     _solve,
-    segment_self_at_least,
 )
 from .words import (
     NORTH,
@@ -193,11 +193,14 @@ def _evaluate_words(
     words: list[Word], k: int, alphabet: GapAlphabet, config: OracleConfig
 ) -> list[CrossingCount]:
     """Each word's threshold query at k: its exact minimum below k, up to
-    the first word whose query runs out of budget, that one too."""
-    n = alphabet.n
+    the first word whose query runs out of budget, that one too.  Words of
+    one key, such as a core and its reversal, share one read and one search."""
+    n, store = alphabet.n, config.store()
+    queries = [_self_form(n, w.kind, w.letters) for w in words]
+    entries = store.get_many([key for key, _ in queries]) if store else {}
     results = []
-    for w in words:
-        results.append(_solve(n, *_self_form(n, w.kind, w.letters), config, k))
+    for key, form in queries:
+        results.append(_solve(n, key, form, config, k, True, entries))
         if not results[-1].exact:
             break
     return results
@@ -222,7 +225,8 @@ def _collect_core_candidates(
     the prefix is below k, so the oracle is asked only about prefixes whose
     grown drawing has k or more; growing only adds crossings, so below such
     a prefix no more drawings are grown.  Each prefix hands its children its
-    winding state and its drawing, so neither is rebuilt from the letters.
+    winding state, its drawing and its letter strings (`_seg_texts`), so
+    none is rebuilt from the letters.
 
     Only the root `(2,)` and the subtree below `(2, 0)` are walked.  The
     reflection σ_2 through v keeps 2 and swaps 0 and 1, so it maps that
@@ -233,29 +237,31 @@ def _collect_core_candidates(
     candidates: list[tuple[int, ...]] = []
     n = alphabet.n
 
-    def walk(prefix: tuple[int, ...], wind: tuple, drawn: tuple | None,
+    def walk(prefix: tuple[int, ...], wind: tuple, drawn: tuple | None, texts: tuple,
              letters: tuple[int, ...] = (0, 1, 2)) -> None:
-        # drawn: a drawing of the anchored parent prefix (`_grow_segment`)
-        # while its crossings are below k, else None
+        # drawn: a drawing of the anchored parent prefix (`_grow_segment`) while
+        # its crossings are below k, else None; texts: its `_seg_texts`
         if prefix_winding_lb(wind) >= k:
             return
         anchored = (V,) + prefix
+        texts = _seg_texts(texts, prefix[-1], n)
         if drawn is not None:
             drawn = _grow_segment(drawn, anchored)
             if drawn[1] >= k:
                 drawn = None
-        if (drawn is None and len(prefix) >= 4
-                and segment_self_at_least(anchored, k, alphabet, config)):
-            return
+        if drawn is None and len(prefix) >= 4:  # as `segment_self_at_least` asks
+            res = _solve(n, *_self_form(n, "seg", anchored, texts), config, k, False)
+            if res.exact and res.value >= k:
+                return
         if prefix[-1] == 2:
             candidates.append(prefix)
         if len(prefix) >= cap:
             return
         for letter in letters:
             if letter != prefix[-1]:
-                walk(prefix + (letter,), _wound(wind, prefix, letter, n), drawn)
+                walk(prefix + (letter,), _wound(wind, prefix, letter, n), drawn, texts)
 
-    walk((2,), _winding_start(n), _segment_start(n), (0,))
+    walk((2,), _winding_start(n), _segment_start(n), ("v",) * 4, (0,))
     # every candidate but the root lies below (2, 0)
     return candidates + sorted(_reflect(core, n) for core in candidates[1:])
 
@@ -352,11 +358,14 @@ class CompatibilityGraph:
         }
 
 
-def _reflected_class(c: LoopClass, n: int) -> LoopClass:
-    """The image of a class under σ_n, which keeps hemispheres."""
-    if isinstance(c, VLoopClass):
-        return VLoopClass(_reflect(c.core, n), c.start_hemisphere)
-    return XLoopClass(_reflect(c.reduced, n))
+def _images(c: LoopClass, n: int) -> tuple[LoopClass, ...]:
+    """A class's images under σ_n, under μ, which mirrors both hemispheres of
+    a v-class, and under both; an x-class has no hemisphere, so μ keeps it."""
+    if isinstance(c, XLoopClass):
+        return (XLoopClass(_reflect(c.reduced, n)),)
+    core, hemisphere = _reflect(c.core, n), c.start_hemisphere
+    mirror = SOUTH if hemisphere == NORTH else NORTH
+    return VLoopClass(core, hemisphere), VLoopClass(c.core, mirror), VLoopClass(core, mirror)
 
 
 def compatibility_graph(
@@ -366,32 +375,43 @@ def compatibility_graph(
 ) -> CompatibilityGraph:
     if jobs < 1:
         raise PreconditionError("jobs must be at least 1")
-    n, count = catalog.n, catalog.count
+    n, count, store = catalog.n, catalog.count, config.store()
     classes = [e.loop_class for e in catalog.entries]
     texts = [_class_text(c, n) for c in classes]
-    # the index of each class's image under σ_n, or -1 if the catalog does
-    # not hold it: a pair and its image share one cache key
+    # the index of each class and of each of its images (`_images`), -1 for
+    # one the catalog does not hold: a pair and its images share one key
     index = {c: i for i, c in enumerate(classes)}
-    images = [index.get(_reflected_class(c, n), -1) for c in classes]
-    # pairs of one cache key share one answer, so only the first form of
-    # each key is searched or read, and no witness is drawn.  A pair whose
-    # image came earlier reuses that pair's key and builds no key of its own.
-    keys, forms = {}, {}
-    for i in range(count):
-        a = images[i]
+    images = [[i] + [index.get(image, -1) for image in _images(c, n)]
+              for i, c in enumerate(classes)]
+    # keys[i][j], for i < j: the key of the pair (i, j).  Pairs of one key
+    # share one answer, so only the first form of each key is searched or
+    # read, and no witness is drawn.  The first pair of each orbit of pairs
+    # builds the key of all its pairs.
+    keys, forms = [{} for _ in range(count)], {}
+    for i, row in enumerate(keys):
         for j in range(i + 1, count):
-            b = images[j]
-            key = keys.get((a, b) if a < b else (b, a))
-            if key is None:
+            if j not in row:
                 key, form = _pair_form(n, texts[i], texts[j])
                 forms.setdefault(key, form)
-            keys[i, j] = key
+                for a, b in zip(images[i], images[j]):
+                    if a > b:
+                        a, b = b, a
+                    if a >= 0:
+                        keys[a][b] = key
     calls = [(n, key, form, config, None, False) for key, form in forms.items()]
     with batched_writes():
-        results = _map(_solve, calls, jobs)
+        if jobs > 1:  # each worker reads its keys one by one
+            results = _map(_solve, calls, jobs)
+        else:  # the keys are read BATCH_ROWS at once, and their entries kept that long
+            results = []
+            for i in range(0, len(calls), BATCH_ROWS):
+                chunk = calls[i:i + BATCH_ROWS]
+                entries = store.get_many([call[1] for call in chunk]) if store else {}
+                results += [_solve(*call, entries) for call in chunk]
     edges = {key: GraphEdge(res.value, res.exact, res.value < catalog.k or not res.exact)
              for key, res in zip(forms, results)}
-    return CompatibilityGraph(catalog, {pair: edges[key] for pair, key in keys.items()})
+    return CompatibilityGraph(catalog, {(i, j): edges[keys[i][j]] for i in range(count)
+                                        for j in range(i + 1, count)})
 
 
 # -- clique bounds --------------------------------------------------------------

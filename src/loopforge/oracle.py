@@ -108,10 +108,12 @@ curves: reversed, rotated, swapped or mirrored curves share a key, and so
 do curves and their images under the reflection through v, all reflected
 together.  The witness of the form is drawn back onto the query's curves.
 Every query is its key and its form as plain data, which `_solve` answers.  `_self_form`
-builds them for a self query, and `_pair_form` for every pair query and
+builds them for a self query, from letter strings the catalog walk carries
+from a prefix to its children, and `_pair_form` for every pair query and
 every pair of the compatibility graph, by joining pieces of the texts of
 its two curves, made once per curve.  `_solve` builds the searched curves
-only when it searches or draws a witness.
+only when it searches or draws a witness, and it reads the entries a
+catalog or graph shares for the run before the store.
 """
 
 from __future__ import annotations
@@ -946,22 +948,34 @@ class _Form:
         return Drawing(drawing.n, query, orders)
 
 
-def _self_key(n: int, kind: str, letters: tuple[int, ...],
-              reflect: bool = True) -> tuple[str, int, bool, bool]:
+def _self_key(n: int, kind: str, letters: tuple[int, ...], reflect: bool = True,
+              texts: tuple[str, ...] | None = None) -> tuple[str, int, bool, bool]:
     """The key of a self query on a closed curve ("x"), a v-word ("v") or an
     open segment ("seg"), with the shift, reversal and reflection that give
     it: the least letter string over reversal, the rotations of a closed
-    curve, and σ_n unless not `reflect`."""
-    # the closing chord makes the diagram cyclic
-    text, refl, shift, rev = _least(letters, _reflection(n) if reflect else None,
-                                    range(len(letters) or 1) if kind == "x" else (0,))
+    curve, and σ_n unless not `reflect`, or over the four `texts` of an
+    open curve (`_seg_texts`), if given, which formats none."""
+    if texts is not None:
+        text, refl, shift, rev = min(zip(texts, (False, True) * 2, (0,) * 4,
+                                         (False, False, True, True)))
+    else:  # the closing chord makes the diagram cyclic
+        text, refl, shift, rev = _least(letters, _reflection(n) if reflect else None,
+                                        range(len(letters) or 1) if kind == "x" else (0,))
     return (f"n{n}|seg|{text}" if kind == "seg" else f"n{n}|self|{kind}|{text}"), shift, rev, refl
 
 
-def _self_form(n: int, kind: str, letters: tuple[int, ...]) -> tuple[str, tuple]:
+def _seg_texts(texts: tuple[str, ...], letter: int, n: int) -> tuple[str, ...]:
+    """The letter strings, forward and reversed, each plain and under σ_n, of
+    an open curve one `letter` longer than the curve of `texts`."""
+    a, b = _letter_text(letter), _letter_text(_reflection(n)[letter])
+    fwd, fwd_image, rev, rev_image = texts
+    return f"{fwd}.{a}", f"{fwd_image}.{b}", f"{a}.{rev}", f"{b}.{rev_image}"
+
+
+def _self_form(n: int, kind: str, letters: tuple[int, ...], texts=None) -> tuple[str, tuple]:
     """The key of a self query on the `kind` curve of `letters`, first arc
     north, and the arguments of `_Form.of` that build the form it names."""
-    key, shift, rev, refl = _self_key(n, kind, letters)
+    key, shift, rev, refl = _self_key(n, kind, letters, texts=texts)
     return key, (n, [((letters, kind == "x", NORTH),)], ((0, shift, rev),), [(NORTH,)], refl)
 
 
@@ -1041,7 +1055,8 @@ def _pair_form(n: int, t1: tuple, t2: tuple) -> tuple[str, tuple]:
 
 
 def _solve(n: int, key: str, form: tuple, config: OracleConfig,
-           cutoff: int | None = None, drawn: bool = True) -> CrossingCount:
+           cutoff: int | None = None, drawn: bool = True,
+           entries: dict | None = None) -> CrossingCount:
     """Answer a query from the cache entry of `key` if the entry decides it,
     or else search each curve tuple of `_Form.of(*form)`, one curve for a
     self tally and two for an inter tally, keep the least value and write
@@ -1052,9 +1067,13 @@ def _solve(n: int, key: str, form: tuple, config: OracleConfig,
     cutoff with no witness, and the form is built only when it is read.
     Unless `drawn`, no witness is drawn, so an entry answers without one.
     An entry whose value is not an int, or whose witness does not draw back
-    when it is read, is a miss."""
-    store = config.store()
-    entry = (store.get(key) if store is not None else None) or {}
+    when it is read, is a miss.
+
+    `entries`, read before the store, holds the entries a run read (None for
+    no row) and the facts it wrote: a key it repeats costs no second read
+    and, once decided, no second search."""
+    store, entries = config.store(), {} if entries is None else entries
+    entry = (entries[key] if key in entries else store and store.get(key)) or {}
     exact = entry.get("exact") and type(entry.get("value")) is int
     known = entry["value"] if exact else entry.get("at_least")
     if type(known) is not int:
@@ -1074,10 +1093,11 @@ def _solve(n: int, key: str, form: tuple, config: OracleConfig,
     value, witness, _ = min(results, key=lambda r: r[0])
     exact = all(r[2] for r in results)
     below = cutoff is None or value < cutoff
-    if store is not None and exact:
-        # the entry did not decide the query, so these facts replace it
-        store.put(key, {"value": value, "exact": True, "witness": witness.to_json()}
-                  if below else {"at_least": cutoff})
+    if exact:  # the entry did not decide the query, so these facts replace it
+        entries[key] = fields = ({"value": value, "exact": True, "witness": witness.to_json()}
+                                 if below else {"at_least": cutoff})
+        if store is not None:
+            store.put(key, fields)
     return (CrossingCount(value, exact, form.back(witness) if drawn else None) if below
             else CrossingCount(cutoff if exact else value, exact, None))
 

@@ -183,10 +183,30 @@ def test_evaluation_stops_at_the_first_inexact_candidate(alpha2, monkeypatch):
     message = f"budget exhausted on core {words[first].inner()}"
     assert message == "budget exhausted on core (2, 0, 1, 2)"
     solved, solve = [], extremal._solve
-    monkeypatch.setattr(extremal, "_solve", lambda *a: solved.append(a) or solve(*a))
+
+    def recorded(n, key, *args):  # the candidates' queries, not the walk's
+        if key.startswith(f"n{n}|self|"):
+            solved.append(key)
+        return solve(n, key, *args)
+
+    monkeypatch.setattr(extremal, "_solve", recorded)
     with pytest.raises(extremal.EnumerationIncompleteError) as info:
         enumerate_classes(2, k, config)
     assert str(info.value) == message and len(solved) == first + 1
+
+
+def _record_walk_queries(monkeypatch) -> list:
+    """Record the anchored prefix of each oracle query of the walk, as the
+    walk asks it; the list is returned."""
+    asked, solve = [], extremal._solve
+
+    def recorded(n, key, form, *args):
+        if key.startswith(f"n{n}|seg|"):
+            asked.append(form[1][0][0][0])  # the letters of the query's curve
+        return solve(n, key, form, *args)
+
+    monkeypatch.setattr(extremal, "_solve", recorded)
+    return asked
 
 
 def _candidates(n, k, config):
@@ -266,9 +286,7 @@ def test_warm_threshold_queries_read_only_the_cache(tmp_path, alpha2, monkeypatc
     k = 4
     config = OracleConfig(cache_dir=tmp_path)
     enumerate_classes(2, k, config)
-    asked, ask = [], extremal.segment_self_at_least
-    monkeypatch.setattr(extremal, "segment_self_at_least",
-                        lambda letters, *a: asked.append(letters) or ask(letters, *a))
+    asked, ask = _record_walk_queries(monkeypatch), oracle.segment_self_at_least
     words = _candidates(2, k, config)
     rows = cache_rows(tmp_path)
     proved = [letters for letters in asked
@@ -291,21 +309,16 @@ def test_warm_threshold_queries_read_only_the_cache(tmp_path, alpha2, monkeypatc
 def test_walk_settles_prefixes_by_their_drawings(k, alpha2, nocache_config, monkeypatch):
     """Every prefix drawing the walk grows recounts to its count, and the
     oracle is asked only about prefixes not drawn below k."""
-    grown, asked = {}, []
-    grow, ask = extremal._grow_segment, extremal.segment_self_at_least
+    grown, grow = {}, extremal._grow_segment
 
     def recorded_grow(drawn, letters):
         grown[letters] = out = grow(drawn, letters)
         return out
 
-    def recorded_ask(letters, *args):
-        asked.append(letters)
-        return ask(letters, *args)
-
     monkeypatch.setattr(extremal, "_grow_segment", recorded_grow)
-    monkeypatch.setattr(extremal, "segment_self_at_least", recorded_ask)
+    asked = _record_walk_queries(monkeypatch)
     extremal._collect_core_candidates(k, length_cap(k, 2), alpha2, nocache_config)
-    assert grown
+    assert grown and (asked or k < 3)
     for letters, (circle, count, _) in grown.items():
         assert oracle.count_crossings(circle_drawing(2, letters, circle), "self") == count
     assert all(letters not in grown or grown[letters][1] >= k for letters in asked)
@@ -327,17 +340,52 @@ def test_walk_matches_reference_walk(k, alpha2):
 def test_walk_visits_one_mirror_half(alpha2, nocache_config, monkeypatch):
     """No prefix below (2, 1) is grown or asked about, yet the candidates
     below (2, 1) are those below (2, 0) with 0 and 1 swapped."""
-    k, seen, grow, ask = 5, [], extremal._grow_segment, extremal.segment_self_at_least
+    k, grow = 5, extremal._grow_segment
+    seen = _record_walk_queries(monkeypatch)
     monkeypatch.setattr(extremal, "_grow_segment",
                         lambda drawn, letters: seen.append(letters) or grow(drawn, letters))
-    monkeypatch.setattr(extremal, "segment_self_at_least",
-                        lambda letters, *a: seen.append(letters) or ask(letters, *a))
     cores = extremal._collect_core_candidates(k, length_cap(k, 2), alpha2, nocache_config)
     assert seen and all(letters[1:3] != (2, 1) for letters in seen)
     swap = {0: 1, 1: 0, 2: 2}
     below = {c: [core for core in cores if core[:2] == c] for c in ((2, 0), (2, 1))}
     assert below[(2, 0)] and cores == [(2,)] + below[(2, 0)] + below[(2, 1)]
     assert below[(2, 1)] == sorted(tuple(swap[a] for a in core) for core in below[(2, 0)])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_walk_keys_are_segment_keys(k, alpha2, nocache_config, monkeypatch):
+    """Each prefix the walk asks the oracle about is asked with the key,
+    move and reflection of `_self_key`, built from the letter strings its
+    parent handed down."""
+    queries, solve = [], extremal._solve
+    monkeypatch.setattr(extremal, "_solve", lambda *a: queries.append(a[1:3]) or solve(*a))
+    extremal._collect_core_candidates(k, length_cap(k, 2), alpha2, nocache_config)
+    assert queries
+    for key, form in queries:
+        letters = form[1][0][0][0]
+        want, shift, rev, refl = oracle._self_key(2, "seg", letters)
+        assert (key, form[2], form[4]) == (want, ((0, shift, rev),), refl), letters
+        assert (key, form) == oracle._self_form(2, "seg", letters)
+
+
+def test_candidates_without_a_cache_search_each_key_once(tmp_path, nocache_config,
+                                                         monkeypatch):
+    """Without a cache, candidates of one key, such as a core and its
+    reversal, share one search, and the catalog is the cached run's."""
+    config = OracleConfig(cache_dir=tmp_path)
+    want = json.dumps(enumerate_classes(2, 5, config).to_json())
+    words = _candidates(2, 5, nocache_config)
+    keys = {oracle._self_key(2, w.kind, w.letters)[0] for w in words}
+    search, searched = oracle.minimize_crossings, []
+
+    def recorded(n, curves, *args):
+        if curves[0].letters[0] == curves[0].letters[-1] == V:  # a v-word, not a segment
+            searched.append(curves)
+        return search(n, curves, *args)
+
+    monkeypatch.setattr(oracle, "minimize_crossings", recorded)
+    assert json.dumps(enumerate_classes(2, 5, nocache_config).to_json()) == want
+    assert (len(words), len(keys), len(searched)) == (317, 125, 125)
 
 
 def test_enumerate_stable_under_larger_cap(alpha2, config):
@@ -448,7 +496,8 @@ def test_batched_rows_match_rows_written_one_by_one(tmp_path, monkeypatch):
     """A catalog and its graph keep their cache writes in a batch.  Written
     one by one outside a batch, in one batch per stage, or flushed every
     seven rows, the same queries run the same searches and store the same
-    rows: a read inside the batch sees the rows it has not written yet."""
+    rows: a key written earlier in the call is read from the entries the
+    call keeps, not from the batch."""
     from loopforge import cache
 
     search = oracle.minimize_crossings
@@ -473,8 +522,9 @@ def test_graph_searches_each_key_once(nocache_config, monkeypatch):
     """Pairs of one cache key share one answer: the k=4 graph has 780 pairs
     and 75 distinct keys (132 without the reflection through v), and even
     without a cache each is searched once, in the form of its first pair.  A
-    pair whose image under the reflection came earlier reuses that pair's
-    key, so keys are built once per orbit of pairs under the reflection."""
+    pair one of whose images under the reflection σ through v, the mirror μ
+    of both hemispheres, or both came earlier reuses that pair's key, so
+    keys are built once per orbit of pairs under σ and μ."""
     catalog = enumerate_classes(2, 4, nocache_config)
     classes = [e.loop_class for e in catalog.entries]
     texts = [oracle._class_text(c, 2) for c in classes]
@@ -484,9 +534,12 @@ def test_graph_searches_each_key_once(nocache_config, monkeypatch):
         key, form = oracle._pair_form(2, texts[i], texts[j])
         want.setdefault(key, form)
     swap = {0: 1, 1: 0, 2: 2}
-    image = [classes.index(VLoopClass(tuple(swap[a] for a in c.core), c.start_hemisphere))
+    mirror = {NORTH: SOUTH, SOUTH: NORTH}
+    sigma = [classes.index(VLoopClass(tuple(swap[a] for a in c.core), c.start_hemisphere))
              for c in classes]
-    orbits = {frozenset({(i, j), tuple(sorted((image[i], image[j])))}) for i, j in pairs}
+    mu = [classes.index(VLoopClass(c.core, mirror[c.start_hemisphere])) for c in classes]
+    maps = (lambda i: i, sigma.__getitem__, mu.__getitem__, lambda i: sigma[mu[i]])
+    orbits = {frozenset(tuple(sorted((f(i), f(j)))) for f in maps) for i, j in pairs}
     search, solve, pair_form = oracle.minimize_crossings, extremal._solve, extremal._pair_form
     searches, solved, formed = [], [], []
     monkeypatch.setattr(oracle, "minimize_crossings",
@@ -497,7 +550,7 @@ def test_graph_searches_each_key_once(nocache_config, monkeypatch):
     assert len(graph.edges) == 780
     assert len(searches) == len(want) == 75
     assert solved == list(want.items())
-    assert len(formed) == len(orbits) < len(pairs)
+    assert len(formed) == len(orbits) == 211
 
 
 @pytest.mark.parametrize("n, k", [(2, 4), (1, 4)])

@@ -1476,7 +1476,9 @@ def test_cache_keeps_one_connection_per_process(tmp_path):
     assert cache.CacheStore(tmp_path / "0").get("some-key")["value"] == 0
 
 
-def test_batch_reads_its_unwritten_rows(tmp_path):
+def test_batch_keeps_its_rows_until_it_ends(tmp_path):
+    """A batch keeps its rows unwritten, and a read goes to the database
+    alone: the calls that batch their writes keep what they wrote."""
     from loopforge.cache import CacheStore, batched_writes
 
     store = CacheStore(tmp_path)
@@ -1485,11 +1487,34 @@ def test_batch_reads_its_unwritten_rows(tmp_path):
         with batched_writes():  # a nested block joins the open batch
             store.put("other-key", {"value": 4})
         assert cache_rows(tmp_path) == {}  # the first row opened the database, empty
-        assert store.get("some-key")["value"] == 3
-        assert store.get("other-key")["value"] == 4
+        assert store.get_many(["some-key", "other-key"]) == {"some-key": None, "other-key": None}
         assert CacheStore(tmp_path / "elsewhere").get("some-key") is None
     assert {key: json.loads(text)["value"] for key, text in cache_rows(tmp_path).items()} == {
         "some-key": 3, "other-key": 4}
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe{", b"[1,2]", "other-key", "other-version", None])
+def test_bulk_read_and_get_share_one_entry_check(tmp_path, monkeypatch, text):
+    """A row that is not UTF-8 JSON, is not a JSON object, was written for
+    another key or model version, or holds no text is a miss of `get` and of
+    `get_many`, and it misses alone: the rows read in the same query are
+    read.  `get_many` reads BATCH_ROWS keys a query."""
+    from loopforge import cache
+
+    monkeypatch.setattr(cache, "BATCH_ROWS", 2)
+    store = cache.CacheStore(tmp_path)
+    for i in range(4):
+        store.put(f"key-{i}", {"value": i})
+    entry = json.loads(cache_rows(tmp_path)["key-1"])
+    corrupt = {"other-key": {**entry, "key": "key-0"}, "other-version": {**entry, "version": "1"}}
+    write_row(tmp_path, "key-1",
+              json.dumps(corrupt[text], sort_keys=True) if text in corrupt else text)
+    keys = [f"key-{i}" for i in range(5)]
+    got = store.get_many(keys)
+    assert got == {key: store.get(key) for key in keys}
+    assert [key for key in keys if got[key] is None] == ["key-1", "key-4"]
+    assert got["key-0"] == {"value": 0, "key": "key-0", "version": cache.MODEL_VERSION}
+    assert cache.CacheStore(tmp_path / "none").get_many(keys) == dict.fromkeys(keys)
 
 
 @pytest.mark.parametrize("interrupt", [RuntimeError, KeyboardInterrupt])
